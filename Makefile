@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench
+.PHONY: build test race vet check bench loc
 
 build:
 	$(GO) build ./...
@@ -23,3 +23,8 @@ check:
 # Tune with BENCHTIME=2s or BENCH=<regexp>.
 bench:
 	./scripts/bench.sh
+
+# loc prints the number ROADMAP tracks: non-test Go lines outside
+# benchmark/. It should go down.
+loc:
+	@./scripts/loc.sh

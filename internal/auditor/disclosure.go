@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/auditor/pipeline"
 	"repro/internal/geo"
 	"repro/internal/poa"
 	"repro/internal/privacy"
@@ -41,41 +40,7 @@ func (s *Server) SubmitSealedPoA(req protocol.SubmitSealedPoARequest) (protocol.
 
 // SubmitSealedPoACtx is SubmitSealedPoA under a caller context.
 func (s *Server) SubmitSealedPoACtx(ctx context.Context, req protocol.SubmitSealedPoARequest) (protocol.SubmitPoAResponse, error) {
-	start := s.verdictStart()
-	resp, err := s.submitSealedPoA(ctx, req)
-	if err == nil {
-		s.countVerdict(resp)
-		s.countDisclosure(poa.DisclosureSealed)
-		s.observeVerdict(DoorSealed, start)
-	}
-	return resp, err
-}
-
-func (s *Server) submitSealedPoA(ctx context.Context, req protocol.SubmitSealedPoARequest) (protocol.SubmitPoAResponse, error) {
-	rec, ok := s.drones.get(req.DroneID)
-	if !ok {
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %q", ErrUnknownDrone, req.DroneID)
-	}
-	if err := requireDisclosure(rec, poa.DisclosureSealed); err != nil {
-		return protocol.SubmitPoAResponse{}, err
-	}
-	if err := s.admission.Acquire(ctx, req.DroneID); err != nil {
-		return protocol.SubmitPoAResponse{}, err
-	}
-	defer s.admission.Release()
-	sub := &pipeline.Submission{
-		DroneID:    req.DroneID,
-		Ciphertext: req.EncryptedPoA,
-		Keys:       s.ring(rec),
-		Suite:      rec.Suite,
-	}
-	resp, err := s.runSubmission(ctx, sub, s.seqSealed)
-	if err == nil && resp.Verdict == protocol.VerdictCompliant {
-		// Every runnable check passed, but positions stayed hidden:
-		// compliance is undecidable until an accusation forces disclosure.
-		resp.Verdict = protocol.VerdictRetained
-	}
-	return resp, err
+	return s.enter(ctx, DoorSealed, req.DroneID, req.EncryptedPoA)
 }
 
 // SubmitCommitPoA accepts a commit-mode PoA: the TEE-signed envelope
@@ -88,35 +53,7 @@ func (s *Server) SubmitCommitPoA(req protocol.SubmitCommitPoARequest) (protocol.
 
 // SubmitCommitPoACtx is SubmitCommitPoA under a caller context.
 func (s *Server) SubmitCommitPoACtx(ctx context.Context, req protocol.SubmitCommitPoARequest) (protocol.SubmitPoAResponse, error) {
-	start := s.verdictStart()
-	resp, err := s.submitCommitPoA(ctx, req)
-	if err == nil {
-		s.countVerdict(resp)
-		s.countDisclosure(poa.DisclosureCommit)
-		s.observeVerdict(DoorCommit, start)
-	}
-	return resp, err
-}
-
-func (s *Server) submitCommitPoA(ctx context.Context, req protocol.SubmitCommitPoARequest) (protocol.SubmitPoAResponse, error) {
-	rec, ok := s.drones.get(req.DroneID)
-	if !ok {
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %q", ErrUnknownDrone, req.DroneID)
-	}
-	if err := requireDisclosure(rec, poa.DisclosureCommit); err != nil {
-		return protocol.SubmitPoAResponse{}, err
-	}
-	if err := s.admission.Acquire(ctx, req.DroneID); err != nil {
-		return protocol.SubmitPoAResponse{}, err
-	}
-	defer s.admission.Release()
-	sub := &pipeline.Submission{
-		DroneID:    req.DroneID,
-		Ciphertext: req.EncryptedEnvelope,
-		Keys:       s.ring(rec),
-		Suite:      rec.Suite,
-	}
-	return s.runSubmission(ctx, sub, s.seqCommit)
+	return s.enter(ctx, DoorCommit, req.DroneID, req.EncryptedEnvelope)
 }
 
 // Reveal settles a selective-disclosure challenge: the operator discloses

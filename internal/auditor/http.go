@@ -105,22 +105,24 @@ func NewHandler(srv Backend) *Handler {
 // NewHandlerOpts wraps a backend with explicit operational options.
 func NewHandlerOpts(srv Backend, opts HandlerOptions) *Handler {
 	h := &Handler{srv: srv, mux: http.NewServeMux(), opts: opts}
-	h.handle(protocol.PathRegisterDrone, post(h.registerDrone))
-	h.handle(protocol.PathRegisterZone, post(h.registerZone))
-	h.handle(protocol.PathRegisterPolygonZone, post(h.registerPolygonZone))
-	h.handle(protocol.PathZoneQuery, post(h.zoneQuery))
-	h.handle(protocol.PathSubmitPoA, post(h.submitPoA))
-	h.handle(protocol.PathSubmitBatchPoA, post(h.submitBatchPoA))
-	h.handle(protocol.PathStartSession, post(h.startSession))
-	h.handle(protocol.PathSubmitMACPoA, post(h.submitMACPoA))
-	h.handle(protocol.PathSubmitSealedPoA, post(h.submitSealedPoA))
-	h.handle(protocol.PathSubmitCommitPoA, post(h.submitCommitPoA))
-	h.handle(protocol.PathReveal, post(h.reveal))
-	h.handle(protocol.PathAccuse, post(h.accuse))
-	h.handle(protocol.PathRotateKey, post(h.rotateKey))
-	h.handle(protocol.PathStreamOpen, post(h.streamOpen))
-	h.handle(protocol.PathStreamSample, post(h.streamSample))
-	h.handle(protocol.PathStreamClose, post(h.streamClose))
+	h.handle(protocol.PathRegisterDrone, postDoor(srv.RegisterDroneCtx))
+	h.handle(protocol.PathRegisterZone, postDoor(dropCtx(srv.RegisterZone)))
+	h.handle(protocol.PathRegisterPolygonZone, postDoor(dropCtx(srv.RegisterPolygonZone)))
+	h.handle(protocol.PathZoneQuery, postDoor(srv.ZoneQueryCtx))
+	h.handle(protocol.PathSubmitPoA, postDoor(srv.SubmitPoACtx))
+	h.handle(protocol.PathSubmitBatchPoA, postDoor(srv.SubmitBatchPoACtx))
+	h.handle(protocol.PathStartSession, postDoor(dropCtx(srv.StartSession)))
+	h.handle(protocol.PathSubmitMACPoA, postDoor(srv.SubmitMACPoACtx))
+	h.handle(protocol.PathSubmitSealedPoA, postDoor(srv.SubmitSealedPoACtx))
+	h.handle(protocol.PathSubmitCommitPoA, postDoor(srv.SubmitCommitPoACtx))
+	h.handle(protocol.PathReveal, postDoor(srv.RevealCtx))
+	h.handle(protocol.PathAccuse, postDoor(func(ctx context.Context, req protocol.AccusationRequest) (protocol.SubmitPoAResponse, error) {
+		return srv.HandleAccusationCtx(ctx, req.DroneID, req.ZoneID, req.At)
+	}))
+	h.handle(protocol.PathRotateKey, postDoor(srv.RotateKeyCtx))
+	h.handle(protocol.PathStreamOpen, postDoor(dropCtx(srv.OpenStream)))
+	h.handle(protocol.PathStreamSample, postDoor(srv.StreamSampleCtx))
+	h.handle(protocol.PathStreamClose, postDoor(srv.CloseStreamCtx))
 	h.handle(protocol.PathAuditorPub, h.auditorPub)
 	h.handle(protocol.PathPublicZones, h.publicZones)
 	h.handle(protocol.PathStatus, h.status)
@@ -317,11 +319,33 @@ func statusFor(err error) int {
 	}
 }
 
+// maxRequestBytes bounds the body of a client-facing POST door. The
+// largest legitimate body — a 600-sample full PoA, encrypted and base64'd
+// into JSON — is about 270 KB; the wire door caps its frames at 1 MiB of
+// raw bytes, which base64 would carry in 1.4 MiB.
+const maxRequestBytes = 4 << 20
+
+// postDoor turns a typed backend method into a client-facing door: POST
+// only, a bounded body (413 past maxRequestBytes), JSON in and out. The
+// cluster-internal doors call handleJSON directly: a shard handoff body is
+// a whole snapshot and is exempt from the bound.
+func postDoor[Req, Resp any](fn func(context.Context, Req) (Resp, error)) http.HandlerFunc {
+	return post(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
+		handleJSON(w, r, fn)
+	})
+}
+
 // handleJSON decodes the request, runs fn under the request context and
 // encodes the response.
 func handleJSON[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(context.Context, Req) (Resp, error)) {
 	var req Req
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed JSON: " + err.Error()})
 		return
 	}
@@ -366,72 +390,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
-}
-
-func (h *Handler) registerDrone(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.RegisterDroneCtx)
-}
-
-func (h *Handler) registerZone(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, dropCtx(h.srv.RegisterZone))
-}
-
-func (h *Handler) registerPolygonZone(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, dropCtx(h.srv.RegisterPolygonZone))
-}
-
-func (h *Handler) zoneQuery(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.ZoneQueryCtx)
-}
-
-func (h *Handler) submitPoA(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.SubmitPoACtx)
-}
-
-func (h *Handler) submitBatchPoA(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.SubmitBatchPoACtx)
-}
-
-func (h *Handler) startSession(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, dropCtx(h.srv.StartSession))
-}
-
-func (h *Handler) submitMACPoA(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.SubmitMACPoACtx)
-}
-
-func (h *Handler) submitSealedPoA(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.SubmitSealedPoACtx)
-}
-
-func (h *Handler) submitCommitPoA(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.SubmitCommitPoACtx)
-}
-
-func (h *Handler) reveal(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.RevealCtx)
-}
-
-func (h *Handler) rotateKey(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.RotateKeyCtx)
-}
-
-func (h *Handler) streamOpen(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, dropCtx(h.srv.OpenStream))
-}
-
-func (h *Handler) streamSample(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.StreamSampleCtx)
-}
-
-func (h *Handler) streamClose(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, h.srv.CloseStreamCtx)
-}
-
-func (h *Handler) accuse(w http.ResponseWriter, r *http.Request) {
-	handleJSON(w, r, func(ctx context.Context, req protocol.AccusationRequest) (protocol.SubmitPoAResponse, error) {
-		return h.srv.HandleAccusationCtx(ctx, req.DroneID, req.ZoneID, req.At)
-	})
 }
 
 // publicZones is the unauthenticated B4UFLY-style lookup:

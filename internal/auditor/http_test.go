@@ -178,3 +178,21 @@ func TestHTTPFullCycle(t *testing.T) {
 		t.Error("published key mismatch")
 	}
 }
+
+// TestHTTPOversizedBodyIs413: a client-facing door stops reading at
+// maxRequestBytes and answers 413 instead of decoding an unbounded body.
+func TestHTTPOversizedBodyIs413(t *testing.T) {
+	hs, _, droneID, _ := httpFixture(t)
+	huge := protocol.SubmitPoARequest{DroneID: droneID, EncryptedPoA: make([]byte, maxRequestBytes)}
+	resp := postJSON(t, hs.URL+protocol.PathSubmitPoA, huge)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status = %d, want 413", resp.StatusCode)
+	}
+	// The bound sits far above a legitimate body: a 300 KB ciphertext
+	// (more than a 600-sample full PoA) reaches the pipeline and is judged.
+	legit := protocol.SubmitPoARequest{DroneID: droneID, EncryptedPoA: make([]byte, 300<<10)}
+	resp = postJSON(t, hs.URL+protocol.PathSubmitPoA, legit)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("300 KB body: status = %d, want 200 (a violation verdict)", resp.StatusCode)
+	}
+}

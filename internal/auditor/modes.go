@@ -28,34 +28,7 @@ func (s *Server) SubmitBatchPoA(req protocol.SubmitBatchPoARequest) (protocol.Su
 
 // SubmitBatchPoACtx is SubmitBatchPoA under a caller context.
 func (s *Server) SubmitBatchPoACtx(ctx context.Context, req protocol.SubmitBatchPoARequest) (protocol.SubmitPoAResponse, error) {
-	start := s.verdictStart()
-	resp, err := s.submitBatchPoA(ctx, req)
-	if err == nil {
-		s.countVerdict(resp)
-		s.observeVerdict(DoorBatch, start)
-	}
-	return resp, err
-}
-
-func (s *Server) submitBatchPoA(ctx context.Context, req protocol.SubmitBatchPoARequest) (protocol.SubmitPoAResponse, error) {
-	rec, ok := s.drones.get(req.DroneID)
-	if !ok {
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %q", ErrUnknownDrone, req.DroneID)
-	}
-	if err := requireDisclosure(rec, poa.DisclosureFull); err != nil {
-		return protocol.SubmitPoAResponse{}, err
-	}
-	if err := s.admission.Acquire(ctx, req.DroneID); err != nil {
-		return protocol.SubmitPoAResponse{}, err
-	}
-	defer s.admission.Release()
-	sub := &pipeline.Submission{
-		DroneID:    req.DroneID,
-		Ciphertext: req.EncryptedBatch,
-		Keys:       s.ring(rec),
-		Suite:      rec.Suite,
-	}
-	return s.runSubmission(ctx, sub, s.seqBatch)
+	return s.enter(ctx, DoorBatch, req.DroneID, req.EncryptedBatch)
 }
 
 // StartSession establishes a §VII-A1a symmetric flight session: the server

@@ -1,14 +1,14 @@
 // Package pipeline is the auditor's staged verification framework: every
-// verification step is a Stage with one uniform signature, declared once
-// in a Registry, and executed by a Runner that handles naming, metrics,
-// trace spans and verdict-vs-error classification in a single place.
+// verification step is a Stage with one uniform signature, and a Runner
+// executes stage sequences, handling naming, metrics, trace spans and
+// verdict-vs-error classification in a single place.
 //
 // The paper's AliDrone Server is one logical pipeline (signature →
 // chronology → speed feasibility → sufficiency, §IV-C); historically the
 // batch submission path, the real-time stream path and the accusation
 // re-check each hand-rolled their own copy of that sequence. The package
-// exists so all entry points compose the same stages from the same
-// registry and a new envelope or check is one Stage, not three edits.
+// exists so all entry points compose the same stage values and a new
+// envelope or check is one Stage, not three edits.
 //
 // Classification contract: a stage returns
 //
@@ -112,57 +112,12 @@ type Submission struct {
 
 // Stage is one named verification step. Run inspects and advances the
 // submission; the Runner wraps it with metrics, tracing and verdict
-// classification, so implementations contain only the check itself.
+// classification, so implementations contain only the check itself. Name
+// is the metric/span label, and several stages may share one (the
+// signature envelopes all report as stage="signature").
 type Stage struct {
 	Name string
 	Run  func(ctx context.Context, sub *Submission) error
-}
-
-// Registry is the declare-once stage catalogue. Entry points compose
-// their sequences from it by key, so the pipeline order is data, not
-// duplicated control flow. The key identifies the implementation; the
-// stage's Name is the metric/span label, and several keys may share one
-// label (the three signature envelopes all report as stage="signature").
-type Registry struct {
-	stages map[string]Stage
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{stages: make(map[string]Stage)} }
-
-// Add files a stage under key. Registering two stages with the same key
-// is a programming error and panics at construction time.
-func (r *Registry) Add(key string, st Stage) {
-	if key == "" || st.Name == "" || st.Run == nil {
-		panic("pipeline: stage needs a key, a name and a Run func")
-	}
-	if _, dup := r.stages[key]; dup {
-		panic("pipeline: duplicate stage " + key)
-	}
-	r.stages[key] = st
-}
-
-// Sequence resolves an ordered stage list by key. Unknown keys panic:
-// sequences are composed at server construction, not per request.
-func (r *Registry) Sequence(keys ...string) []Stage {
-	seq := make([]Stage, len(keys))
-	for i, k := range keys {
-		st, ok := r.stages[k]
-		if !ok {
-			panic("pipeline: unknown stage " + k)
-		}
-		seq[i] = st
-	}
-	return seq
-}
-
-// Keys returns the registered stage keys (unordered), for diagnostics.
-func (r *Registry) Keys() []string {
-	out := make([]string, 0, len(r.stages))
-	for k := range r.stages {
-		out = append(out, k)
-	}
-	return out
 }
 
 // Runner executes stage sequences under uniform instrumentation: each

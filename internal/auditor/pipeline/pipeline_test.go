@@ -15,39 +15,6 @@ func pass(name string) Stage {
 	return Stage{Name: name, Run: func(context.Context, *Submission) error { return nil }}
 }
 
-func TestRegistryComposesSequencesByKey(t *testing.T) {
-	r := NewRegistry()
-	r.Add("a", pass("a"))
-	r.Add("b.one", pass("b"))
-	r.Add("b.two", pass("b")) // distinct keys may share a metric label
-
-	seq := r.Sequence("b.two", "a")
-	if len(seq) != 2 || seq[0].Name != "b" || seq[1].Name != "a" {
-		t.Fatalf("sequence = %v", seq)
-	}
-	if got := len(r.Keys()); got != 3 {
-		t.Errorf("keys = %d, want 3", got)
-	}
-}
-
-func TestRegistryPanicsOnMisuse(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		fn()
-	}
-	r := NewRegistry()
-	r.Add("a", pass("a"))
-	expectPanic("duplicate key", func() { r.Add("a", pass("other")) })
-	expectPanic("empty key", func() { r.Add("", pass("x")) })
-	expectPanic("no run func", func() { r.Add("y", Stage{Name: "y"}) })
-	expectPanic("unknown key", func() { r.Sequence("a", "missing") })
-}
-
 func TestRunnerClassifiesOutcomes(t *testing.T) {
 	boom := errors.New("boom")
 	tests := []struct {

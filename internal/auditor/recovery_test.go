@@ -6,7 +6,9 @@ package auditor
 // and time-based expiry schedules survive a restart.
 
 import (
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -476,4 +478,107 @@ func TestExpirySchedulesSurviveRestart(t *testing.T) {
 	if got := srv.RetainedCount(); got != 1 {
 		t.Errorf("retained after final recovery = %d, want 1", got)
 	}
+}
+
+// TestZoneQueryInvalidAreaKeepsNonce: a correctly signed query over a
+// malformed area is refused before its nonce is claimed or logged, so the
+// operator can resend the same signed nonce with the area fixed.
+func TestZoneQueryInvalidAreaKeepsNonce(t *testing.T) {
+	srv, st := openStoreServer(t, t.TempDir(), recoveryConfig(&mutableClock{t: t0}))
+	defer st.Close()
+	id, keys := registerRecoveryDrone(t, srv)
+	nonce, err := protocol.NewNonce(rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := protocol.ZoneQueryRequest{DroneID: id, Nonce: nonce,
+		Area: geo.Rect{MinLat: 41, MaxLat: 40, MinLon: -89, MaxLon: -88}} // min > max
+	if err := protocol.SignZoneQuery(&req, keys.op); err != nil {
+		t.Fatal(err)
+	}
+	logged := srv.WALSince()
+	if _, err := srv.ZoneQuery(req); err == nil {
+		t.Fatal("invalid area accepted")
+	}
+	if got := srv.nonces.len(); got != 0 {
+		t.Errorf("malformed query claimed %d nonce(s)", got)
+	}
+	if got := srv.WALSince(); got != logged {
+		t.Errorf("malformed query appended %d WAL record(s)", got-logged)
+	}
+	req.Area = geo.NewRect(urbana.Offset(225, 5000), urbana.Offset(45, 5000))
+	if _, err := srv.ZoneQuery(req); err != nil {
+		t.Errorf("same nonce with the area fixed: %v", err)
+	}
+}
+
+// TestRecoveryKeepsRecordsLoggedOutOfSeqOrder is the regression test for
+// the retention-replay defect: add stamps a record's Seq before its WAL
+// append, so two concurrent commits can reach the log in the reverse of
+// their Seq order, and a replay that skipped everything at or below the
+// highest Seq seen dropped the earlier — acknowledged — flight.
+func TestRecoveryKeepsRecordsLoggedOutOfSeqOrder(t *testing.T) {
+	dir := t.TempDir()
+	clock := &mutableClock{t: t0}
+	srv, st := openStoreServer(t, dir, recoveryConfig(clock))
+	// Stamp Seq 1 then 2 as two in-flight commits would, and let the
+	// second reach the log first.
+	p1, _ := srv.retained.add(retainedPoA{DroneID: "drone-a", SubmitTime: t0})
+	p2, _ := srv.retained.add(retainedPoA{DroneID: "drone-b", SubmitTime: t0})
+	d1, _ := srv.disclosures.add(retainedDisclosure{DroneID: "drone-a", Mode: poa.DisclosureCommit, SubmitTime: t0})
+	d2, _ := srv.disclosures.add(retainedDisclosure{DroneID: "drone-b", Mode: poa.DisclosureCommit, SubmitTime: t0})
+	ctx := context.Background()
+	for _, err := range []error{
+		srv.wal(ctx, recPoARetained, retainedSnapshot(p2)),
+		srv.wal(ctx, recPoARetained, retainedSnapshot(p1)),
+		srv.wal(ctx, recDisclosureRetained, disclosureSnapshot(d2)),
+		srv.wal(ctx, recDisclosureRetained, disclosureSnapshot(d1)),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, st = openStoreServer(t, dir, recoveryConfig(clock))
+	for _, drone := range []string{"drone-a", "drone-b"} {
+		if got := len(srv.retained.byDrone(drone)); got != 1 {
+			t.Errorf("%s: %d retained PoAs after replay, want 1", drone, got)
+		}
+		if got := len(srv.disclosures.byDrone(drone)); got != 1 {
+			t.Errorf("%s: %d retained disclosures after replay, want 1", drone, got)
+		}
+	}
+	// Snapshot-overlap idempotence still holds: a checkpoint that already
+	// contains the four records, followed by a replay of the same tail,
+	// must not duplicate them; and a new record gets a fresh Seq.
+	for _, rec := range []struct {
+		kind byte
+		v    any
+	}{{recPoARetained, retainedSnapshot(p1)}, {recDisclosureRetained, disclosureSnapshot(d2)}} {
+		data, err := json.Marshal(rec.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.applyRecord(storage.Record{Kind: rec.kind, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := srv.retained.len() + srv.disclosures.len(); got != 4 {
+		t.Errorf("%d records after replaying duplicates, want 4", got)
+	}
+	if p3, _ := srv.retained.add(retainedPoA{DroneID: "drone-c", SubmitTime: t0}); p3.Seq != 3 {
+		t.Errorf("next Seq after restore = %d, want 3", p3.Seq)
+	}
+	// Purge replay: a logged purge removes the replayed records again.
+	data, _ := json.Marshal(walPurge{Cutoff: t0, Now: t0})
+	if err := srv.applyRecord(storage.Record{Kind: recPurge, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.retained.len() + srv.disclosures.len(); got != 0 {
+		t.Errorf("%d records survive a purge at their submit time, want 0", got)
+	}
+	st.Close()
 }

@@ -70,16 +70,6 @@ type RouterConfig struct {
 	// joining an existing cluster), the tag is derived from Self.ID and
 	// the shard index.
 	Server Config
-	// VNodes is the virtual-node count per node on the ring (0 selects
-	// cluster.DefaultVNodes).
-	VNodes int
-	// SuspectAfter/DeadAfter tune failure detection (0 selects the
-	// cluster package defaults).
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// GossipInterval paces the membership loop started by Run (0 selects
-	// cluster.DefaultGossipInterval).
-	GossipInterval time.Duration
 	// Logger receives routing and handoff log lines. Nil disables.
 	Logger *olog.Logger
 	// HTTPClient performs node-to-node calls (forwards, gossip, handoff).
@@ -229,13 +219,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r.clock = clock
 	r.membership = cluster.NewMembership(cluster.MembershipConfig{
-		Self:         cfg.Self,
-		Seeds:        cfg.Seeds,
-		Clock:        clock,
-		VNodes:       cfg.VNodes,
-		SuspectAfter: cfg.SuspectAfter,
-		DeadAfter:    cfg.DeadAfter,
-		OnChange:     r.onMapChange,
+		Self:     cfg.Self,
+		Seeds:    cfg.Seeds,
+		Clock:    clock,
+		OnChange: r.onMapChange,
 	})
 	r.onMapChange(r.membership.Map())
 	// A single-node cluster is joined by definition; with seeds, the
@@ -351,7 +338,6 @@ func (r *Router) Gossiper() *cluster.Gossiper {
 	return &cluster.Gossiper{
 		M:        r.membership,
 		Exchange: r.exchange,
-		Interval: r.cfg.GossipInterval,
 		OnError: func(peer cluster.Node, err error) {
 			r.log.Debug(context.Background(), "gossip exchange failed",
 				"peer", peer.ID, "err", err.Error())
@@ -637,8 +623,8 @@ func (r *Router) SubmitPoACtx(ctx context.Context, req protocol.SubmitPoARequest
 		func(s *Server) (protocol.SubmitPoAResponse, error) { return s.SubmitPoACtx(ctx, req) },
 		func(fctx context.Context, owner cluster.Node) (protocol.SubmitPoAResponse, error) {
 			if owner.WireAddr != "" {
-				resp, err, used := r.fwd.Submit(fctx, owner.WireAddr, req, otrace.HeaderFromContext(fctx))
-				if used {
+				resp, err, sent := r.fwd.Submit(fctx, owner.WireAddr, req)
+				if sent {
 					otrace.FromContext(fctx).SetAttr("transport", "wire")
 					return resp, err
 				}

@@ -20,8 +20,8 @@ import (
 
 // clusterBackend is the extra surface a routing backend exposes to the
 // transports: the cluster map, gossip, and the cluster-internal doors.
-// Only *Router implements it; the assertion in NewHandlerOpts (and the
-// wire read loop) is how cluster routes light up.
+// Only *Router implements it; the assertion in NewHandlerOpts is how
+// cluster routes light up.
 type clusterBackend interface {
 	Backend
 	clusterMapJSON() ([]byte, error)
@@ -140,8 +140,7 @@ func readBody(r *http.Request) ([]byte, error) {
 
 // ---- Router's clusterBackend implementation ----
 
-// clusterMapJSON serialises the current map for /cluster/map and the
-// wire TypeClusterMap reply.
+// clusterMapJSON serialises the current map for /cluster/map.
 func (r *Router) clusterMapJSON() ([]byte, error) {
 	return json.Marshal(r.membership.Map())
 }

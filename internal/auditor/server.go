@@ -191,30 +191,26 @@ type Server struct {
 	encKey *rsa.PrivateKey
 	pool   *parallel.Pool
 
-	// Staged verification pipeline (see stages.go): the stage registry,
-	// the instrumented runner, the per-entry-point stage sequences, and
-	// the admission controller gating them all.
-	registry       *pipeline.Registry
+	// Staged verification pipeline (see stages.go): the instrumented
+	// runner, the ciphertext-door table, the stage sequences of the other
+	// entry points, and the admission controller gating them all.
 	runner         *pipeline.Runner
 	admission      *pipeline.Admission
 	sigBatcher     *pipeline.VerifyBatcher
-	seqSubmit      []pipeline.Stage
-	seqBatch       []pipeline.Stage
+	doors          map[string]door
 	seqMAC         []pipeline.Stage
 	seqStreamSig   []pipeline.Stage
 	seqStreamPair  []pipeline.Stage
 	seqStreamClose []pipeline.Stage
 	seqAccuse      []pipeline.Stage
-	seqSealed      []pipeline.Stage
-	seqCommit      []pipeline.Stage
 
 	drones      *droneStore
 	zones       *zone.Registry
 	nonces      *nonceStore
 	seen        *digestStore // accepted-PoA digests, for replay detection
-	retained    *retentionStore
-	disclosures *disclosureStore // retained sealed/commit submissions
-	challenges  *challengeStore  // outstanding selective-disclosure challenges
+	retained    *seqStore[retainedPoA]
+	disclosures *seqStore[retainedDisclosure] // retained sealed/commit submissions
+	challenges  *challengeStore               // outstanding selective-disclosure challenges
 	sessions    *sessionStore
 	zones3D     *zone3DStore
 	streams     *streamStore
@@ -276,8 +272,8 @@ func NewServer(cfg Config) (*Server, error) {
 		zones:       zone.NewRegistry(),
 		nonces:      newNonceStore(cfg.NonceTTL),
 		seen:        newDigestStore(),
-		retained:    &retentionStore{},
-		disclosures: &disclosureStore{},
+		retained:    newSeqStore[retainedPoA](),
+		disclosures: newSeqStore[retainedDisclosure](),
 		challenges:  newChallengeStore(),
 		sessions:    newSessionStore(),
 		zones3D:     newZone3DStore(),
@@ -468,9 +464,7 @@ func (s *Server) disclosureAllowed(mode string) error {
 var ErrDisclosureMismatch = errors.New("auditor: submission door does not match the drone's disclosure mode")
 
 // requireDisclosure gates a submission door on the drone's registered
-// disclosure mode: a drone that negotiated commitments must not leak a
-// plaintext trace through the full doors, and a full-mode drone cannot
-// smuggle an unjudgeable sealed proof past the pipeline.
+// disclosure mode.
 func requireDisclosure(rec DroneRecord, mode string) error {
 	got := rec.Disclosure
 	if got == "" {
@@ -539,15 +533,17 @@ func (s *Server) ZoneQueryCtx(ctx context.Context, req protocol.ZoneQueryRequest
 	if err := protocol.VerifyZoneQuery(req, rec.OperatorPub); err != nil {
 		return protocol.ZoneQueryResponse{}, err
 	}
+	// Validate before claiming: a malformed query must not burn its nonce
+	// or write to the log.
+	if !req.Area.Valid() {
+		return protocol.ZoneQueryResponse{}, fmt.Errorf("auditor: invalid query area %+v", req.Area)
+	}
 	now := s.cfg.Clock.Now()
 	if !s.nonces.claim(req.Nonce, now) {
 		return protocol.ZoneQueryResponse{}, fmt.Errorf("%w: replayed", protocol.ErrBadNonce)
 	}
 	if err := s.wal(ctx, recNonceSeen, nonceSnapshot{Nonce: req.Nonce, Seen: now}); err != nil {
 		return protocol.ZoneQueryResponse{}, err
-	}
-	if !req.Area.Valid() {
-		return protocol.ZoneQueryResponse{}, fmt.Errorf("auditor: invalid query area %+v", req.Area)
 	}
 	return protocol.ZoneQueryResponse{Zones: s.zones.QueryRect(req.Area)}, nil
 }
@@ -563,36 +559,44 @@ func (s *Server) SubmitPoA(req protocol.SubmitPoARequest) (protocol.SubmitPoARes
 // cancelled context aborts verification with the context error — never a
 // violation verdict, since no check actually failed.
 func (s *Server) SubmitPoACtx(ctx context.Context, req protocol.SubmitPoARequest) (protocol.SubmitPoAResponse, error) {
-	start := s.verdictStart()
-	resp, err := s.submitPoA(ctx, req)
-	if err == nil {
-		s.countVerdict(resp)
-		s.countDisclosure(poa.DisclosureFull)
-		s.observeVerdict(DoorSubmit, start)
-	}
-	return resp, err
+	return s.enter(ctx, DoorSubmit, req.DroneID, req.EncryptedPoA)
 }
 
-func (s *Server) submitPoA(ctx context.Context, req protocol.SubmitPoARequest) (protocol.SubmitPoAResponse, error) {
-	rec, ok := s.drones.get(req.DroneID)
+// enter is the body of every ciphertext door (see the door table in
+// stages.go): resolve the drone, enforce its registered disclosure mode,
+// take an admission slot, run the door's stages and account the verdict.
+func (s *Server) enter(ctx context.Context, name, droneID string, ciphertext []byte) (protocol.SubmitPoAResponse, error) {
+	d := s.doors[name]
+	start := s.verdictStart()
+	rec, ok := s.drones.get(droneID)
 	if !ok {
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %q", ErrUnknownDrone, req.DroneID)
+		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %q", ErrUnknownDrone, droneID)
 	}
-	if err := requireDisclosure(rec, poa.DisclosureFull); err != nil {
+	if err := requireDisclosure(rec, d.mode); err != nil {
 		return protocol.SubmitPoAResponse{}, err
 	}
-	if err := s.admission.Acquire(ctx, req.DroneID); err != nil {
+	if err := s.admission.Acquire(ctx, droneID); err != nil {
 		return protocol.SubmitPoAResponse{}, err
 	}
 	defer s.admission.Release()
 	s.simVerifyWait(ctx)
 	sub := &pipeline.Submission{
-		DroneID:    req.DroneID,
-		Ciphertext: req.EncryptedPoA,
+		DroneID:    droneID,
+		Ciphertext: ciphertext,
 		Keys:       s.ring(rec),
 		Suite:      rec.Suite,
 	}
-	return s.runSubmission(ctx, sub, s.seqSubmit)
+	resp, err := s.runSubmission(ctx, sub, d.stages)
+	if err != nil {
+		return resp, err
+	}
+	if d.retainOnly && resp.Verdict == protocol.VerdictCompliant {
+		resp.Verdict = protocol.VerdictRetained
+	}
+	s.countVerdict(resp)
+	s.countDisclosure(d.mode)
+	s.observeVerdict(name, start)
+	return resp, nil
 }
 
 // simVerifyWait sleeps Config.SimVerifyCost inside the admission slot —

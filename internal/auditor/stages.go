@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/auditor/pipeline"
@@ -19,69 +20,39 @@ import (
 )
 
 // This file declares the verification pipeline once: every check the
-// AliDrone Server performs is a pipeline.Stage registered here, and the
-// batch submission path, the alternative envelopes, the real-time stream
-// path and the accusation re-check are just different Sequence calls over
-// the same registry (see DESIGN.md "Pipeline architecture"). Adding a
-// check means adding a stage and naming it in the sequences that want it
-// — not editing three hand-rolled copies of the pipeline.
+// AliDrone Server performs is a pipeline.Stage built here, and the
+// ciphertext doors, the real-time stream path and the accusation re-check
+// are just different sequences over the same stage values (see DESIGN.md
+// "Pipeline architecture"). Adding a check means adding a stage and naming
+// it in the sequences that want it — not editing hand-rolled copies of
+// the pipeline.
 
-// Registry keys. Distinct keys may share a metric label: all three
-// signature envelopes report as stage="signature".
-const (
-	keyDecrypt     = "decrypt"
-	keyDecodePoA   = "decode.poa"
-	keyDecodeBatch = "decode.batch"
-	keyReplayClaim = "replay.claim"
-	keySigSamples  = "signature.samples"
-	keySigBatch    = "signature.batch"
-	keySigMAC      = "signature.mac"
-	keyMinSamples  = "minsamples"
-	keyChronology  = "chronology"
-	keySpeed       = "speed"
-	keySufficiency = "sufficiency"
-	keyZones3D     = "zones3d"
-	keyRetain      = "retain"
-	keyCommit      = "commit"
+// door is one row of the ciphertext-door table: an entry point that takes
+// (drone ID, envelope encrypted to the auditor) and ends in a verdict.
+// Server.enter is the one function that drives every row.
+type door struct {
+	// mode is the disclosure mode a drone must have registered to use the
+	// door: a drone that negotiated commitments must not leak a plaintext
+	// trace through a full door, and a full-mode drone cannot smuggle an
+	// unjudgeable sealed proof past the pipeline.
+	mode   string
+	stages []pipeline.Stage
+	// retainOnly marks a door whose stages cannot judge compliance
+	// (sealed: positions stay hidden): passing them all answers
+	// VerdictRetained, and the proof is judged only under accusation.
+	retainOnly bool
+}
 
-	// Disclosure-mode stages (sealed and commit submissions).
-	keyDecodeSealed     = "decode.sealed"
-	keyDecodeCommit     = "decode.commit"
-	keySigRoot          = "signature.root"
-	keySealedStructure  = "structure.sealed"
-	keyCommitStructure  = "structure.commit"
-	keyPredicates       = "predicates"
-	keyRetainDisclosure = "retain.disclosure"
-)
-
-// buildPipeline constructs the stage registry, the runner and the
-// per-entry-point sequences. Called once from NewServer.
+// buildPipeline constructs the runner, the door table and the stream and
+// accusation sequences. Called once from NewServer. Distinct stages may
+// share a Name — the metric/span label: all signature envelopes report
+// as stage="signature".
 func (s *Server) buildPipeline() {
-	r := pipeline.NewRegistry()
+	type stages = []pipeline.Stage
+	st := func(name string, run func(context.Context, *pipeline.Submission) error) pipeline.Stage {
+		return pipeline.Stage{Name: name, Run: run}
+	}
 
-	r.Add(keyDecrypt, pipeline.Stage{Name: StageDecrypt, Run: s.stageDecrypt})
-	r.Add(keyDecodePoA, pipeline.Stage{Name: StageDecode, Run: s.stageDecodePoA})
-	r.Add(keyDecodeBatch, pipeline.Stage{Name: StageDecode, Run: s.stageDecodeBatch})
-	r.Add(keyReplayClaim, pipeline.Stage{Name: StageReplay, Run: s.stageReplayClaim})
-	r.Add(keySigSamples, pipeline.Stage{Name: StageSignature, Run: s.stageSignatureSamples})
-	r.Add(keySigBatch, pipeline.Stage{Name: StageSignature, Run: s.stageSignatureBatch})
-	r.Add(keySigMAC, pipeline.Stage{Name: StageSignature, Run: s.stageSignatureMAC})
-	r.Add(keyMinSamples, pipeline.Stage{Name: StageMinSamples, Run: stageMinSamples})
-	r.Add(keyChronology, pipeline.Stage{Name: StageChronology, Run: stageChronology})
-	r.Add(keySpeed, pipeline.Stage{Name: StageSpeed, Run: s.stageSpeed})
-	r.Add(keySufficiency, pipeline.Stage{Name: StageSufficiency, Run: s.stageSufficiency})
-	r.Add(keyZones3D, pipeline.Stage{Name: StageZones3D, Run: s.stageZones3D})
-	r.Add(keyRetain, pipeline.Stage{Name: StageRetain, Run: s.stageRetain})
-	r.Add(keyCommit, pipeline.Stage{Name: StageCommit, Run: s.stageCommitDigest})
-	r.Add(keyDecodeSealed, pipeline.Stage{Name: StageDecode, Run: stageDecodeSealed})
-	r.Add(keyDecodeCommit, pipeline.Stage{Name: StageDecode, Run: stageDecodeCommit})
-	r.Add(keySigRoot, pipeline.Stage{Name: StageSignature, Run: s.stageSignatureRoot})
-	r.Add(keySealedStructure, pipeline.Stage{Name: StageStructure, Run: stageSealedStructure})
-	r.Add(keyCommitStructure, pipeline.Stage{Name: StageStructure, Run: s.stageCommitStructure})
-	r.Add(keyPredicates, pipeline.Stage{Name: StagePredicates, Run: s.stagePredicates})
-	r.Add(keyRetainDisclosure, pipeline.Stage{Name: StageRetain, Run: s.stageRetainDisclosure})
-
-	s.registry = r
 	s.runner = &pipeline.Runner{
 		Metrics:            s.cfg.Metrics,
 		Tracer:             s.cfg.Tracer,
@@ -89,27 +60,45 @@ func (s *Server) buildPipeline() {
 		MetricStageTotal:   MetricVerifyStageTotal,
 	}
 
-	// The alibi core shared by every envelope: the paper's §IV-C pipeline
-	// (chronology → speed feasibility → sufficiency) plus the §VII-B1 3-D
-	// extension and retention for later accusations.
-	alibi := []string{keyMinSamples, keyChronology, keySpeed, keySufficiency, keyZones3D, keyRetain}
+	var (
+		decrypt     = st(StageDecrypt, s.stageDecrypt)
+		decodePoA   = st(StageDecode, s.stageDecodePoA)
+		replayClaim = st(StageReplay, s.stageReplayClaim)
+		sigSamples  = st(StageSignature, s.stageSignatureSamples)
+		chronology  = st(StageChronology, stageChronology)
+		speed       = st(StageSpeed, s.stageSpeed)
+		sufficiency = st(StageSufficiency, s.stageSufficiency)
+		zones3D     = st(StageZones3D, s.stageZones3D)
+		retain      = st(StageRetain, s.stageRetain)
+		commit      = st(StageCommit, s.stageCommitDigest)
+		retainDisc  = st(StageRetain, s.stageRetainDisclosure)
+	)
+	// The alibi core shared by every full-disclosure envelope: the paper's
+	// §IV-C pipeline (chronology → speed feasibility → sufficiency) plus
+	// the §VII-B1 3-D extension and retention for later accusations.
+	alibi := stages{st(StageMinSamples, stageMinSamples), chronology, speed, sufficiency, zones3D, retain}
 
-	s.seqSubmit = r.Sequence(append([]string{keyDecrypt, keyDecodePoA, keyReplayClaim, keySigSamples}, append(alibi, keyCommit)...)...)
-	s.seqBatch = r.Sequence(append([]string{keyDecrypt, keyDecodeBatch, keySigBatch}, alibi...)...)
-	s.seqMAC = r.Sequence(append([]string{keyDecrypt, keyDecodePoA, keySigMAC}, alibi...)...)
-	s.seqStreamSig = r.Sequence(keySigSamples)
-	s.seqStreamPair = r.Sequence(keySigSamples, keyChronology, keySpeed, keySufficiency)
-	s.seqStreamClose = r.Sequence(keyZones3D, keyRetain)
-	s.seqAccuse = r.Sequence(keySufficiency)
-
-	// Disclosure-mode doors share the registry/admission machinery: sealed
-	// submissions retain without judging (positions are hidden; every check
-	// the server can run without them still runs), commit submissions are
-	// judged from the signed predicates alone.
-	s.seqSealed = r.Sequence(keyDecrypt, keyDecodeSealed, keyReplayClaim, keySealedStructure,
-		keyRetainDisclosure, keyCommit)
-	s.seqCommit = r.Sequence(keyDecrypt, keyDecodeCommit, keyReplayClaim, keySigRoot,
-		keyCommitStructure, keyPredicates, keyRetainDisclosure, keyCommit)
+	s.doors = map[string]door{
+		DoorSubmit: {mode: poa.DisclosureFull,
+			stages: slices.Concat(stages{decrypt, decodePoA, replayClaim, sigSamples}, alibi, stages{commit})},
+		DoorBatch: {mode: poa.DisclosureFull,
+			stages: slices.Concat(stages{decrypt, st(StageDecode, s.stageDecodeBatch), st(StageSignature, s.stageSignatureBatch)}, alibi)},
+		// Sealed submissions retain without judging (every check the server
+		// can run without positions still runs); commit submissions are
+		// judged from the signed predicates alone.
+		DoorSealed: {mode: poa.DisclosureSealed, retainOnly: true,
+			stages: stages{decrypt, st(StageDecode, stageDecodeSealed), replayClaim,
+				st(StageStructure, stageSealedStructure), retainDisc, commit}},
+		DoorCommit: {mode: poa.DisclosureCommit,
+			stages: stages{decrypt, st(StageDecode, stageDecodeCommit), replayClaim,
+				st(StageSignature, s.stageSignatureRoot), st(StageStructure, s.stageCommitStructure),
+				st(StagePredicates, s.stagePredicates), retainDisc, commit}},
+	}
+	s.seqMAC = slices.Concat(stages{decrypt, decodePoA, st(StageSignature, s.stageSignatureMAC)}, alibi)
+	s.seqStreamSig = stages{sigSamples}
+	s.seqStreamPair = stages{sigSamples, chronology, speed, sufficiency}
+	s.seqStreamClose = stages{zones3D, retain}
+	s.seqAccuse = stages{sufficiency}
 }
 
 // stageDecrypt opens the encrypted envelope with the Auditor's private

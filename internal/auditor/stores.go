@@ -267,84 +267,17 @@ type digestEntry struct {
 	seen   time.Time
 }
 
-// retentionStore holds verified PoAs for the accusation window. seq is a
-// monotonic counter stamped onto every added PoA; WAL replay uses it to
-// recognise records whose effect is already in a restored snapshot.
-type retentionStore struct {
-	mu   sync.RWMutex
-	poas []retainedPoA
-	seq  uint64
+// seqStamped is what a record needs to live in a seqStore: the fields the
+// store filters on, and a way to stamp the sequence number it issues.
+type seqStamped[T any] interface {
+	retention() (droneID string, submitted time.Time, seq uint64)
+	withSeq(seq uint64) T
 }
 
-// add stamps the next sequence number onto r, appends it, and returns the
-// stamped record along with the new store size.
-func (st *retentionStore) add(r retainedPoA) (retainedPoA, int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.seq++
-	r.Seq = st.seq
-	st.poas = append(st.poas, r)
-	return r, len(st.poas)
+func (r retainedPoA) retention() (string, time.Time, uint64) {
+	return r.DroneID, r.SubmitTime, r.Seq
 }
-
-// purge drops PoAs submitted at or before the cutoff; returns how many
-// were removed and how many remain.
-func (st *retentionStore) purge(cutoff time.Time) (removed, kept int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	remaining := st.poas[:0]
-	for _, r := range st.poas {
-		if r.SubmitTime.After(cutoff) {
-			remaining = append(remaining, r)
-		} else {
-			removed++
-		}
-	}
-	st.poas = remaining
-	return removed, len(remaining)
-}
-
-func (st *retentionStore) len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.poas)
-}
-
-// byDrone returns the retained PoAs of one drone, in submission order.
-func (st *retentionStore) byDrone(droneID string) []retainedPoA {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var out []retainedPoA
-	for _, r := range st.poas {
-		if r.DroneID == droneID {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// all returns every retained PoA in submission order.
-func (st *retentionStore) all() []retainedPoA {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return append([]retainedPoA(nil), st.poas...)
-}
-
-// restore re-files a persisted PoA. Records whose sequence number is not
-// beyond the store's high-water mark are already present (snapshot overlap
-// during WAL replay) and are skipped; legacy seq-0 entries from pre-WAL
-// snapshots always restore.
-func (st *retentionStore) restore(r retainedPoA) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if r.Seq != 0 && r.Seq <= st.seq {
-		return
-	}
-	st.poas = append(st.poas, r)
-	if r.Seq > st.seq {
-		st.seq = r.Seq
-	}
-}
+func (r retainedPoA) withSeq(seq uint64) retainedPoA { r.Seq = seq; return r }
 
 // retainedDisclosure is one retained sealed/commit submission awaiting
 // possible accusation. Sealed mode keeps the entries themselves (reveal
@@ -363,36 +296,49 @@ type retainedDisclosure struct {
 	Seq        uint64
 }
 
-// disclosureStore holds retained sealed/commit submissions for the
-// accusation window, mirroring retentionStore's Seq-dedup restore
-// contract so WAL replay over a snapshot stays idempotent.
-type disclosureStore struct {
+func (r retainedDisclosure) retention() (string, time.Time, uint64) {
+	return r.DroneID, r.SubmitTime, r.Seq
+}
+func (r retainedDisclosure) withSeq(seq uint64) retainedDisclosure { r.Seq = seq; return r }
+
+// seqStore holds records retained for the accusation window — verified
+// PoAs in one instance, sealed/commit disclosures in another. add stamps
+// a monotonic sequence number onto every record; WAL replay uses it to
+// recognise records whose effect is already in a restored snapshot.
+type seqStore[T seqStamped[T]] struct {
 	mu   sync.RWMutex
-	recs []retainedDisclosure
-	seq  uint64
+	recs []T
+	have map[uint64]struct{} // Seqs of the records in recs
+	seq  uint64              // highest Seq issued or restored
+}
+
+func newSeqStore[T seqStamped[T]]() *seqStore[T] {
+	return &seqStore[T]{have: make(map[uint64]struct{})}
 }
 
 // add stamps the next sequence number onto r, appends it, and returns the
 // stamped record along with the new store size.
-func (st *disclosureStore) add(r retainedDisclosure) (retainedDisclosure, int) {
+func (st *seqStore[T]) add(r T) (T, int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.seq++
-	r.Seq = st.seq
+	r = r.withSeq(st.seq)
+	st.have[st.seq] = struct{}{}
 	st.recs = append(st.recs, r)
 	return r, len(st.recs)
 }
 
 // purge drops records submitted at or before the cutoff; returns how many
 // were removed and how many remain.
-func (st *disclosureStore) purge(cutoff time.Time) (removed, kept int) {
+func (st *seqStore[T]) purge(cutoff time.Time) (removed, kept int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	remaining := st.recs[:0]
 	for _, r := range st.recs {
-		if r.SubmitTime.After(cutoff) {
+		if _, submitted, seq := r.retention(); submitted.After(cutoff) {
 			remaining = append(remaining, r)
 		} else {
+			delete(st.have, seq)
 			removed++
 		}
 	}
@@ -400,19 +346,19 @@ func (st *disclosureStore) purge(cutoff time.Time) (removed, kept int) {
 	return removed, len(remaining)
 }
 
-func (st *disclosureStore) len() int {
+func (st *seqStore[T]) len() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.recs)
 }
 
-// byDrone returns one drone's retained disclosures, in submission order.
-func (st *disclosureStore) byDrone(droneID string) []retainedDisclosure {
+// byDrone returns one drone's records, in commit order.
+func (st *seqStore[T]) byDrone(droneID string) []T {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	var out []retainedDisclosure
+	var out []T
 	for _, r := range st.recs {
-		if r.DroneID == droneID {
+		if id, _, _ := r.retention(); id == droneID {
 			out = append(out, r)
 		}
 	}
@@ -420,36 +366,42 @@ func (st *disclosureStore) byDrone(droneID string) []retainedDisclosure {
 }
 
 // bySeq returns the record with the given sequence number.
-func (st *disclosureStore) bySeq(seq uint64) (retainedDisclosure, bool) {
+func (st *seqStore[T]) bySeq(seq uint64) (T, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	for _, r := range st.recs {
-		if r.Seq == seq {
+		if _, _, s := r.retention(); s == seq {
 			return r, true
 		}
 	}
-	return retainedDisclosure{}, false
+	var zero T
+	return zero, false
 }
 
-// all returns every record in submission order.
-func (st *disclosureStore) all() []retainedDisclosure {
+// all returns every record in commit order.
+func (st *seqStore[T]) all() []T {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return append([]retainedDisclosure(nil), st.recs...)
+	return append([]T(nil), st.recs...)
 }
 
-// restore re-files a persisted record, skipping sequence numbers already
-// covered by a loaded snapshot (WAL replay overlap).
-func (st *disclosureStore) restore(r retainedDisclosure) {
+// restore re-files a persisted record. A record whose sequence number is
+// already present (snapshot overlap during WAL replay) is skipped. The
+// test is membership, not a high-water mark: add stamps the Seq before
+// the WAL append, so concurrent commits can reach the log in the reverse
+// of their Seq order, and a replay must keep both. Legacy seq-0 entries
+// from pre-WAL snapshots always restore.
+func (st *seqStore[T]) restore(r T) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if r.Seq != 0 && r.Seq <= st.seq {
-		return
+	if _, _, seq := r.retention(); seq != 0 {
+		if _, dup := st.have[seq]; dup {
+			return
+		}
+		st.have[seq] = struct{}{}
+		st.seq = max(st.seq, seq)
 	}
 	st.recs = append(st.recs, r)
-	if r.Seq > st.seq {
-		st.seq = r.Seq
-	}
 }
 
 // challengeRecord is one outstanding selective-disclosure challenge.

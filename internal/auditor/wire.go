@@ -14,7 +14,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
@@ -27,17 +26,14 @@ import (
 type WireOptions struct {
 	// Logger receives connection-lifecycle and protocol-error lines.
 	Logger *olog.Logger
-	// MaxFrameBytes bounds one inbound frame payload; 0 means
-	// wire.MaxMessageBytes.
-	MaxFrameBytes int
-	// MaxPipeline bounds the submissions one connection may have in
-	// flight in the verification pipeline; past it the reader stops
-	// consuming frames and TCP backpressure reaches the client. 0 means
-	// 64. (The admission controller still applies on top — a shed
-	// submission occupies its pipeline slot only long enough to produce
-	// an overload ack.)
-	MaxPipeline int
 }
+
+// maxPipeline bounds the submissions one connection may have in flight in
+// the verification pipeline; past it the reader stops consuming frames
+// and TCP backpressure reaches the client. (The admission controller
+// still applies on top — a shed submission occupies its pipeline slot
+// only long enough to produce an overload ack.)
+const maxPipeline = 64
 
 // wireMetrics holds the transport's counters, resolved once at
 // construction: the per-frame path must not pay a registry lookup (and
@@ -95,7 +91,6 @@ func (m *wireMetrics) ackCounter(status byte) *obs.Counter {
 type WireBackend interface {
 	SubmitPoACtx(ctx context.Context, req protocol.SubmitPoARequest) (protocol.SubmitPoAResponse, error)
 	SubmitCommitPoACtx(ctx context.Context, req protocol.SubmitCommitPoARequest) (protocol.SubmitPoAResponse, error)
-	RegisterDroneCtx(ctx context.Context, req protocol.RegisterDroneRequest) (protocol.RegisterDroneResponse, error)
 	Metrics() *obs.Registry
 	Tracer() *otrace.Tracer
 	wireConnDelta(d int64)
@@ -119,12 +114,6 @@ type WireServer struct {
 // NewWireServer wraps srv with a binary transport. Call Serve with a
 // listener to start accepting.
 func NewWireServer(srv WireBackend, opts WireOptions) *WireServer {
-	if opts.MaxFrameBytes <= 0 {
-		opts.MaxFrameBytes = wire.MaxMessageBytes
-	}
-	if opts.MaxPipeline <= 0 {
-		opts.MaxPipeline = 64
-	}
 	return &WireServer{
 		srv:   srv,
 		opts:  opts,
@@ -199,39 +188,60 @@ func (ws *WireServer) forget(c net.Conn) {
 	ws.mu.Unlock()
 }
 
-// wireConn serialises frame writes on one connection. The ack writer
-// owns the steady-state traffic; handshake and error frames go through
-// the same lock.
+// wireConn is one accepted connection: the serialised frame writer (the
+// ack writer owns the steady-state traffic; handshake and error frames go
+// through the same lock) and the state its submissions share.
 type wireConn struct {
 	c   net.Conn
 	met *wireMetrics
+	br  *bufio.Reader
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
+
+	// ctx cancels in-flight verifications when the client goes away — the
+	// wire equivalent of an aborted HTTP request.
+	ctx context.Context
+	// acks flows from the per-submission goroutines to the ack writer.
+	// Sized so a full pipeline of verdicts never blocks on a busy writer.
+	acks chan wire.Ack
+	// slots bounds this connection's in-flight submissions; acquiring in
+	// the read loop turns overrun into TCP backpressure.
+	slots   chan struct{}
+	submits sync.WaitGroup
 }
 
 // writeFrame writes one pre-encoded frame (or frame sequence) and
-// optionally flushes.
-func (wc *wireConn) writeFrame(frame []byte, flush bool) error {
+// flushes.
+func (wc *wireConn) writeFrame(frame []byte) error {
 	wc.wmu.Lock()
 	defer wc.wmu.Unlock()
 	if _, err := wc.bw.Write(frame); err != nil {
 		return err
 	}
-	if flush {
-		if err := wc.bw.Flush(); err != nil {
-			return err
-		}
+	if err := wc.bw.Flush(); err != nil {
+		return err
 	}
 	wc.met.txFrames.Inc()
 	wc.met.txBytes.Add(uint64(len(frame)))
 	return nil
 }
 
-// sendError emits a fatal protocol error frame; the caller closes the
-// connection after it.
-func (wc *wireConn) sendError(msg string) {
-	_ = wc.writeFrame(wire.EncodeError(nil, wire.WireError{Message: msg}), true)
+// reject counts a protocol error and emits the fatal error frame; the
+// caller closes the connection after it.
+func (wc *wireConn) reject(msg string) {
+	wc.met.errors.Inc()
+	_ = wc.writeFrame(wire.EncodeError(nil, wire.WireError{Message: msg})) // the peer is being dropped either way
+}
+
+// readFrame reads and accounts one inbound frame.
+func (wc *wireConn) readFrame() (version byte, data []byte, err error) {
+	version, data, err = wire.ReadFrame(wc.br, wire.MaxMessageBytes)
+	if err == nil {
+		wc.met.rxFrames.Inc()
+		wc.met.rxBytes.Add(uint64(wire.HeaderBytes + 1 + len(data)))
+	}
+	return version, data, err
 }
 
 // handleConn runs one connection: handshake, then a read loop spawning
@@ -242,7 +252,6 @@ func (ws *WireServer) handleConn(c net.Conn) {
 	defer ws.forget(c)
 	defer c.Close()
 
-	log := ws.opts.Logger
 	ws.srv.wireConnDelta(1)
 	ws.met.connections.Add(1)
 	defer func() {
@@ -250,291 +259,188 @@ func (ws *WireServer) handleConn(c net.Conn) {
 		ws.met.connections.Add(-1)
 	}()
 
-	// The connection context cancels in-flight verifications when the
-	// client goes away — the wire equivalent of an aborted HTTP request.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
-	br := bufio.NewReaderSize(c, 64<<10)
-	wc := &wireConn{c: c, met: &ws.met, bw: bufio.NewWriterSize(c, 64<<10)}
-
-	if !ws.handshake(br, wc) {
+	wc := &wireConn{
+		c: c, met: &ws.met, ctx: ctx,
+		br:    bufio.NewReaderSize(c, 64<<10),
+		bw:    bufio.NewWriterSize(c, 64<<10),
+		acks:  make(chan wire.Ack, 4*maxPipeline),
+		slots: make(chan struct{}, maxPipeline),
+	}
+	if !ws.handshake(wc) {
 		return
 	}
 
-	// Acks flow from the per-submission goroutines to the writer, which
-	// coalesces whatever is ready into one frame per flush.
-	acks := make(chan wire.Ack, 256)
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
+	var writer sync.WaitGroup
+	writer.Add(1)
 	go func() {
-		defer writerWG.Done()
-		ws.ackWriter(wc, acks)
+		defer writer.Done()
+		ws.ackWriter(wc)
 	}()
 
-	// pipelineSlots bounds this connection's in-flight submissions;
-	// acquiring in the read loop turns overrun into TCP backpressure.
-	pipelineSlots := make(chan struct{}, ws.opts.MaxPipeline)
-	var submitWG sync.WaitGroup
-
-	ws.readLoop(ctx, br, wc, acks, pipelineSlots, &submitWG)
+	ws.readLoop(wc)
 
 	// Unblock in-flight verifications, let their acks drain, then stop
 	// the writer.
 	cancel()
-	submitWG.Wait()
-	close(acks)
-	writerWG.Wait()
-	log.Debug(ctx, "wire connection closed", "remote", c.RemoteAddr().String())
+	wc.submits.Wait()
+	close(wc.acks)
+	writer.Wait()
+	ws.opts.Logger.Debug(ctx, "wire connection closed", "remote", c.RemoteAddr().String())
 }
 
 // handshake enforces the Hello/HelloAck exchange and version agreement.
-func (ws *WireServer) handshake(br *bufio.Reader, wc *wireConn) bool {
-	version, data, err := wire.ReadFrame(br, ws.opts.MaxFrameBytes)
+func (ws *WireServer) handshake(wc *wireConn) bool {
+	version, data, err := wc.readFrame()
 	if err != nil {
 		ws.met.errors.Inc()
 		return false
 	}
-	ws.met.rxFrames.Inc()
-	ws.met.rxBytes.Add(uint64(wire.HeaderBytes + 1 + len(data)))
 	typ, body, err := wire.SplitType(data)
-	if err != nil || typ != wire.TypeHello {
-		ws.met.errors.Inc()
-		wc.sendError("expected hello")
+	switch {
+	case err != nil || typ != wire.TypeHello:
+		wc.reject("expected hello")
 		return false
-	}
-	if !wire.SupportedVersion(version) {
-		// Version negotiation: the server names the version it speaks so
-		// a newer client can downgrade and redial.
-		ws.met.errors.Inc()
-		wc.sendError(wire.ErrUnknownVersion.Error())
+	case !wire.SupportedVersion(version):
+		// Version negotiation: the refusal names the error so a newer
+		// client can downgrade and redial.
+		wc.reject(wire.ErrUnknownVersion.Error())
 		return false
 	}
 	if _, err := wire.DecodeHello(body); err != nil {
-		ws.met.errors.Inc()
-		wc.sendError(err.Error())
+		wc.reject(err.Error())
 		return false
 	}
 	// Echo the client's version: every version this build supports it
 	// speaks in full, so the dialer's proposal is always accepted.
-	return wc.writeFrame(wire.EncodeHelloAck(nil, wire.HelloAck{Version: version}), true) == nil
+	return wc.writeFrame(wire.EncodeHelloAck(nil, wire.HelloAck{Version: version})) == nil
+}
+
+// wireDoor is one submission frame type the binary door accepts. A new
+// frame is one row here plus its codec in internal/wire.
+type wireDoor struct {
+	span string // server-side span name
+	// forwarded marks a peer's single-hop forward: the context is marked so
+	// a routing backend executes it locally (or raises ErrMisrouted) instead
+	// of forwarding again, and the span continues the forwarder's trace.
+	forwarded bool
+	decode    func(version byte, body []byte) (wire.Submit, error)
+	submit    func(ctx context.Context, b WireBackend, s wire.Submit) (protocol.SubmitPoAResponse, error)
+}
+
+var wireDoors = map[byte]wireDoor{
+	wire.TypeSubmit: {span: "wire.submit", submit: submitFull,
+		decode: func(_ byte, body []byte) (wire.Submit, error) { return wire.DecodeSubmit(body) }},
+	wire.TypeSubmitCommit: {span: "wire.submit-commit", submit: submitCommit,
+		decode: func(_ byte, body []byte) (wire.Submit, error) { return wire.DecodeSubmitCommit(body) }},
+	wire.TypeForward: {span: "wire.forward", submit: submitFull, forwarded: true,
+		decode: wire.DecodeForwardV},
+}
+
+func submitFull(ctx context.Context, b WireBackend, s wire.Submit) (protocol.SubmitPoAResponse, error) {
+	return b.SubmitPoACtx(ctx, protocol.SubmitPoARequest{DroneID: s.DroneID, EncryptedPoA: s.Ciphertext})
+}
+
+func submitCommit(ctx context.Context, b WireBackend, s wire.Submit) (protocol.SubmitPoAResponse, error) {
+	return b.SubmitCommitPoACtx(ctx, protocol.SubmitCommitPoARequest{DroneID: s.DroneID, EncryptedEnvelope: s.Ciphertext})
 }
 
 // readLoop consumes frames until EOF or a protocol error, dispatching
 // submissions into the pipeline.
-func (ws *WireServer) readLoop(ctx context.Context, br *bufio.Reader, wc *wireConn,
-	acks chan<- wire.Ack, pipelineSlots chan struct{}, submitWG *sync.WaitGroup) {
-	log := ws.opts.Logger
+func (ws *WireServer) readLoop(wc *wireConn) {
 	for {
-		version, data, err := wire.ReadFrame(br, ws.opts.MaxFrameBytes)
+		version, data, err := wc.readFrame()
 		if err != nil {
 			if err != io.EOF {
 				// A torn frame is expected when a client dies mid-write;
 				// CRC or length failures mean a confused peer. Either way
 				// the stream is unreadable from here.
-				ws.met.errors.Inc()
-				log.Debug(ctx, "wire read error", "err", err.Error())
+				ws.opts.Logger.Debug(wc.ctx, "wire read error", "err", err.Error())
 				if errors.Is(err, wire.ErrBadCRC) || errors.Is(err, wire.ErrFrameTooLarge) || errors.Is(err, wire.ErrEmptyFrame) {
-					wc.sendError(err.Error())
+					wc.reject(err.Error())
+				} else {
+					ws.met.errors.Inc()
 				}
 			}
 			return
 		}
-		ws.met.rxFrames.Inc()
-		ws.met.rxBytes.Add(uint64(wire.HeaderBytes + 1 + len(data)))
 		if !wire.SupportedVersion(version) {
-			ws.met.errors.Inc()
-			wc.sendError(wire.ErrUnknownVersion.Error())
+			wc.reject(wire.ErrUnknownVersion.Error())
 			return
 		}
 		typ, body, err := wire.SplitType(data)
 		if err != nil {
-			ws.met.errors.Inc()
-			wc.sendError(err.Error())
+			wc.reject(err.Error())
 			return
 		}
-		switch typ {
-		case wire.TypeSubmit:
-			sub, err := wire.DecodeSubmit(body)
-			if err != nil {
-				ws.met.errors.Inc()
-				wc.sendError(err.Error())
+		door, ok := wireDoors[typ]
+		switch {
+		case ok:
+			if !ws.dispatch(wc, door, version, body) {
 				return
 			}
-			select {
-			case pipelineSlots <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			ws.met.submissions.Inc()
-			submitWG.Add(1)
-			go func() {
-				defer submitWG.Done()
-				defer func() { <-pipelineSlots }()
-				sctx, sp := ws.srv.Tracer().StartSpan(ctx, "wire.submit")
-				sp.SetAttr("drone", sub.DroneID)
-				resp, err := ws.srv.SubmitPoACtx(sctx, protocol.SubmitPoARequest{
-					DroneID:      sub.DroneID,
-					EncryptedPoA: sub.Ciphertext,
-				})
-				sp.SetError(err)
-				sp.End()
-				select {
-				case acks <- ackFor(sub.Seq, resp, err):
-				case <-ctx.Done():
-				}
-			}()
-		case wire.TypeSubmitCommit:
-			// A commit-mode submission: same shape as a submit, but the
-			// payload is the encrypted TEE-signed commitment envelope and
-			// verification runs the commit pipeline.
-			sub, err := wire.DecodeSubmitCommit(body)
-			if err != nil {
-				ws.met.errors.Inc()
-				wc.sendError(err.Error())
-				return
-			}
-			select {
-			case pipelineSlots <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			ws.met.submissions.Inc()
-			submitWG.Add(1)
-			go func() {
-				defer submitWG.Done()
-				defer func() { <-pipelineSlots }()
-				sctx, sp := ws.srv.Tracer().StartSpan(ctx, "wire.submit-commit")
-				sp.SetAttr("drone", sub.DroneID)
-				resp, err := ws.srv.SubmitCommitPoACtx(sctx, protocol.SubmitCommitPoARequest{
-					DroneID:           sub.DroneID,
-					EncryptedEnvelope: sub.Ciphertext,
-				})
-				sp.SetError(err)
-				sp.End()
-				select {
-				case acks <- ackFor(sub.Seq, resp, err):
-				case <-ctx.Done():
-				}
-			}()
-		case wire.TypeForward:
-			// A peer's single-hop forward: same payload as a submit, but the
-			// context is marked forwarded so a routing backend executes it
-			// locally (or raises ErrMisrouted) instead of forwarding again.
-			// From Version2 the frame carries the forwarder's traceparent,
-			// so the owner-side span continues the routing node's trace.
-			fwd, err := wire.DecodeForwardV(version, body)
-			if err != nil {
-				ws.met.errors.Inc()
-				wc.sendError(err.Error())
-				return
-			}
-			select {
-			case pipelineSlots <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			ws.met.submissions.Inc()
-			submitWG.Add(1)
-			go func() {
-				defer submitWG.Done()
-				defer func() { <-pipelineSlots }()
-				sctx, sp := ws.srv.Tracer().StartRemote(withForwarded(ctx), fwd.TraceParent, "wire.forward")
-				sp.SetAttr("drone", fwd.DroneID)
-				resp, err := ws.srv.SubmitPoACtx(sctx, protocol.SubmitPoARequest{
-					DroneID:      fwd.DroneID,
-					EncryptedPoA: fwd.Ciphertext,
-				})
-				sp.SetError(err)
-				sp.End()
-				select {
-				case acks <- ackFor(fwd.Seq, resp, err):
-				case <-ctx.Done():
-				}
-			}()
-		case wire.TypeClusterMap:
-			cb, ok := ws.srv.(clusterBackend)
-			if !ok {
-				ws.met.errors.Inc()
-				wc.sendError("cluster map: not a cluster node")
-				return
-			}
-			js, err := cb.clusterMapJSON()
-			if err != nil {
-				wc.sendError("cluster map: " + err.Error())
-				return
-			}
-			if wc.writeFrame(wire.EncodeClusterMap(nil, js), true) != nil {
-				return
-			}
-		case wire.TypeGossip:
-			cb, ok := ws.srv.(clusterBackend)
-			if !ok {
-				ws.met.errors.Inc()
-				wc.sendError("gossip: not a cluster node")
-				return
-			}
-			digest, err := wire.DecodeGossip(body)
-			if err != nil {
-				ws.met.errors.Inc()
-				wc.sendError(err.Error())
-				return
-			}
-			reply, err := cb.gossipExchange(digest)
-			if err != nil {
-				wc.sendError("gossip: " + err.Error())
-				return
-			}
-			if wc.writeFrame(wire.EncodeGossip(nil, reply), true) != nil {
-				return
-			}
-		case wire.TypeRegister:
-			// Registration is rare and order-sensitive (the drone needs
-			// its ID before submitting), so it runs synchronously.
-			r, err := wire.DecodeRegister(body)
-			if err != nil {
-				ws.met.errors.Inc()
-				wc.sendError(err.Error())
-				return
-			}
-			resp, err := ws.srv.RegisterDroneCtx(ctx, protocol.RegisterDroneRequest{
-				OperatorPub: r.OperatorPub,
-				TEEPub:      r.TEEPub,
-				Suite:       r.Suite,
-				Disclosure:  r.Disclosure,
-			})
-			if err != nil {
-				wc.sendError("register: " + err.Error())
-				return
-			}
-			if wc.writeFrame(wire.EncodeRegisterAck(nil, wire.RegisterAck{DroneID: resp.DroneID}), true) != nil {
-				return
-			}
-		case wire.TypeHello:
-			ws.met.errors.Inc()
-			wc.sendError("duplicate hello")
+		case typ == wire.TypeHello:
+			wc.reject("duplicate hello")
 			return
 		default:
-			ws.met.errors.Inc()
-			wc.sendError(wire.ErrUnknownType.Error())
+			wc.reject(wire.ErrUnknownType.Error())
 			return
 		}
 	}
 }
 
+// dispatch admits one submission frame: decode it, take a pipeline slot,
+// and run the door on its own goroutine, which queues the ack. It
+// returns false when the connection must close.
+func (ws *WireServer) dispatch(wc *wireConn, door wireDoor, version byte, body []byte) bool {
+	sub, err := door.decode(version, body)
+	if err != nil {
+		wc.reject(err.Error())
+		return false
+	}
+	select {
+	case wc.slots <- struct{}{}:
+	case <-wc.ctx.Done():
+		return false
+	}
+	ws.met.submissions.Inc()
+	wc.submits.Add(1)
+	go func() {
+		defer wc.submits.Done()
+		defer func() { <-wc.slots }()
+		ctx := wc.ctx
+		if door.forwarded {
+			ctx = withForwarded(ctx)
+		}
+		// An empty traceparent (every frame but a Version2+ Forward)
+		// starts a local root span.
+		ctx, sp := ws.srv.Tracer().StartRemote(ctx, sub.TraceParent, door.span)
+		sp.SetAttr("drone", sub.DroneID)
+		resp, err := door.submit(ctx, ws.srv, sub)
+		sp.SetError(err)
+		sp.End()
+		select {
+		case wc.acks <- protocol.AckFor(sub.Seq, resp, err):
+		case <-wc.ctx.Done():
+		}
+	}()
+	return true
+}
+
 // ackWriter drains the ack channel, coalescing every ack available at
 // flush time into a single frame — under pipelined load many verdicts
 // share one write and one TCP segment.
-func (ws *WireServer) ackWriter(wc *wireConn, acks <-chan wire.Ack) {
+func (ws *WireServer) ackWriter(wc *wireConn) {
 	batch := make([]wire.Ack, 0, wire.MaxAcksPerFrame)
 	var buf []byte
 	var dead bool // conn failed: keep draining so submitters never block
-	for a := range acks {
+	for a := range wc.acks {
 		batch = append(batch[:0], a)
 	coalesce:
 		for len(batch) < wire.MaxAcksPerFrame {
 			select {
-			case more, ok := <-acks:
+			case more, ok := <-wc.acks:
 				if !ok {
 					break coalesce
 				}
@@ -554,36 +460,9 @@ func (ws *WireServer) ackWriter(wc *wireConn, acks <-chan wire.Ack) {
 		if err != nil {
 			continue // unreachable: batch is 1..MaxAcksPerFrame
 		}
-		if wc.writeFrame(buf, true) != nil {
+		if wc.writeFrame(buf) != nil {
 			dead = true
 			wc.c.Close() // unblock the read loop
 		}
 	}
-}
-
-// ackFor converts a pipeline outcome into its wire ack, mapping the
-// typed overload error onto the 429/Retry-After equivalent.
-func ackFor(seq uint64, resp protocol.SubmitPoAResponse, err error) wire.Ack {
-	ack := wire.Ack{Seq: seq}
-	if err == nil {
-		ack.Status = wire.StatusViolation
-		if resp.Verdict == protocol.VerdictCompliant {
-			ack.Status = wire.StatusCompliant
-		}
-		ack.Reason = resp.Reason
-		if resp.InsufficientPairs > 0 && resp.InsufficientPairs <= 1<<16-1 {
-			ack.InsufficientPairs = uint16(resp.InsufficientPairs)
-		}
-		return ack
-	}
-	var over *protocol.OverloadedError
-	if errors.As(err, &over) {
-		ack.Status = wire.StatusOverloaded
-		ack.RetryAfterMS = uint32(over.RetryAfter / time.Millisecond)
-		ack.Reason = protocol.ErrOverloaded.Error()
-		return ack
-	}
-	ack.Status = wire.StatusError
-	ack.Reason = err.Error()
-	return ack
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/operator"
 	"repro/internal/protocol"
-	"repro/internal/sigcrypto"
 	"repro/internal/wire"
 )
 
@@ -28,21 +27,6 @@ func startWire(t *testing.T, srv *Server, opts WireOptions) net.Addr {
 	go func() { _ = ws.Serve(lis) }()
 	t.Cleanup(func() { ws.Close() })
 	return lis.Addr()
-}
-
-// marshalFixtureKeys produces fresh marshalled operator/TEE public keys
-// for a binary registration (distinct from the fixture's drone).
-func marshalFixtureKeys(t *testing.T, keys droneKeys) (opPub, teePub string) {
-	t.Helper()
-	opPub, err := sigcrypto.MarshalPublicKey(&keys.op.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	teePub, err = sigcrypto.MarshalPublicKey(&keys.tee.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return opPub, teePub
 }
 
 func TestWireSubmitVerdicts(t *testing.T) {
@@ -89,34 +73,46 @@ func TestWireSubmitVerdicts(t *testing.T) {
 	}
 }
 
-// TestWireRegisterThenSubmit exercises the binary registration frame:
-// a drone that has never touched HTTP registers and submits over one
-// wire connection.
-func TestWireRegisterThenSubmit(t *testing.T) {
-	srv, _, keys := newFixture(t)
+// TestWireRetiredFramesRejected sends the frame types the protocol no
+// longer defines (Register, RegisterAck, ClusterMap, Gossip): each is a
+// well-formed frame, and the door must answer with the unknown-type error
+// frame, count a protocol error and hang up — never skip it and read on.
+func TestWireRetiredFramesRejected(t *testing.T) {
+	srv, _, _ := newFixture(t)
 	addr := startWire(t, srv, WireOptions{})
 
-	wc := operator.NewWireClient(addr.String(), operator.WireClientOptions{})
-	defer wc.Close()
-
-	opPub, teePub := marshalFixtureKeys(t, keys)
-	reg, err := wc.RegisterDrone(protocol.RegisterDroneRequest{OperatorPub: opPub, TEEPub: teePub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.DroneID == "" {
-		t.Fatal("binary registration returned an empty drone id")
-	}
-
-	resp, err := wc.SubmitPoA(protocol.SubmitPoARequest{
-		DroneID:      reg.DroneID,
-		EncryptedPoA: encryptFor(t, srv, signedTrace(t, keys, urbana, 0, 10, 5, time.Second)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Verdict != protocol.VerdictCompliant {
-		t.Errorf("verdict = %v, want compliant (%s)", resp.Verdict, resp.Reason)
+	for i, typ := range []byte{0x03, 0x04, 0x13, 0x14} {
+		raw, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(raw)
+		frames := wire.AppendFrame(wire.EncodeHello(nil), wire.Version1, []byte{typ, 0, 0, 0, 0})
+		if _, err := raw.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := wire.ReadFrame(br, wire.MaxMessageBytes); err != nil {
+			t.Fatalf("type %#x: hello ack: %v", typ, err)
+		}
+		_, data, err := wire.ReadFrame(br, wire.MaxMessageBytes)
+		if err != nil {
+			t.Fatalf("type %#x: expected an error frame, read failed: %v", typ, err)
+		}
+		got, body, err := wire.SplitType(data)
+		if err != nil || got != wire.TypeError {
+			t.Fatalf("type %#x: reply type %#x (%v), want an error frame", typ, got, err)
+		}
+		we, err := wire.DecodeError(body)
+		if err != nil || we.Message != wire.ErrUnknownType.Error() {
+			t.Errorf("type %#x: error frame %q (%v), want %q", typ, we.Message, err, wire.ErrUnknownType)
+		}
+		if _, _, err := wire.ReadFrame(br, wire.MaxMessageBytes); err == nil {
+			t.Errorf("type %#x: connection still open after the error frame", typ)
+		}
+		raw.Close()
+		if got := srv.Metrics().Counter(MetricWireErrorsTotal).Value(); got != uint64(i+1) {
+			t.Errorf("type %#x: wire errors counter = %d, want %d", typ, got, i+1)
+		}
 	}
 }
 

@@ -2,325 +2,96 @@ package auditor
 
 // wireForwarder is the router's binary-transport peer client: when the
 // owning node advertises a wire address, a mis-routed submission travels
-// to it as a single Forward frame on a pooled, version-negotiated
-// connection instead of a full HTTP round trip. The forwarder dials at
-// wire.LatestVersion and falls back to Version1 when the peer is an
-// older build — a Version1 peer simply never sees the traceparent field
-// (the trace breaks at the hop, nothing else does).
+// to it as a single Forward frame on a pooled wire.Conn instead of a full
+// HTTP round trip. A peer that negotiated Version1 simply never sees the
+// traceparent field (the trace breaks at the hop, nothing else does).
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"fmt"
-	"net"
-	"strings"
 	"sync"
 	"time"
 
+	otrace "repro/internal/obs/trace"
 	"repro/internal/protocol"
 	"repro/internal/wire"
 )
 
-// errWireUnavailable marks failures before any Forward frame was written
-// — dial, handshake, version refusal. Only these are safe to retry over
-// HTTP: after a write the frame may already be in the owner's pipeline,
-// and a second delivery would trip its replay detection.
-var errWireUnavailable = errors.New("auditor: peer wire transport unavailable")
+// fwdDialTimeout bounds a forwarder dial and handshake.
+const fwdDialTimeout = 5 * time.Second
 
 // wireForwarder pools one connection per peer wire address.
 type wireForwarder struct {
-	dialTimeout time.Duration
-
 	mu    sync.Mutex
-	conns map[string]*fwdConn
+	conns map[string]*wire.Conn
 }
 
 func newWireForwarder() *wireForwarder {
-	return &wireForwarder{dialTimeout: 5 * time.Second, conns: make(map[string]*fwdConn)}
+	return &wireForwarder{conns: make(map[string]*wire.Conn)}
 }
 
 // Close tears down every pooled connection.
 func (f *wireForwarder) Close() {
 	f.mu.Lock()
 	conns := f.conns
-	f.conns = make(map[string]*fwdConn)
+	f.conns = make(map[string]*wire.Conn)
 	f.mu.Unlock()
-	for _, fc := range conns {
-		fc.fail(errors.New("auditor: wire forwarder closed"))
+	for _, c := range conns {
+		c.Close()
 	}
 }
 
 // Submit forwards one submission to the owner's wire door and waits for
-// its ack. ok=false reports the wire transport unusable before anything
-// was sent — the caller may fall back to HTTP.
-func (f *wireForwarder) Submit(ctx context.Context, wireAddr string, req protocol.SubmitPoARequest,
-	traceParent string) (protocol.SubmitPoAResponse, error, bool) {
-	fc, err := f.conn(wireAddr)
+// its ack, carrying the context's trace across the hop. sent=false
+// reports the wire transport unusable before any frame was written —
+// dial, handshake, version refusal, a pooled connection that just died.
+// Only then may the caller fall back to HTTP: after a write the frame may
+// already be in the owner's pipeline, and a second delivery would trip
+// its replay detection.
+func (f *wireForwarder) Submit(ctx context.Context, wireAddr string, req protocol.SubmitPoARequest) (resp protocol.SubmitPoAResponse, err error, sent bool) {
+	c, err := f.conn(wireAddr)
 	if err != nil {
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %v", errWireUnavailable, err), false
+		return resp, err, false
 	}
-	ack, err := fc.forward(ctx, req.DroneID, req.EncryptedPoA, traceParent)
+	p, err := c.Begin()
 	if err != nil {
-		f.evict(wireAddr, fc)
-		return protocol.SubmitPoAResponse{}, err, true
+		return resp, err, false
 	}
-	resp, err := respFromAck(req.DroneID, ack)
+	frame := wire.EncodeForwardV(nil, c.Version(), wire.Forward{
+		Seq: p.Seq, DroneID: req.DroneID, Ciphertext: req.EncryptedPoA,
+		TraceParent: otrace.HeaderFromContext(ctx),
+	})
+	if err := c.Write(frame); err != nil {
+		return resp, err, true
+	}
+	ack, err := p.Wait(ctx)
+	if err != nil {
+		return resp, err, true
+	}
+	resp, err = protocol.ResponseFromAck(req.DroneID, ack)
 	return resp, err, true
 }
 
-// conn returns the pooled connection for addr, dialing on first use.
-func (f *wireForwarder) conn(addr string) (*fwdConn, error) {
+// conn returns the pooled connection for addr, dialing on first use and
+// replacing one that has failed.
+func (f *wireForwarder) conn(addr string) (*wire.Conn, error) {
 	f.mu.Lock()
-	fc := f.conns[addr]
+	c := f.conns[addr]
 	f.mu.Unlock()
-	if fc != nil && !fc.dead() {
-		return fc, nil
+	if c != nil && c.Err() == nil {
+		return c, nil
 	}
-	nfc, err := dialFwd(addr, f.dialTimeout)
+	nc, err := wire.Dial(addr, fwdDialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
-	if cur := f.conns[addr]; cur != nil && !cur.dead() {
+	if cur := f.conns[addr]; cur != nil && cur.Err() == nil {
 		// A concurrent dial won; use it and drop ours.
 		f.mu.Unlock()
-		nfc.fail(errors.New("auditor: duplicate forwarder dial"))
+		nc.Close()
 		return cur, nil
 	}
-	f.conns[addr] = nfc
+	f.conns[addr] = nc
 	f.mu.Unlock()
-	return nfc, nil
-}
-
-// evict drops a failed connection from the pool (if still current).
-func (f *wireForwarder) evict(addr string, fc *fwdConn) {
-	f.mu.Lock()
-	if f.conns[addr] == fc {
-		delete(f.conns, addr)
-	}
-	f.mu.Unlock()
-}
-
-// fwdConn is one live, handshaken connection to a peer's wire listener.
-type fwdConn struct {
-	c       net.Conn
-	version byte
-
-	wmu sync.Mutex
-	bw  *bufio.Writer
-
-	mu      sync.Mutex
-	seq     uint64
-	pending map[uint64]chan wire.Ack
-	err     error
-}
-
-// dialFwd establishes and handshakes one forwarder connection, trying
-// the latest protocol version first and redialing at Version1 when the
-// peer refuses it.
-func dialFwd(addr string, timeout time.Duration) (*fwdConn, error) {
-	fc, err := dialFwdVersion(addr, wire.LatestVersion, timeout)
-	if err == nil || !errors.Is(err, wire.ErrUnknownVersion) {
-		return fc, err
-	}
-	return dialFwdVersion(addr, wire.Version1, timeout)
-}
-
-func dialFwdVersion(addr string, version byte, timeout time.Duration) (*fwdConn, error) {
-	c, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	bw := bufio.NewWriterSize(c, 32<<10)
-	br := bufio.NewReaderSize(c, 32<<10)
-	_ = c.SetDeadline(time.Now().Add(timeout))
-	if _, err := bw.Write(wire.EncodeHelloV(nil, version)); err != nil {
-		c.Close()
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		c.Close()
-		return nil, err
-	}
-	_, data, err := wire.ReadFrame(br, wire.MaxMessageBytes)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	typ, body, err := wire.SplitType(data)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	switch typ {
-	case wire.TypeHelloAck:
-		ack, err := wire.DecodeHelloAck(body)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		if !wire.SupportedVersion(ack.Version) || ack.Version > version {
-			c.Close()
-			return nil, fmt.Errorf("wire forward handshake: peer accepted version %d, proposed %d", ack.Version, version)
-		}
-		_ = c.SetDeadline(time.Time{})
-		fc := &fwdConn{c: c, version: ack.Version, bw: bw, pending: make(map[uint64]chan wire.Ack)}
-		go fc.readLoop(br)
-		return fc, nil
-	case wire.TypeError:
-		we, derr := wire.DecodeError(body)
-		c.Close()
-		if derr == nil && strings.Contains(we.Message, wire.ErrUnknownVersion.Error()) {
-			return nil, fmt.Errorf("%w: peer refused version %d", wire.ErrUnknownVersion, version)
-		}
-		return nil, fmt.Errorf("wire forward handshake: peer error %q", we.Message)
-	default:
-		c.Close()
-		return nil, fmt.Errorf("wire forward handshake: unexpected frame type %#x", typ)
-	}
-}
-
-// forward writes one Forward frame and waits for its ack.
-func (fc *fwdConn) forward(ctx context.Context, droneID string, ciphertext []byte, traceParent string) (wire.Ack, error) {
-	ch := make(chan wire.Ack, 1)
-	fc.mu.Lock()
-	if fc.err != nil {
-		err := fc.err
-		fc.mu.Unlock()
-		return wire.Ack{}, err
-	}
-	fc.seq++
-	seq := fc.seq
-	fc.pending[seq] = ch
-	fc.mu.Unlock()
-
-	frame := wire.EncodeForwardV(nil, fc.version, wire.Forward{
-		Seq: seq, DroneID: droneID, Ciphertext: ciphertext, TraceParent: traceParent,
-	})
-	fc.wmu.Lock()
-	_, werr := fc.bw.Write(frame)
-	if werr == nil {
-		werr = fc.bw.Flush()
-	}
-	fc.wmu.Unlock()
-	if werr != nil {
-		fc.fail(werr)
-		return wire.Ack{}, werr
-	}
-	select {
-	case ack, ok := <-ch:
-		if !ok {
-			fc.mu.Lock()
-			err := fc.err
-			fc.mu.Unlock()
-			if err == nil {
-				err = errors.New("auditor: wire forward connection lost")
-			}
-			return wire.Ack{}, err
-		}
-		return ack, nil
-	case <-ctx.Done():
-		fc.mu.Lock()
-		delete(fc.pending, seq)
-		fc.mu.Unlock()
-		return wire.Ack{}, ctx.Err()
-	}
-}
-
-// readLoop dispatches acks to their waiting forwards until the
-// connection dies; any error fails every pending forward.
-func (fc *fwdConn) readLoop(br *bufio.Reader) {
-	for {
-		version, data, err := wire.ReadFrame(br, wire.MaxMessageBytes)
-		if err != nil {
-			fc.fail(fmt.Errorf("auditor: wire forward read: %w", err))
-			return
-		}
-		if !wire.SupportedVersion(version) {
-			fc.fail(fmt.Errorf("auditor: wire forward peer switched to version %d", version))
-			return
-		}
-		typ, body, err := wire.SplitType(data)
-		if err != nil {
-			fc.fail(err)
-			return
-		}
-		switch typ {
-		case wire.TypeAck:
-			acks, err := wire.DecodeAcks(body)
-			if err != nil {
-				fc.fail(err)
-				return
-			}
-			fc.mu.Lock()
-			for _, a := range acks {
-				if ch, ok := fc.pending[a.Seq]; ok {
-					delete(fc.pending, a.Seq)
-					ch <- a
-				}
-			}
-			fc.mu.Unlock()
-		case wire.TypeError:
-			we, derr := wire.DecodeError(body)
-			msg := "peer protocol error"
-			if derr == nil {
-				msg = we.Message
-			}
-			fc.fail(fmt.Errorf("auditor: wire forward peer error: %s", msg))
-			return
-		default:
-			fc.fail(fmt.Errorf("auditor: wire forward: unexpected frame type %#x", typ))
-			return
-		}
-	}
-}
-
-// dead reports whether the connection has failed.
-func (fc *fwdConn) dead() bool {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.err != nil
-}
-
-// fail closes the connection and releases every pending waiter.
-func (fc *fwdConn) fail(err error) {
-	fc.mu.Lock()
-	if fc.err == nil {
-		fc.err = err
-	}
-	pending := fc.pending
-	fc.pending = make(map[uint64]chan wire.Ack)
-	fc.mu.Unlock()
-	fc.c.Close()
-	for _, ch := range pending {
-		close(ch)
-	}
-}
-
-// respFromAck maps a wire ack back onto the HTTP door's response/error
-// contract, so verdicts, overload backoff and the 421 misrouted
-// semantics survive the binary hop unchanged.
-func respFromAck(droneID string, ack wire.Ack) (protocol.SubmitPoAResponse, error) {
-	switch ack.Status {
-	case wire.StatusCompliant, wire.StatusViolation:
-		verdict := protocol.VerdictViolation
-		if ack.Status == wire.StatusCompliant {
-			verdict = protocol.VerdictCompliant
-		}
-		return protocol.SubmitPoAResponse{
-			Verdict:           verdict,
-			Reason:            ack.Reason,
-			InsufficientPairs: int(ack.InsufficientPairs),
-		}, nil
-	case wire.StatusOverloaded:
-		return protocol.SubmitPoAResponse{}, &protocol.OverloadedError{
-			RetryAfter: time.Duration(ack.RetryAfterMS) * time.Millisecond,
-		}
-	default:
-		if strings.Contains(ack.Reason, "misrouted") {
-			return protocol.SubmitPoAResponse{}, &protocol.MisroutedError{DroneID: droneID}
-		}
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("auditor: wire forward rejected: %s", ack.Reason)
-	}
+	return nc, nil
 }

@@ -6,9 +6,8 @@ import (
 )
 
 // Exchange delivers our digest to a peer and returns the peer's digest.
-// The router supplies the transport: wire.TypeGossip frames over the
-// binary transport when the peer advertises a wire address, POST
-// /cluster/gossip otherwise. Tests inject an in-process function.
+// The router supplies the transport (POST /cluster/gossip); tests inject
+// an in-process function.
 type Exchange func(ctx context.Context, peer Node, d Digest) (Digest, error)
 
 // DefaultGossipInterval paces production gossip rounds.

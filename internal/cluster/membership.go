@@ -44,9 +44,8 @@ const (
 )
 
 // Digest is one gossip exchange payload: the sender's identity and its
-// view of every known member's heartbeat. Digests ride the binary wire
-// transport (wire.TypeGossip) between nodes with wire addresses and fall
-// back to POST /cluster/gossip otherwise.
+// view of every known member's heartbeat. Digests travel as the body of
+// POST /cluster/gossip.
 type Digest struct {
 	From    Node          `json:"from"`
 	Version uint64        `json:"version"`

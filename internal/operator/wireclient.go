@@ -1,20 +1,10 @@
 package operator
 
-// WireClient speaks the binary drone→auditor transport (DESIGN.md §10):
-// one persistent connection, client-side batching (buffer N proofs or
-// T ms, flush as one frame sequence in a single write), pipelined
-// submissions correlated by sequence number, and typed overload acks —
-// the binary equivalent of HTTP 429 + Retry-After — honoured through the
-// same RetryPolicy shape the HTTP client uses.
-
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
@@ -38,11 +28,27 @@ const (
 	MetricWireClientDialsTotal = "alidrone_client_wire_dials_total"
 )
 
-// ErrWireConnLost reports that the transport connection failed while
-// submissions were awaiting their acks. The auditor may or may not have
-// verified them; resubmitting risks a replay verdict, so the choice is
-// the caller's.
-var ErrWireConnLost = errors.New("operator: wire connection lost")
+// ErrWireConnLost reports that the transport connection failed (or could
+// not be established) while submissions were awaiting their acks. The
+// auditor may or may not have verified them; resubmitting risks a replay
+// verdict, so the choice is the caller's.
+var ErrWireConnLost = wire.ErrConnLost
+
+// ErrRedialBackoff reports a submission attempted while the client is
+// backing off from a failed dial; it fails fast instead of hammering a
+// dead (or restarting, not yet ready) auditor.
+var ErrRedialBackoff = errors.New("operator: wire redial backing off")
+
+const (
+	// wireDialTimeout bounds connection establishment and the handshake.
+	wireDialTimeout = 10 * time.Second
+	// redialBackoff is the wait after a first failed dial; it doubles per
+	// consecutive failure up to redialMaxBackoff and resets on success.
+	// The applied wait is jittered over [base/2, base) so a fleet of
+	// clients that lost the same auditor does not redial in lockstep.
+	redialBackoff    = 50 * time.Millisecond
+	redialMaxBackoff = 5 * time.Second
+)
 
 // WireClientOptions configures batching and retry behaviour.
 type WireClientOptions struct {
@@ -56,27 +62,16 @@ type WireClientOptions struct {
 	// max(backoff, server hint) like the HTTP client does for
 	// 429/Retry-After. The zero value surfaces the overload error.
 	Retry RetryPolicy
-	// DialTimeout bounds connection establishment. Default 10s.
-	DialTimeout time.Duration
-	// RedialBackoff is the initial wait after a failed (re)dial before
-	// the next dial attempt; it doubles per consecutive failure up to
-	// RedialMaxBackoff and resets on success. The applied wait is
-	// jittered over [base/2, base) so a fleet of clients that lost the
-	// same auditor does not redial in lockstep. Default 50ms.
-	RedialBackoff time.Duration
-	// RedialMaxBackoff caps the doubling. Default 5s.
-	RedialMaxBackoff time.Duration
 	// Metrics, when set, receives the client's wire series.
 	Metrics *obs.Registry
 }
 
-// wireWaiter carries one pending submission's ack back to its caller.
-type wireWaiter struct {
-	ch chan wire.Ack
-}
-
-// WireClient is a batched, multiplexed binary-transport client. It is
-// safe for concurrent use; concurrent submissions share flushes.
+// WireClient is the drone side of the binary transport (DESIGN.md §10):
+// client-side batching (buffer N proofs or T ms, flush as one frame
+// sequence in a single write) over one lazily dialed wire.Conn, and the
+// overload retry policy. Pipelining, ack correlation and failure fan-out
+// are the connection's. It is safe for concurrent use; concurrent
+// submissions share flushes.
 type WireClient struct {
 	addr  string
 	opts  WireClientOptions
@@ -86,46 +81,30 @@ type WireClient struct {
 	// path skips the registry's name lookup.
 	submits, flushes, retries, dials *obs.Counter
 
-	// Redial backoff state (guarded by mu). now and jitter are
-	// injectable so tests pin the schedule without sleeping.
+	// now and jitter are injectable so tests pin the redial schedule
+	// without sleeping.
 	now    func() time.Time
 	jitter func() float64 // uniform [0,1)
 
 	mu         sync.Mutex
-	conn       net.Conn
-	buf        []byte // encoded frames awaiting flush
+	conn       *wire.Conn
+	buf        []byte // encoded frames awaiting flush on conn
 	queued     int    // submissions in buf
 	timer      *time.Timer
-	seq        uint64
-	pending    map[uint64]*wireWaiter
 	closed     bool
 	redialWait time.Duration // current (unjittered) backoff base
 	nextDialAt time.Time     // dials before this instant fail fast
 }
 
-// ErrRedialBackoff reports a flush attempted while the client is backing
-// off from a failed dial; the submission fails fast instead of hammering
-// a dead (or restarting, not yet ready) auditor.
-var ErrRedialBackoff = errors.New("operator: wire redial backing off")
-
 // NewWireClient creates a client for the auditor's wire listener at
-// addr. The connection is established lazily on the first flush and
-// re-established transparently after a failure.
+// addr. The connection is established lazily by the first submission
+// and re-established transparently after a failure.
 func NewWireClient(addr string, opts WireClientOptions) *WireClient {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 16
 	}
 	if opts.FlushInterval <= 0 {
 		opts.FlushInterval = 2 * time.Millisecond
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 10 * time.Second
-	}
-	if opts.RedialBackoff <= 0 {
-		opts.RedialBackoff = 50 * time.Millisecond
-	}
-	if opts.RedialMaxBackoff <= 0 {
-		opts.RedialMaxBackoff = 5 * time.Second
 	}
 	return &WireClient{
 		addr:    addr,
@@ -137,7 +116,6 @@ func NewWireClient(addr string, opts WireClientOptions) *WireClient {
 		flushes: opts.Metrics.Counter(MetricWireClientFlushesTotal),
 		retries: opts.Metrics.Counter(MetricWireClientRetriesTotal),
 		dials:   opts.Metrics.Counter(MetricWireClientDialsTotal),
-		pending: make(map[uint64]*wireWaiter),
 	}
 }
 
@@ -146,7 +124,7 @@ func (c *WireClient) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	conn := c.conn
-	c.failLocked(ErrWireConnLost)
+	c.dropConnLocked()
 	c.mu.Unlock()
 	if conn != nil {
 		return conn.Close()
@@ -154,9 +132,10 @@ func (c *WireClient) Close() error {
 	return nil
 }
 
-// failLocked drops the connection state and delivers err-shaped acks to
-// every waiter. Callers hold c.mu.
-func (c *WireClient) failLocked(err error) {
+// dropConnLocked forgets the current connection and the batch queued on
+// it (its waiters are released by the connection itself when it fails or
+// is closed). Callers hold c.mu.
+func (c *WireClient) dropConnLocked() {
 	c.conn = nil
 	c.buf = c.buf[:0]
 	c.queued = 0
@@ -164,175 +143,58 @@ func (c *WireClient) failLocked(err error) {
 		c.timer.Stop()
 		c.timer = nil
 	}
-	for seq, w := range c.pending {
-		delete(c.pending, seq)
-		w.ch <- wire.Ack{Seq: seq, Status: wire.StatusError, Reason: connLostReason(err)}
-	}
 }
-
-// connLostReason marks an ack as transport-failure so the waiter can
-// distinguish it from a server-sent error ack.
-func connLostReason(err error) string { return "\x00connlost:" + err.Error() }
 
 // noteDialFailureLocked arms (or doubles) the jittered redial backoff
 // after a failed connection attempt. Callers hold c.mu.
 func (c *WireClient) noteDialFailureLocked() {
 	if c.redialWait == 0 {
-		c.redialWait = c.opts.RedialBackoff
+		c.redialWait = redialBackoff
 	} else {
-		c.redialWait *= 2
-		if c.redialWait > c.opts.RedialMaxBackoff {
-			c.redialWait = c.opts.RedialMaxBackoff
-		}
+		c.redialWait = min(c.redialWait*2, redialMaxBackoff)
 	}
 	half := c.redialWait / 2
 	c.nextDialAt = c.now().Add(half + time.Duration(c.jitter()*float64(half)))
 }
 
-// dialLocked establishes the connection and performs the Hello/HelloAck
-// handshake. A failure arms the jittered redial backoff; until it
-// expires further dial attempts fail fast with ErrRedialBackoff. Callers
-// hold c.mu.
+// dialLocked establishes and handshakes the connection. A failure —
+// including a handshake failure, so the backoff also covers an auditor
+// that accepts TCP but is not yet serving — arms the jittered redial
+// backoff; until it expires further attempts fail fast with
+// ErrRedialBackoff. Callers hold c.mu.
 func (c *WireClient) dialLocked() error {
 	if !c.nextDialAt.IsZero() && c.now().Before(c.nextDialAt) {
 		return fmt.Errorf("wire dial %s: %w (next attempt in %v)",
 			c.addr, ErrRedialBackoff, c.nextDialAt.Sub(c.now()).Round(time.Millisecond))
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	conn, err := wire.Dial(c.addr, wireDialTimeout)
 	if err != nil {
 		c.noteDialFailureLocked()
-		return fmt.Errorf("wire dial %s: %w", c.addr, err)
+		return err
 	}
 	c.dials.Inc()
-	// A handshake failure is a failed dial too: the backoff must also
-	// cover an auditor that accepts TCP but is not yet serving.
-	handshaken := false
-	defer func() {
-		if handshaken {
-			c.redialWait = 0
-			c.nextDialAt = time.Time{}
-		} else {
-			c.noteDialFailureLocked()
-		}
-	}()
-	if _, err := conn.Write(wire.EncodeHello(nil)); err != nil {
-		conn.Close()
-		return fmt.Errorf("wire hello: %w", err)
-	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	version, data, err := wire.ReadFrame(br, wire.MaxMessageBytes)
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("wire handshake: %w", err)
-	}
-	typ, body, err := wire.SplitType(data)
-	if err != nil || version != wire.Version1 {
-		conn.Close()
-		return fmt.Errorf("wire handshake: %w", wire.ErrUnknownVersion)
-	}
-	if typ == wire.TypeError {
-		we, _ := wire.DecodeError(body)
-		conn.Close()
-		return fmt.Errorf("wire handshake rejected: %s", we.Message)
-	}
-	ack, err := wire.DecodeHelloAck(body)
-	if err != nil || typ != wire.TypeHelloAck {
-		conn.Close()
-		return fmt.Errorf("wire handshake: unexpected reply type %#x", typ)
-	}
-	if ack.Version != wire.Version1 {
-		conn.Close()
-		return fmt.Errorf("%w: server speaks %d", wire.ErrUnknownVersion, ack.Version)
-	}
-	handshaken = true
+	c.redialWait = 0
+	c.nextDialAt = time.Time{}
 	c.conn = conn
-	go c.readLoop(conn, br)
 	return nil
 }
 
-// readLoop dispatches coalesced ack frames to their waiters until the
-// connection dies, then fails whatever is still pending.
-func (c *WireClient) readLoop(conn net.Conn, br *bufio.Reader) {
-	for {
-		version, data, err := wire.ReadFrame(br, wire.MaxMessageBytes)
-		if err != nil {
-			c.connFailed(conn, err)
-			return
-		}
-		typ, body, serr := wire.SplitType(data)
-		if serr != nil || version != wire.Version1 {
-			c.connFailed(conn, wire.ErrBadMessage)
-			return
-		}
-		switch typ {
-		case wire.TypeAck:
-			acks, err := wire.DecodeAcks(body)
-			if err != nil {
-				c.connFailed(conn, err)
-				return
-			}
-			c.mu.Lock()
-			for _, a := range acks {
-				if w, ok := c.pending[a.Seq]; ok {
-					delete(c.pending, a.Seq)
-					w.ch <- a
-				}
-			}
-			c.mu.Unlock()
-		case wire.TypeError:
-			we, _ := wire.DecodeError(body)
-			c.connFailed(conn, fmt.Errorf("auditor wire: %s", we.Message))
-			return
-		default:
-			// RegisterAck and future types are not in the submit path;
-			// ignore them here.
-		}
-	}
-}
-
-// connFailed tears down conn if it is still the active connection.
-func (c *WireClient) connFailed(conn net.Conn, err error) {
-	conn.Close()
-	c.mu.Lock()
-	if c.conn == conn {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		c.failLocked(err)
-	}
-	c.mu.Unlock()
-}
-
-// flushLocked dials if needed and writes the buffered frame sequence in
-// one Write. Callers hold c.mu.
+// flushLocked writes the buffered frame sequence in one Write. Callers
+// hold c.mu.
 func (c *WireClient) flushLocked() {
-	if c.queued == 0 {
-		return
-	}
 	if c.timer != nil {
 		c.timer.Stop()
 		c.timer = nil
 	}
-	if c.conn == nil {
-		if err := c.dialLocked(); err != nil {
-			c.failLocked(err)
-			return
-		}
-	}
-	c.flushes.Inc()
-	conn := c.conn
-	buf := c.buf
-	c.buf = nil // readLoop acks may interleave; give the flush its buffer
-	c.queued = 0
-	if _, err := conn.Write(buf); err != nil {
-		conn.Close()
-		if c.conn == conn {
-			c.failLocked(err)
-		}
+	if c.queued == 0 {
 		return
 	}
-	if cap(c.buf) == 0 {
-		c.buf = buf[:0] // reuse the flushed buffer for the next batch
+	c.flushes.Inc()
+	err := c.conn.Write(c.buf)
+	c.buf = c.buf[:0]
+	c.queued = 0
+	if err != nil {
+		c.dropConnLocked()
 	}
 }
 
@@ -372,56 +234,33 @@ func (c *WireClient) submitWire(ctx context.Context, droneID string, ciphertext 
 		if err != nil {
 			return protocol.SubmitPoAResponse{}, err
 		}
-		switch ack.Status {
-		case wire.StatusCompliant:
-			return protocol.SubmitPoAResponse{
-				Verdict:           protocol.VerdictCompliant,
-				Reason:            ack.Reason,
-				InsufficientPairs: int(ack.InsufficientPairs),
-			}, nil
-		case wire.StatusViolation:
-			return protocol.SubmitPoAResponse{
-				Verdict:           protocol.VerdictViolation,
-				Reason:            ack.Reason,
-				InsufficientPairs: int(ack.InsufficientPairs),
-			}, nil
-		case wire.StatusOverloaded:
-			over := &protocol.OverloadedError{RetryAfter: time.Duration(ack.RetryAfterMS) * time.Millisecond}
-			if attempt >= c.opts.Retry.Max {
-				return protocol.SubmitPoAResponse{}, over
-			}
-			// Honour the server's hint over a shorter local backoff, as
-			// the HTTP client does for Retry-After.
-			wait := max(backoff, over.RetryAfter)
-			if wait > 0 {
-				if serr := c.sleepCtx(ctx, wait); serr != nil {
-					return protocol.SubmitPoAResponse{}, serr
-				}
-				if backoff > 0 {
-					backoff *= 2
-				}
-			}
-			c.retries.Inc()
-		default:
-			return protocol.SubmitPoAResponse{}, wireAckError(ack)
+		resp, err := protocol.ResponseFromAck(droneID, ack)
+		if ack.Status != wire.StatusOverloaded || attempt >= c.opts.Retry.Max {
+			return resp, err
 		}
+		// Honour the server's hint over a shorter local backoff, as the
+		// HTTP client does for Retry-After.
+		hint := time.Duration(ack.RetryAfterMS) * time.Millisecond
+		if wait := max(backoff, hint); wait > 0 {
+			if serr := c.sleepCtx(ctx, wait); serr != nil {
+				return protocol.SubmitPoAResponse{}, serr
+			}
+			backoff *= 2
+		}
+		c.retries.Inc()
 	}
 }
 
-// submitOnce enqueues the submission into the current batch and waits
-// for its ack.
+// submitOnce enqueues the submission into the current batch — dialing
+// first when there is no live connection — and waits for its ack.
 func (c *WireClient) submitOnce(ctx context.Context, droneID string, ciphertext []byte, commit bool) (wire.Ack, error) {
-	w := &wireWaiter{ch: make(chan wire.Ack, 1)}
-
 	c.mu.Lock()
-	if c.closed {
+	p, err := c.beginLocked()
+	if err != nil {
 		c.mu.Unlock()
-		return wire.Ack{}, ErrWireConnLost
+		return wire.Ack{}, err
 	}
-	c.seq++
-	seq := c.seq
-	c.pending[seq] = w
-	s := wire.Submit{Seq: seq, DroneID: droneID, Ciphertext: ciphertext}
+	s := wire.Submit{Seq: p.Seq, DroneID: droneID, Ciphertext: ciphertext}
 	if commit {
 		c.buf = wire.EncodeSubmitCommit(c.buf, s)
 	} else {
@@ -439,26 +278,28 @@ func (c *WireClient) submitOnce(ctx context.Context, droneID string, ciphertext 
 		})
 	}
 	c.mu.Unlock()
-
-	select {
-	case ack := <-w.ch:
-		return ack, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, seq)
-		c.mu.Unlock()
-		return wire.Ack{}, ctx.Err()
-	}
+	return p.Wait(ctx)
 }
 
-// wireAckError converts an error-status ack into the error the caller
-// sees, unwrapping transport failures to ErrWireConnLost.
-func wireAckError(ack wire.Ack) error {
-	const marker = "\x00connlost:"
-	if len(ack.Reason) > len(marker) && ack.Reason[:len(marker)] == marker {
-		return fmt.Errorf("%w: %s", ErrWireConnLost, ack.Reason[len(marker):])
+// beginLocked registers a waiter on the live connection, replacing a
+// dead one first. Every failure wraps ErrWireConnLost. Callers hold c.mu.
+func (c *WireClient) beginLocked() (wire.Pending, error) {
+	if c.closed {
+		return wire.Pending{}, ErrWireConnLost
 	}
-	return fmt.Errorf("auditor wire submit: %s", ack.Reason)
+	if c.conn != nil && c.conn.Err() != nil {
+		c.dropConnLocked()
+	}
+	if c.conn == nil {
+		if err := c.dialLocked(); err != nil {
+			return wire.Pending{}, fmt.Errorf("%w: %w", ErrWireConnLost, err)
+		}
+	}
+	p, err := c.conn.Begin()
+	if err != nil {
+		c.dropConnLocked()
+	}
+	return p, err
 }
 
 // SetSleep replaces the retry backoff sleeper. Tests inject a recorder
@@ -478,59 +319,6 @@ func (c *WireClient) sleepCtx(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// RegisterDrone performs a binary registration over its own short-lived
-// connection (registration happens once, before any submission traffic,
-// so it does not share the batched submit channel).
-func (c *WireClient) RegisterDrone(req protocol.RegisterDroneRequest) (protocol.RegisterDroneResponse, error) {
-	var resp protocol.RegisterDroneResponse
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
-	if err != nil {
-		return resp, fmt.Errorf("wire dial %s: %w", c.addr, err)
-	}
-	defer conn.Close()
-
-	frames := wire.EncodeHello(nil)
-	frames, err = wire.EncodeRegister(frames, wire.Register{
-		OperatorPub: req.OperatorPub,
-		TEEPub:      req.TEEPub,
-		Suite:       req.Suite,
-		Disclosure:  req.Disclosure,
-	})
-	if err != nil {
-		return resp, fmt.Errorf("encode register: %w", err)
-	}
-	if _, err := conn.Write(frames); err != nil {
-		return resp, fmt.Errorf("wire register: %w", err)
-	}
-	br := bufio.NewReaderSize(conn, 16<<10)
-	for {
-		version, data, err := wire.ReadFrame(br, wire.MaxMessageBytes)
-		if err != nil {
-			return resp, fmt.Errorf("wire register reply: %w", err)
-		}
-		typ, body, serr := wire.SplitType(data)
-		if serr != nil || version != wire.Version1 {
-			return resp, fmt.Errorf("wire register reply: %w", wire.ErrBadMessage)
-		}
-		switch typ {
-		case wire.TypeHelloAck:
-			continue
-		case wire.TypeRegisterAck:
-			ra, err := wire.DecodeRegisterAck(body)
-			if err != nil {
-				return resp, err
-			}
-			resp.DroneID = ra.DroneID
-			return resp, nil
-		case wire.TypeError:
-			we, _ := wire.DecodeError(body)
-			return resp, fmt.Errorf("auditor wire: %s", we.Message)
-		default:
-			return resp, fmt.Errorf("wire register reply: unexpected type %#x", typ)
-		}
 	}
 }
 

@@ -22,15 +22,14 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// TestWireClientRedialBackoffJitter pins the redial schedule: a failed
-// dial arms a jittered backoff, attempts inside the window fail fast
-// with ErrRedialBackoff, the window doubles per consecutive failure up
-// to the cap, and the jitter spreads the deadline over [base/2, base).
+// TestWireClientRedialBackoffJitter pins the redial schedule through the
+// injectable clock and jitter source: a failed dial arms a jittered
+// backoff, attempts inside the window fail fast with ErrRedialBackoff,
+// the window doubles per consecutive failure from redialBackoff up to
+// redialMaxBackoff, and the jitter spreads the deadline over
+// [base/2, base).
 func TestWireClientRedialBackoffJitter(t *testing.T) {
-	c := NewWireClient(deadAddr(t), WireClientOptions{
-		RedialBackoff:    100 * time.Millisecond,
-		RedialMaxBackoff: 300 * time.Millisecond,
-	})
+	c := NewWireClient(deadAddr(t), WireClientOptions{})
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	c.now = func() time.Time { return now }
 	jitter := 0.5
@@ -43,11 +42,11 @@ func TestWireClientRedialBackoffJitter(t *testing.T) {
 	}
 
 	// First dial fails against the dead address and arms the backoff:
-	// 100ms base, jitter 0.5 → deadline now + 50ms + 25ms.
+	// 50ms base, jitter 0.5 → deadline now + 25ms + 12.5ms.
 	if err := dial(); err == nil {
 		t.Fatal("dial to dead address succeeded")
 	}
-	if want := now.Add(75 * time.Millisecond); !c.nextDialAt.Equal(want) {
+	if want := now.Add(37500 * time.Microsecond); !c.nextDialAt.Equal(want) {
 		t.Fatalf("nextDialAt = %v, want %v", c.nextDialAt, want)
 	}
 
@@ -55,31 +54,35 @@ func TestWireClientRedialBackoffJitter(t *testing.T) {
 	if err := dial(); !errors.Is(err, ErrRedialBackoff) {
 		t.Fatalf("dial inside backoff window: %v, want ErrRedialBackoff", err)
 	}
-	if want := now.Add(75 * time.Millisecond); !c.nextDialAt.Equal(want) {
+	if want := now.Add(37500 * time.Microsecond); !c.nextDialAt.Equal(want) {
 		t.Fatalf("fast-fail moved the deadline to %v", c.nextDialAt)
 	}
 
 	// Past the deadline the dial is attempted again; the failure doubles
-	// the base (200ms) and re-jitters: +100ms + 50ms.
-	now = now.Add(80 * time.Millisecond)
+	// the base (100ms) and re-jitters: +50ms + 25ms.
+	now = now.Add(40 * time.Millisecond)
 	if err := dial(); errors.Is(err, ErrRedialBackoff) {
 		t.Fatal("dial past deadline still backing off")
 	}
-	if want := now.Add(150 * time.Millisecond); !c.nextDialAt.Equal(want) {
+	if want := now.Add(75 * time.Millisecond); !c.nextDialAt.Equal(want) {
 		t.Fatalf("after second failure nextDialAt = %v, want %v", c.nextDialAt, want)
 	}
 
 	// A different jitter draw lands elsewhere in [base/2, base): the
-	// fleet does not redial in lockstep.
-	now = now.Add(200 * time.Millisecond)
+	// fleet does not redial in lockstep. Jitter 0 is the window floor.
 	jitter = 0.0
-	if err := dial(); errors.Is(err, ErrRedialBackoff) {
-		t.Fatal("dial past deadline still backing off")
-	}
-	// Third failure: base doubles to 400ms but caps at 300ms; jitter 0 →
-	// deadline now + 150ms exactly (the window floor).
-	if want := now.Add(150 * time.Millisecond); !c.nextDialAt.Equal(want) {
-		t.Fatalf("capped nextDialAt = %v, want %v", c.nextDialAt, want)
+	for _, base := range []time.Duration{
+		200 * time.Millisecond, 400 * time.Millisecond, 800 * time.Millisecond,
+		1600 * time.Millisecond, 3200 * time.Millisecond,
+		redialMaxBackoff, redialMaxBackoff, // 6.4s caps at 5s and stays there
+	} {
+		now = now.Add(redialMaxBackoff)
+		if err := dial(); errors.Is(err, ErrRedialBackoff) {
+			t.Fatal("dial past deadline still backing off")
+		}
+		if want := now.Add(base / 2); !c.nextDialAt.Equal(want) {
+			t.Fatalf("at base %v nextDialAt = %v, want %v", base, c.nextDialAt, want)
+		}
 	}
 }
 
@@ -90,8 +93,7 @@ func TestWireClientRedialBackoffJitter(t *testing.T) {
 func TestWireClientRedialBackoffResetsOnSuccess(t *testing.T) {
 	s := startEchoWire(t)
 	c := NewWireClient(s.lis.Addr().String(), WireClientOptions{
-		BatchSize:     1, // flush (and so dial) immediately
-		RedialBackoff: 50 * time.Millisecond,
+		BatchSize: 1, // flush immediately
 	})
 	defer c.Close()
 

@@ -116,43 +116,3 @@ func TestForwardDecodeRejectsGarbage(t *testing.T) {
 		t.Error("trailing bytes accepted")
 	}
 }
-
-func TestClusterMapRoundTrip(t *testing.T) {
-	// Request form: empty payload.
-	typ, body := decodeOne(t, EncodeClusterMap(nil, nil))
-	if typ != TypeClusterMap {
-		t.Fatalf("type = %#x, want TypeClusterMap", typ)
-	}
-	payload, err := DecodeClusterMap(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(payload) != 0 {
-		t.Fatalf("request form must decode to empty payload, got %q", payload)
-	}
-	// Reply form carries the JSON verbatim.
-	js := []byte(`{"version":9,"vnodes":64,"nodes":[{"id":"a","addr":"h:1"}]}`)
-	_, body = decodeOne(t, EncodeClusterMap(nil, js))
-	payload, err = DecodeClusterMap(body)
-	if err != nil || !bytes.Equal(payload, js) {
-		t.Fatalf("map reply drift: %q, %v", payload, err)
-	}
-	if _, err := DecodeClusterMap(append(body, 0xaa)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
-func TestGossipRoundTrip(t *testing.T) {
-	js := []byte(`{"from":{"id":"a","addr":"h:1"},"version":2,"entries":[]}`)
-	typ, body := decodeOne(t, EncodeGossip(nil, js))
-	if typ != TypeGossip {
-		t.Fatalf("type = %#x, want TypeGossip", typ)
-	}
-	payload, err := DecodeGossip(body)
-	if err != nil || !bytes.Equal(payload, js) {
-		t.Fatalf("gossip drift: %q, %v", payload, err)
-	}
-	if _, err := DecodeGossip(body[:2]); err == nil {
-		t.Error("truncated gossip accepted")
-	}
-}

@@ -1,28 +1,24 @@
 package wire
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/sigcrypto"
 )
 
 // Protocol versions. The version travels in the frame kind byte, so a
 // reader rejects an incompatible peer before touching the message body.
 const (
-	// Version1 is the original protocol: Hello/HelloAck, Submit/Ack,
-	// Register and the cluster frames with no optional fields.
+	// Version1 is the original protocol: Hello/HelloAck, Submit/Ack and
+	// Forward with no optional fields.
 	Version1 byte = 1
 	// Version2 extends Forward with a trailing traceparent field, so a
 	// cross-node forward continues the submitter's trace on the owner.
 	// Everything else is byte-identical to Version1.
 	Version2 byte = 2
-	// Version3 adds the commit-disclosure frames: SubmitCommit, and an
-	// optional trailing disclosure-mode field on Register. Frames shared
-	// with older versions stay byte-identical.
+	// Version3 adds the commit-disclosure frame, SubmitCommit. Frames
+	// shared with older versions stay byte-identical.
 	Version3 byte = 3
 	// LatestVersion is the newest version this build speaks; handshakes
 	// open at it and downgrade when the peer only speaks an older one.
@@ -40,37 +36,25 @@ const MaxMessageBytes = 1 << 20 // 1 MiB
 // MaxAcksPerFrame bounds how many acks one coalesced Ack frame carries.
 const MaxAcksPerFrame = 1024
 
-// Message types, the first byte of every frame payload's data.
+// Message types, the first byte of every frame payload's data. 0x03,
+// 0x04, 0x13 and 0x14 were registration, cluster-map and gossip frames
+// that no binary ever sent; they are retired and decode as unknown types.
 const (
 	// TypeHello opens a connection: the client's first frame, empty body.
 	// The frame kind byte carries the client's protocol version.
 	TypeHello byte = 0x01
 	// TypeHelloAck answers Hello with the version the server accepted.
 	TypeHelloAck byte = 0x02
-	// TypeRegister carries a binary drone registration (suite-envelope
-	// keys in compact form).
-	TypeRegister byte = 0x03
-	// TypeRegisterAck answers Register with the issued drone ID.
-	TypeRegisterAck byte = 0x04
 	// TypeSubmit carries one PoA submission.
 	TypeSubmit byte = 0x10
 	// TypeAck carries a batch of coalesced submission acks.
 	TypeAck byte = 0x11
 	// TypeForward carries a submission forwarded between cluster nodes:
-	// the same payload as TypeSubmit, but the receiver executes it on
-	// its local shards only and never re-forwards (the wire door's
-	// single-hop guard). Acked like a Submit.
+	// the same payload as TypeSubmit (plus the traceparent from Version2),
+	// executed on the receiver's local shards only. Acked like a Submit.
 	TypeForward byte = 0x12
-	// TypeClusterMap requests (empty payload) or carries (JSON payload)
-	// the versioned cluster map — the wire door's /cluster/map.
-	TypeClusterMap byte = 0x13
-	// TypeGossip carries one membership digest (JSON). A node receiving
-	// a gossip frame merges it and answers with its own digest.
-	TypeGossip byte = 0x14
 	// TypeSubmitCommit carries one commit-mode submission: the same shape
-	// as TypeSubmit, but the ciphertext decrypts to a binary commit
-	// envelope instead of a plaintext PoA. Version3 only; acked like a
-	// Submit.
+	// as TypeSubmit, Version3 only; acked like a Submit.
 	TypeSubmitCommit byte = 0x15
 	// TypeError is a fatal protocol error; the sender closes after it.
 	TypeError byte = 0x7f
@@ -106,11 +90,27 @@ type HelloAck struct {
 // Submit is one PoA submission in flight on a wire connection. Seq is a
 // client-chosen correlation number echoed in the matching Ack, which is
 // what lets many submissions share one connection out of order.
+//
+// The three submission frames share this shape and body layout: Submit, its
+// commit-mode twin SubmitCommit (the ciphertext decrypts to a commit
+// envelope), and Forward — a Submit re-emitted by a cluster node to the
+// drone's owner, which executes it locally only and never forwards it
+// again (single-hop guard). All three are answered by an Ack with the
+// same Seq.
 type Submit struct {
 	Seq        uint64
 	DroneID    string
 	Ciphertext []byte
+	// TraceParent is the W3C traceparent of the span that decided to
+	// forward, so the owner continues the same trace. Only a Forward frame
+	// at Version2 or later carries it, as a trailing str16 (empty = no
+	// trace); every other encoding ignores it and stays byte-identical to
+	// Version1.
+	TraceParent string
 }
+
+// Forward is a Submit travelling in a Forward frame.
+type Forward = Submit
 
 // Ack is the verdict (or shed/error outcome) for one submission.
 type Ack struct {
@@ -119,24 +119,6 @@ type Ack struct {
 	RetryAfterMS      uint32 // backoff hint, StatusOverloaded only
 	InsufficientPairs uint16
 	Reason            string
-}
-
-// Register is a binary drone registration. The key envelopes are the
-// same "<suite>:<base64>" (or legacy bare-base64 RSA) strings the JSON
-// API carries, encoded compactly on the wire (see AppendKeyEnvelope).
-type Register struct {
-	OperatorPub string
-	TEEPub      string
-	Suite       string
-	// Disclosure is the negotiated disclosure mode; empty means full.
-	// Encoded only on Version3 frames — a Version1 Register stays
-	// byte-identical to the pre-disclosure protocol.
-	Disclosure string
-}
-
-// RegisterAck carries the issued drone identifier.
-type RegisterAck struct {
-	DroneID string
 }
 
 // WireError is a fatal protocol error message.
@@ -233,38 +215,69 @@ func DecodeHelloAck(body []byte) (HelloAck, error) {
 
 // EncodeSubmit appends a Submit frame.
 func EncodeSubmit(dst []byte, s Submit) []byte {
-	body := make([]byte, 0, 1+8+2+len(s.DroneID)+4+len(s.Ciphertext))
-	body = append(body, TypeSubmit)
+	return appendSubmission(dst, Version1, TypeSubmit, s)
+}
+
+// EncodeSubmitCommit appends a SubmitCommit frame, travelling at Version3
+// so pre-disclosure peers reject it at the frame header rather than
+// mis-reading the body.
+func EncodeSubmitCommit(dst []byte, s Submit) []byte {
+	return appendSubmission(dst, Version3, TypeSubmitCommit, s)
+}
+
+// EncodeForward appends a Forward frame at Version1, dropping the
+// traceparent — the compatibility encoder for old receivers.
+func EncodeForward(dst []byte, f Forward) []byte {
+	return appendSubmission(dst, Version1, TypeForward, f)
+}
+
+// EncodeForwardV appends a Forward frame at the negotiated protocol
+// version. Version2 and later carry the traceparent; Version1 omits it.
+func EncodeForwardV(dst []byte, version byte, f Forward) []byte {
+	return appendSubmission(dst, version, TypeForward, f)
+}
+
+// hasTraceParent reports whether a typ frame at version carries the
+// trailing traceparent field.
+func hasTraceParent(version, typ byte) bool {
+	return typ == TypeForward && version >= Version2
+}
+
+func appendSubmission(dst []byte, version, typ byte, s Submit) []byte {
+	body := make([]byte, 0, 1+8+2+len(s.DroneID)+4+len(s.Ciphertext)+2+len(s.TraceParent))
+	body = append(body, typ)
 	body = binary.LittleEndian.AppendUint64(body, s.Seq)
 	body = appendStr16(body, s.DroneID)
 	body = appendBytes32(body, s.Ciphertext)
-	return AppendFrame(dst, Version1, body)
+	if hasTraceParent(version, typ) {
+		body = appendStr16(body, s.TraceParent)
+	}
+	return AppendFrame(dst, version, body)
 }
 
 // DecodeSubmit decodes a Submit body. The ciphertext is copied out of
 // the frame buffer, so the caller may retain it.
 func DecodeSubmit(body []byte) (Submit, error) {
-	return decodeSubmitBody(body, "submit")
-}
-
-// EncodeSubmitCommit appends a SubmitCommit frame — the commit-mode twin
-// of EncodeSubmit, travelling at Version3 so pre-disclosure peers reject
-// it at the frame header rather than mis-reading the body.
-func EncodeSubmitCommit(dst []byte, s Submit) []byte {
-	body := make([]byte, 0, 1+8+2+len(s.DroneID)+4+len(s.Ciphertext))
-	body = append(body, TypeSubmitCommit)
-	body = binary.LittleEndian.AppendUint64(body, s.Seq)
-	body = appendStr16(body, s.DroneID)
-	body = appendBytes32(body, s.Ciphertext)
-	return AppendFrame(dst, Version3, body)
+	return decodeSubmission(Version1, TypeSubmit, body, "submit")
 }
 
 // DecodeSubmitCommit decodes a SubmitCommit body.
 func DecodeSubmitCommit(body []byte) (Submit, error) {
-	return decodeSubmitBody(body, "submit-commit")
+	return decodeSubmission(Version3, TypeSubmitCommit, body, "submit-commit")
 }
 
-func decodeSubmitBody(body []byte, what string) (Submit, error) {
+// DecodeForward decodes a Version1 Forward body.
+func DecodeForward(body []byte) (Forward, error) {
+	return decodeSubmission(Version1, TypeForward, body, "forward")
+}
+
+// DecodeForwardV decodes a Forward body framed at the given version: the
+// trailing traceparent field exists only from Version2 on.
+func DecodeForwardV(version byte, body []byte) (Forward, error) {
+	return decodeSubmission(version, TypeForward, body, "forward")
+}
+
+func decodeSubmission(version, typ byte, body []byte, what string) (Submit, error) {
 	var s Submit
 	if len(body) < 8 {
 		return s, fmt.Errorf("%w: short %s seq", ErrBadMessage, what)
@@ -278,6 +291,11 @@ func decodeSubmitBody(body []byte, what string) (Submit, error) {
 	var ct []byte
 	if ct, body, err = takeBytes32(body); err != nil {
 		return s, err
+	}
+	if hasTraceParent(version, typ) {
+		if s.TraceParent, body, err = takeStr16(body); err != nil {
+			return s, err
+		}
 	}
 	if len(body) != 0 {
 		return s, fmt.Errorf("%w: %d trailing bytes after %s", ErrBadMessage, len(body), what)
@@ -341,72 +359,6 @@ func DecodeAcks(body []byte) ([]Ack, error) {
 	return acks, nil
 }
 
-// EncodeRegister appends a Register frame, encoding both key envelopes
-// in compact binary form. The disclosure field rides as a Version3
-// trailing string and is dropped when it is empty, so full-mode
-// registrations stay byte-identical to the pre-disclosure protocol.
-func EncodeRegister(dst []byte, r Register) ([]byte, error) {
-	body := []byte{TypeRegister}
-	var err error
-	if body, err = AppendKeyEnvelope(body, r.OperatorPub); err != nil {
-		return dst, fmt.Errorf("operator key: %w", err)
-	}
-	if body, err = AppendKeyEnvelope(body, r.TEEPub); err != nil {
-		return dst, fmt.Errorf("tee key: %w", err)
-	}
-	body = appendStr16(body, r.Suite)
-	if r.Disclosure == "" {
-		return AppendFrame(dst, Version1, body), nil
-	}
-	body = appendStr16(body, r.Disclosure)
-	return AppendFrame(dst, Version3, body), nil
-}
-
-// DecodeRegister decodes a Register body back into envelope strings. The
-// trailing disclosure field is optional: its absence decodes to the empty
-// (full) mode.
-func DecodeRegister(body []byte) (Register, error) {
-	var r Register
-	var err error
-	if r.OperatorPub, body, err = TakeKeyEnvelope(body); err != nil {
-		return r, err
-	}
-	if r.TEEPub, body, err = TakeKeyEnvelope(body); err != nil {
-		return r, err
-	}
-	if r.Suite, body, err = takeStr16(body); err != nil {
-		return r, err
-	}
-	if len(body) != 0 {
-		if r.Disclosure, body, err = takeStr16(body); err != nil {
-			return r, err
-		}
-	}
-	if len(body) != 0 {
-		return r, fmt.Errorf("%w: %d trailing bytes after register", ErrBadMessage, len(body))
-	}
-	return r, nil
-}
-
-// EncodeRegisterAck appends a RegisterAck frame.
-func EncodeRegisterAck(dst []byte, a RegisterAck) []byte {
-	body := []byte{TypeRegisterAck}
-	body = appendStr16(body, a.DroneID)
-	return AppendFrame(dst, Version1, body)
-}
-
-// DecodeRegisterAck decodes a RegisterAck body.
-func DecodeRegisterAck(body []byte) (RegisterAck, error) {
-	id, rest, err := takeStr16(body)
-	if err != nil {
-		return RegisterAck{}, err
-	}
-	if len(rest) != 0 {
-		return RegisterAck{}, fmt.Errorf("%w: trailing bytes after register-ack", ErrBadMessage)
-	}
-	return RegisterAck{DroneID: id}, nil
-}
-
 // EncodeError appends an Error frame.
 func EncodeError(dst []byte, e WireError) []byte {
 	msg := e.Message
@@ -428,57 +380,4 @@ func DecodeError(body []byte) (WireError, error) {
 		return WireError{}, fmt.Errorf("%w: trailing bytes after error", ErrBadMessage)
 	}
 	return WireError{Message: msg}, nil
-}
-
-// --- suite-envelope key encoding ----------------------------------------
-//
-// The JSON API carries keys as "<suite>:<base64>" envelope strings
-// (legacy bare-base64 for RSA). The wire form drops the base64 expansion:
-//
-//	[1B suite-id length][suite id][4B LE raw key length][raw key bytes]
-//
-// A legacy bare envelope encodes with an empty suite id, so the two wire
-// families round-trip to exactly the string the registry expects and the
-// auditor's envelope-vs-declared-suite validation is unaffected.
-
-// AppendKeyEnvelope appends the compact binary form of a key envelope.
-func AppendKeyEnvelope(dst []byte, envelope string) ([]byte, error) {
-	suiteID, body, err := sigcrypto.ParseSuiteEnvelope(envelope)
-	if err != nil {
-		return dst, err
-	}
-	raw, err := base64.StdEncoding.DecodeString(body)
-	if err != nil {
-		return dst, fmt.Errorf("%w: key body is not base64: %v", ErrBadMessage, err)
-	}
-	if len(suiteID) > math.MaxUint8 {
-		return dst, fmt.Errorf("%w: suite id too long", ErrBadMessage)
-	}
-	dst = append(dst, byte(len(suiteID)))
-	dst = append(dst, suiteID...)
-	return appendBytes32(dst, raw), nil
-}
-
-// TakeKeyEnvelope consumes one compact key envelope and rebuilds the
-// string form the suite registry parses.
-func TakeKeyEnvelope(b []byte) (envelope string, rest []byte, err error) {
-	if len(b) < 1 {
-		return "", nil, fmt.Errorf("%w: short suite-id length", ErrBadMessage)
-	}
-	n := int(b[0])
-	b = b[1:]
-	if len(b) < n {
-		return "", nil, fmt.Errorf("%w: suite id runs past body", ErrBadMessage)
-	}
-	suiteID := string(b[:n])
-	b = b[n:]
-	raw, rest, err := takeBytes32(b)
-	if err != nil {
-		return "", nil, err
-	}
-	body := base64.StdEncoding.EncodeToString(raw)
-	if suiteID == "" {
-		return body, rest, nil
-	}
-	return suiteID + ":" + body, rest, nil
 }

@@ -1,18 +1,13 @@
 package wire
 
-// Codec invariants: every message round-trips through its frame,
-// malformed bodies fail with ErrBadMessage rather than panicking, and
-// the compact key-envelope form reproduces exactly the string the
-// sigcrypto registry parses — for both the suite-prefixed and the legacy
-// bare-RSA families.
+// Codec invariants: every message round-trips through its frame, and
+// malformed bodies fail with ErrBadMessage rather than panicking.
 import (
 	"bufio"
 	"bytes"
 	"errors"
 	"strings"
 	"testing"
-
-	"repro/internal/sigcrypto"
 )
 
 // readOne decodes a single frame from raw and returns its message type
@@ -125,78 +120,6 @@ func TestErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRegisterRoundTrip drives the suite-envelope key encoding with real
-// keys from every registered suite plus the legacy bare-RSA form, and
-// checks the reassembled envelope still parses in the registry.
-func TestRegisterRoundTrip(t *testing.T) {
-	for _, suiteID := range sigcrypto.Suites() {
-		suite, err := sigcrypto.SuiteByID(suiteID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		priv, err := suite.GenerateKey(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, err := priv.Public().Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := Register{OperatorPub: env, TEEPub: env, Suite: suiteID}
-		raw, err := EncodeRegister(nil, in)
-		if err != nil {
-			t.Fatalf("%s: EncodeRegister: %v", suiteID, err)
-		}
-		typ, body := readOne(t, raw)
-		if typ != TypeRegister {
-			t.Fatalf("type %#x, want TypeRegister", typ)
-		}
-		out, err := DecodeRegister(body)
-		if err != nil {
-			t.Fatalf("%s: DecodeRegister: %v", suiteID, err)
-		}
-		if out != in {
-			t.Fatalf("%s: round trip mismatch:\n%+v\nvs\n%+v", suiteID, out, in)
-		}
-		// The reassembled envelope must parse back to the same key.
-		pub, err := sigcrypto.ParsePublicKey(out.TEEPub)
-		if err != nil {
-			t.Fatalf("%s: reassembled envelope unparseable: %v", suiteID, err)
-		}
-		if !pub.Equal(priv.Public()) {
-			t.Fatalf("%s: reassembled key differs", suiteID)
-		}
-	}
-}
-
-func TestRegisterAckRoundTrip(t *testing.T) {
-	typ, body := readOne(t, EncodeRegisterAck(nil, RegisterAck{DroneID: "drone-00000009"}))
-	if typ != TypeRegisterAck {
-		t.Fatalf("type %#x, want TypeRegisterAck", typ)
-	}
-	out, err := DecodeRegisterAck(body)
-	if err != nil || out.DroneID != "drone-00000009" {
-		t.Fatalf("DecodeRegisterAck: %+v, %v", out, err)
-	}
-}
-
-func TestKeyEnvelopeLegacyBareForm(t *testing.T) {
-	// A legacy bare-base64 envelope (no suite prefix) must survive the
-	// compact form without growing a prefix.
-	bare := "AAECAwQ=" // base64 of 00 01 02 03 04
-	enc, err := AppendKeyEnvelope(nil, bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc[0] != 0 {
-		t.Fatalf("bare envelope encoded with suite-id length %d", enc[0])
-	}
-	out, rest, err := TakeKeyEnvelope(enc)
-	if err != nil || len(rest) != 0 || out != bare {
-		t.Fatalf("TakeKeyEnvelope: %q rest=%d err=%v", out, len(rest), err)
-	}
-}
-
 func TestDecodeRejectsTruncatedBodies(t *testing.T) {
 	sub := EncodeSubmit(nil, Submit{Seq: 9, DroneID: "d", Ciphertext: []byte("ct")})
 	_, body := readOne(t, sub)
@@ -207,12 +130,6 @@ func TestDecodeRejectsTruncatedBodies(t *testing.T) {
 	}
 	if _, err := DecodeSubmit(append(append([]byte(nil), body...), 0)); !errors.Is(err, ErrBadMessage) {
 		t.Fatal("trailing byte accepted")
-	}
-	if _, err := DecodeRegister([]byte{200}); !errors.Is(err, ErrBadMessage) {
-		t.Fatal("short register accepted")
-	}
-	if _, _, err := TakeKeyEnvelope([]byte{3, 'a'}); !errors.Is(err, ErrBadMessage) {
-		t.Fatal("torn suite id accepted")
 	}
 }
 

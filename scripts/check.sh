@@ -40,6 +40,12 @@ go run ./scripts/metricslint .
 echo ">> go test -race ./..."
 go test -race ./...
 
+# The pipelined client connection is shared by every wire submission and
+# every cluster forward; its concurrency tests run ten times over so a
+# rare interleaving gets more than one chance to show.
+echo ">> go test -race -count=10 ./internal/wire -run 'Conn|Dial'"
+go test -race -count=10 ./internal/wire -run 'Conn|Dial'
+
 # Ten seconds of coverage-guided fuzzing over the wire codec: the decoder
 # faces untrusted bytes from the network, so the gate exercises it beyond
 # the checked-in corpus on every run.
@@ -63,3 +69,4 @@ echo ">> go test ./internal/auditor -run TestClusterTwoNodeSmoke -count=1"
 go test ./internal/auditor -run 'TestClusterTwoNodeSmoke$' -count=1
 
 echo "all checks passed"
+./scripts/loc.sh

@@ -6,19 +6,21 @@
 //
 //	alidrone-auditor -listen :8470 [-retention 48h] [-mode exact|conservative]
 //	                 [-state-dir /var/lib/alidrone] [-compact-every 4096] [-fsync=true]
-//	                 [-state /var/lib/alidrone/state.json] [-save-every 1m]
+//	                 [-state /var/lib/alidrone/state.rec] [-save-every 1m]
 //	                 [-metrics=false] [-workers 0] [-nonce-ttl 1h]
 //
 // With -state-dir, the server persists through the write-ahead-log
 // storage engine: every committed mutation is durable before the request
 // returns, and restart recovery replays the WAL tail over the latest
-// compacted snapshot (see DESIGN.md "Durability architecture"). If the
-// directory is empty and a legacy -state file exists, the file is
-// migrated into the engine on first start.
+// compacted snapshot — the same typed records in the same checksummed
+// framing, so the log, the snapshot and a cluster handoff share one
+// schema and one decoder (see DESIGN.md "Durability architecture"). If
+// the directory is empty and a -state file exists, the file is migrated
+// into the engine on first start.
 //
 // With only -state, the server runs in the legacy whole-file mode:
-// restore at startup, checkpoint periodically and on shutdown. Mutations
-// between checkpoints are lost on a crash.
+// restore at startup, write the snapshot stream to the file periodically
+// and on shutdown. Mutations between checkpoints are lost on a crash.
 //
 // Unless -metrics=false, the server exposes Prometheus-style counters on
 // GET /metrics, a liveness probe on GET /healthz and a readiness probe

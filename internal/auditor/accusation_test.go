@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
+	"repro/internal/poa"
 	"repro/internal/protocol"
 	"repro/internal/sigcrypto"
 	"repro/internal/storage"
@@ -143,5 +146,81 @@ func TestPurgeExpiredLogsWALFailure(t *testing.T) {
 	logged := logBuf.String()
 	if !strings.Contains(logged, "retention purge WAL append failed") || !strings.Contains(logged, "disk full") {
 		t.Errorf("log = %q, want the WAL failure warning", logged)
+	}
+}
+
+// TestPurgeSweepsAbandonedEphemera pins the bound on the three stores an
+// unauthenticated caller can grow: every accusation against a commit-mode
+// drone opens a challenge, and sessions and streams open on request. None
+// had an exit besides being used up; now the retention sweep ages them
+// out, and a swept ID answers like one that never existed.
+func TestPurgeSweepsAbandonedEphemera(t *testing.T) {
+	clock := &mutableClock{t: t0}
+	rng := rand.New(rand.NewSource(42))
+	srv, err := NewServer(Config{Clock: clock, Metrics: obs.NewRegistry(nil), Random: rng, Retention: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullID, _ := registerDisclosureDrone(t, srv, rng, poa.DisclosureFull)
+	commitID, ckeys := registerDisclosureDrone(t, srv, rng, poa.DisclosureCommit)
+	ct, _, _ := commitSubmission(t, srv, ckeys, signedTrace(t, ckeys, urbana, 0, 10, 10, time.Second))
+	if resp, err := srv.SubmitCommitPoA(protocol.SubmitCommitPoARequest{DroneID: commitID, EncryptedEnvelope: ct}); err != nil || resp.Verdict != protocol.VerdictCompliant {
+		t.Fatalf("commit submit: %v / %+v", err, resp)
+	}
+	zoneID := mustRegisterZone(t, srv, geo.GeoCircle{Center: urbana.Offset(90, 5000), R: 100})
+
+	const n = 5
+	var reveal protocol.RevealRequest
+	var sample protocol.StreamSampleRequest
+	var mac protocol.SubmitMACPoARequest
+	for i := 0; i < n; i++ {
+		acc, err := srv.HandleAccusation(commitID, zoneID, t0.Add(500*time.Millisecond))
+		if err != nil || acc.Challenge == nil {
+			t.Fatalf("accusation %d: %v / %+v", i, err, acc)
+		}
+		reveal = protocol.RevealRequest{ChallengeID: acc.Challenge.ChallengeID, DroneID: commitID}
+		sess, err := srv.StartSession(protocol.StartSessionRequest{
+			DroneID: fullID, WrappedKey: encryptBytes(t, srv, []byte("0123456789abcdef0123456789abcdef")),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mac = protocol.SubmitMACPoARequest{DroneID: fullID, SessionID: sess.SessionID}
+		st, err := srv.OpenStream(protocol.OpenStreamRequest{DroneID: fullID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample = protocol.StreamSampleRequest{StreamID: st.StreamID}
+	}
+	counts := func() [3]int {
+		st := srv.Status()
+		return [3]int{srv.challenges.len(), st.Sessions, st.OpenStreams}
+	}
+	if got := counts(); got != [3]int{n, n, n} {
+		t.Fatalf("challenges/sessions/streams = %v, want %d each", got, n)
+	}
+
+	// Inside the retention window the sweep leaves them alone.
+	clock.Set(t0.Add(30 * time.Minute))
+	srv.PurgeExpired()
+	if got := counts(); got != [3]int{n, n, n} {
+		t.Fatalf("after an early sweep: challenges/sessions/streams = %v, want %d each", got, n)
+	}
+	clock.Set(t0.Add(time.Hour))
+	srv.PurgeExpired()
+	if got := counts(); got != [3]int{} {
+		t.Fatalf("after the sweep: challenges/sessions/streams = %v, want none", got)
+	}
+
+	hs := httptest.NewServer(NewHandler(srv))
+	defer hs.Close()
+	for path, body := range map[string]any{
+		protocol.PathReveal:       reveal,
+		protocol.PathSubmitMACPoA: mac,
+		protocol.PathStreamSample: sample,
+	} {
+		if resp := postJSON(t, hs.URL+path, body); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s with a swept ID: HTTP %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

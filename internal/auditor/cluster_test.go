@@ -1,6 +1,7 @@
 package auditor
 
 import (
+	"bytes"
 	"context"
 	"crypto/rsa"
 	"encoding/json"
@@ -17,9 +18,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/geo"
 	"repro/internal/obs"
+	"repro/internal/operator"
 	"repro/internal/poa"
 	"repro/internal/protocol"
 	"repro/internal/sigcrypto"
+	"repro/internal/storage"
 )
 
 // testCluster is an in-process N-node auditor cluster: every node runs a
@@ -511,15 +514,11 @@ func TestClusterNodeDiesMidHandoff(t *testing.T) {
 	// Direct delivery (the transport retry) imports once; a duplicate
 	// delivery of the same map version is dropped by the dedup guard.
 	m := tc.routers[owner].Map()
-	var states []json.RawMessage
-	for i := 0; i < tc.routers[owner].NumShards(); i++ {
-		data, err := tc.routers[owner].Shard(i).snapshotBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		states = append(states, data)
+	state, err := tc.routers[owner].exportHandoff()
+	if err != nil {
+		t.Fatal(err)
 	}
-	req := protocol.ClusterHandoffRequest{From: tc.nodes[owner].ID, MapVersion: m.Version, State: states}
+	req := protocol.ClusterHandoffRequest{From: tc.nodes[owner].ID, MapVersion: m.Version, State: state}
 	if err := tc.routers[peer].clusterHandoff(ctx, req); err != nil {
 		t.Fatalf("handoff retry: %v", err)
 	}
@@ -529,6 +528,164 @@ func TestClusterNodeDiesMidHandoff(t *testing.T) {
 	}
 	if got := tc.routers[peer].Status().RetainedPoAs; got != retained {
 		t.Errorf("duplicate handoff changed retained count: %d -> %d", retained, got)
+	}
+}
+
+// TestClusterHandoffCarriesDisclosures pins the drift the one-schema
+// handoff removed: a commit-mode drone's retained commitment moves with
+// the drone, so an accusation raised on the new owner still finds it,
+// challenges the operator, and the reveal settles the case there.
+func TestClusterHandoffCarriesDisclosures(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ctx := context.Background()
+	nodeA := cluster.Node{ID: "node-a", Addr: "127.0.0.1:1"} // never dialled
+	nodeB := cluster.Node{ID: "node-b"}
+	lisB, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeB.Addr = lisB.Addr().String()
+	encKey, err := sigcrypto.GenerateKeyPair(rng, sigcrypto.KeySize1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverCfg := Config{Clock: obs.ClockFunc(func() time.Time { return t0 }), EncryptionKey: encKey}
+
+	rA, err := NewRouter(RouterConfig{Self: nodeA, Shards: 2, Server: serverCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rA.Close()
+
+	// Commit-mode drones upload on node A, the sole owner so far.
+	type drone struct {
+		id      string
+		secrets *operator.DisclosureSecrets
+	}
+	var drones []drone
+	for i := 0; i < 8; i++ {
+		op, _ := sigcrypto.GenerateKeyPair(rng, sigcrypto.KeySize1024)
+		tee, _ := sigcrypto.GenerateKeyPair(rng, sigcrypto.KeySize1024)
+		opPub, _ := sigcrypto.MarshalPublicKey(&op.PublicKey)
+		teePub, _ := sigcrypto.MarshalPublicKey(&tee.PublicKey)
+		reg, err := rA.RegisterDroneCtx(ctx, protocol.RegisterDroneRequest{
+			OperatorPub: opPub, TEEPub: teePub, Disclosure: poa.DisclosureCommit,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := droneKeys{op: op, tee: tee}
+		ct, sealed, otKeys := commitSubmission(t, rA.Shard(0), keys, signedTrace(t, keys, urbana, 0, 10, 10, time.Second))
+		resp, err := rA.SubmitCommitPoACtx(ctx, protocol.SubmitCommitPoARequest{DroneID: reg.DroneID, EncryptedEnvelope: ct})
+		if err != nil || resp.Verdict != protocol.VerdictCompliant {
+			t.Fatalf("commit submit on A: %v / %+v", err, resp)
+		}
+		drones = append(drones, drone{reg.DroneID, &operator.DisclosureSecrets{Mode: poa.DisclosureCommit, Sealed: sealed, Keys: otKeys}})
+	}
+	// Registered after the uploads, so no envelope carries a predicate for
+	// it and only a reveal can settle an accusation.
+	zone, err := rA.RegisterZone(protocol.RegisterZoneRequest{
+		Owner: "alice", Zone: geo.GeoCircle{Center: urbana.Offset(90, 5000), R: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Node B joins and A hands over what the new ring gives B.
+	rB, err := NewRouter(RouterConfig{Self: nodeB, Seeds: []cluster.Node{nodeA, nodeB}, Shards: 2, Server: serverCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rB.Close()
+	hsB := &httptest.Server{Listener: lisB, Config: &http.Server{Handler: NewHandler(rB)}}
+	hsB.Start()
+	defer hsB.Close()
+	rA.Membership().Merge(cluster.Digest{From: nodeB, Entries: []cluster.DigestEntry{{Node: nodeB, Heartbeat: 1}}})
+	if err := rA.Rebalance(ctx); err != nil {
+		t.Fatalf("rebalance to B: %v", err)
+	}
+
+	moved := 0
+	for _, d := range drones {
+		if owner, ok := rB.Map().Owner(d.id); !ok || owner.ID != nodeB.ID {
+			continue
+		}
+		moved++
+		acc, err := rB.HandleAccusationCtx(ctx, d.id, zone.ZoneID, t0.Add(500*time.Millisecond))
+		if err != nil {
+			t.Fatalf("accusation on the new owner of %s: %v", d.id, err)
+		}
+		if acc.Verdict != protocol.VerdictDisclosureRequired || acc.Challenge == nil {
+			t.Fatalf("accusation on the new owner = %+v, want disclosure-required with a challenge", acc)
+		}
+		reveal, err := d.secrets.Answer(*acc.Challenge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final, err := rB.RevealCtx(ctx, reveal); err != nil || final.Verdict != protocol.VerdictCompliant {
+			t.Fatalf("reveal on the new owner: %v / %+v", err, final)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("ring moved no drones to node B; test needs a bigger fleet")
+	}
+}
+
+// TestClusterHandoffOmitsKey captures the body a rebalance POSTs to a peer
+// and checks the cluster's private PoA key is nowhere in it: joiners fetch
+// the key once from /cluster/key, a handoff never repeats it — and a
+// handoff that did carry one would be refused, not allowed to re-key.
+func TestClusterHandoffOmitsKey(t *testing.T) {
+	tc := newTestCluster(t, 1, 2, nil)
+	ctx := context.Background()
+	rA := tc.routers[0]
+	if _, err := rA.RegisterZone(protocol.RegisterZoneRequest{Owner: "alice", Zone: geo.GeoCircle{Center: urbana, R: 100}}); err != nil {
+		t.Fatal(err)
+	}
+	tc.registerDrone(t, 0, rand.New(rand.NewSource(8)))
+
+	var body []byte
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == protocol.PathClusterHandoff {
+			body, _ = io.ReadAll(r.Body)
+		}
+		_, _ = w.Write([]byte("{}"))
+	}))
+	defer peer.Close()
+	nodeB := cluster.Node{ID: "node-b", Addr: strings.TrimPrefix(peer.URL, "http://")}
+	rA.Membership().Merge(cluster.Digest{From: nodeB, Entries: []cluster.DigestEntry{{Node: nodeB, Heartbeat: 1}}})
+	if err := rA.Rebalance(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	var req protocol.ClusterHandoffRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatalf("captured handoff body: %v", err)
+	}
+	recs, err := storage.DecodeRecords(req.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 3 { // one drone, and the zone once per source shard
+		t.Fatalf("handoff carries %d records, want the drone and the zones", len(recs))
+	}
+	priv, err := sigcrypto.MarshalPrivateKey(tc.encKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		if rec.Kind == recEncKey || bytes.Contains(rec.Data, []byte(priv)) {
+			t.Errorf("handoff record %d (%s) carries the PoA key pair", i, walKindName(rec.Kind))
+		}
+	}
+
+	keyFrame, err := storage.EncodeRecords([]storage.Record{keyRecord(t, rA.Shard(0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.From, req.State = "node-b", append(req.State, keyFrame...)
+	if err := rA.clusterHandoff(ctx, req); err == nil {
+		t.Error("a handoff carrying a key record was imported")
 	}
 }
 

@@ -98,7 +98,7 @@ func (s *Server) reveal(_ context.Context, req protocol.RevealRequest) (protocol
 	if !ok || rec.DroneID != req.DroneID {
 		// The retained disclosure aged out of the retention window while
 		// the challenge was outstanding.
-		s.challenges.resolve(req.ChallengeID)
+		s.challenges.remove(req.ChallengeID)
 		return protocol.SubmitPoAResponse{}, ErrNoPoA
 	}
 	z, ok := s.zones.Get(ch.ZoneID)
@@ -140,7 +140,9 @@ func (s *Server) reveal(_ context.Context, req protocol.RevealRequest) (protocol
 	if err != nil {
 		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %v", ErrBadReveal, err)
 	}
-	s.challenges.resolve(req.ChallengeID)
+	// Only a settled verdict closes the challenge; a failed reveal above
+	// left it open so the operator can retry.
+	s.challenges.remove(req.ChallengeID)
 	if compliant {
 		return protocol.SubmitPoAResponse{Verdict: protocol.VerdictCompliant}, nil
 	}

@@ -1,31 +1,32 @@
 package auditor
 
 // Shard handoff: when the ring changes (a node joins, or a map learned
-// via gossip reassigns drones), the previous owner streams its shard
-// snapshots to the new owners so verification state — drone records,
-// retained PoAs, replay digests, nonces, zones — survives the move.
+// via gossip reassigns drones), the previous owner streams its shards'
+// state to the new owners so verification state — drone records and key
+// rings, retained PoAs and disclosures, replay digests, nonces, zones —
+// survives the move.
 //
 // The protocol is deliberately coarse: the source sends every local
-// shard's full snapshot to every peer, and each receiver imports only
-// the entries the current ring assigns to it, then checkpoints the
-// touched shards before acknowledging. A checkpointed import is durable
-// on the new owner — that checkpoint, not a per-record WAL append, is
-// the durability carrier for moved state (the kill-point recovery test
-// exercises exactly this). The source keeps its copy: a mis-routed
-// request still answers there until clients refresh their map, and the
-// single-hop guard turns any residual disagreement into a 421 rather
-// than a loop.
+// shard's full record stream (the snapshot schema minus the key pair — see
+// Server.exportRecords) to every peer, and each receiver applies only the
+// records the current ring assigns to it, then checkpoints its shards
+// before acknowledging. A checkpointed import is durable on the new owner
+// — that checkpoint, not a per-record WAL append, is the durability
+// carrier for moved state (the kill-point recovery test exercises exactly
+// this). The source keeps its copy: a mis-routed request still answers
+// there until clients refresh their map, and the single-hop guard turns
+// any residual disagreement into a 421 rather than a loop.
 
 import (
 	"context"
-	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/protocol"
+	"repro/internal/storage"
 )
 
-// Rebalance exports every local shard's snapshot and streams the bundle
+// Rebalance exports every local shard's record stream and sends the bundle
 // to every alive peer. Receivers filter by ownership, so sending to all
 // peers is correct (if wasteful) under any ring disagreement. It is
 // invoked automatically when the membership map changes and can be
@@ -36,8 +37,7 @@ func (r *Router) Rebalance(ctx context.Context) error {
 	if len(peers) == 0 {
 		return nil
 	}
-	clock := r.clock
-	start := clock.Now()
+	start := r.clock.Now()
 
 	// One rebalance = one trace: the export span roots it, each peer
 	// stream is a child, and the peer's install — continuing via the
@@ -49,20 +49,14 @@ func (r *Router) Rebalance(ctx context.Context) error {
 	// it would deadlock two nodes rebalancing toward each other (each
 	// POST waits on an import that waits on the sender's own lock).
 	r.handoffMu.Lock()
-	states := make([]json.RawMessage, 0, len(r.shards))
-	for i, sh := range r.shards {
-		data, err := sh.snapshotBytes()
-		if err != nil {
-			r.handoffMu.Unlock()
-			esp.SetError(err)
-			esp.End()
-			return fmt.Errorf("cluster: handoff export shard %d: %w", i, err)
-		}
-		states = append(states, data)
-	}
+	state, err := r.exportHandoff()
 	r.handoffMu.Unlock()
+	esp.SetError(err)
 	esp.End()
-	req := protocol.ClusterHandoffRequest{From: r.cfg.Self.ID, MapVersion: m.Version, State: states}
+	if err != nil {
+		return err
+	}
+	req := protocol.ClusterHandoffRequest{From: r.cfg.Self.ID, MapVersion: m.Version, State: state}
 
 	var firstErr error
 	for _, peer := range peers {
@@ -79,16 +73,29 @@ func (r *Router) Rebalance(ctx context.Context) error {
 		}
 	}
 	if r.handoffSeconds != nil {
-		r.handoffSeconds.Observe(clock.Now().Sub(start).Seconds())
+		r.handoffSeconds.Observe(r.clock.Now().Sub(start).Seconds())
 	}
 	return firstErr
 }
 
+// exportHandoff concatenates every local shard's handoff record stream;
+// frames are self-delimiting, so the result is one valid stream.
+func (r *Router) exportHandoff() ([]byte, error) {
+	var state []byte
+	for i, sh := range r.shards {
+		data, err := sh.exportRecords(true)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: handoff export shard %d: %w", i, err)
+		}
+		state = append(state, data...)
+	}
+	return state, nil
+}
+
 // clusterHandoff imports the slice of a peer's state that the current
-// ring assigns to this node, checkpoints the touched shards, and only
-// then acknowledges. Re-deliveries of the same (source, map version)
-// are dropped so repeated rebalance rounds never duplicate retained
-// PoAs.
+// ring assigns to this node, checkpoints the shards, and only then
+// acknowledges. Re-deliveries of the same (source, map version) are
+// dropped so repeated rebalance rounds never duplicate retained PoAs.
 func (r *Router) clusterHandoff(ctx context.Context, req protocol.ClusterHandoffRequest) error {
 	r.handoffMu.Lock()
 	defer r.handoffMu.Unlock()
@@ -96,96 +103,54 @@ func (r *Router) clusterHandoff(ctx context.Context, req protocol.ClusterHandoff
 	if req.MapVersion <= r.handoffsSeen[req.From] {
 		return nil
 	}
-	clock := r.clock
-	start := clock.Now()
+	start := r.clock.Now()
 
-	touched := make(map[int]bool)
-	for i, raw := range req.State {
-		var snap snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return fmt.Errorf("cluster: handoff from %s: shard %d: %w", req.From, i, err)
-		}
-		if err := r.importSnapshot(snap, touched); err != nil {
-			return fmt.Errorf("cluster: handoff from %s: shard %d: %w", req.From, i, err)
+	recs, err := storage.DecodeRecords(req.State)
+	if err != nil {
+		return fmt.Errorf("cluster: handoff from %s: %w", req.From, err)
+	}
+	for i, rec := range recs {
+		if err := r.importRecord(rec); err != nil {
+			return fmt.Errorf("cluster: handoff from %s: record %d: %w", req.From, i, err)
 		}
 	}
-	for sh := range touched {
-		if err := r.shards[sh].Checkpoint(); err != nil {
-			return fmt.Errorf("cluster: handoff checkpoint shard %d: %w", sh, err)
-		}
+	if err := r.Checkpoint(); err != nil {
+		return fmt.Errorf("cluster: handoff checkpoint: %w", err)
 	}
 	r.handoffsSeen[req.From] = req.MapVersion
 	if r.handoffSeconds != nil {
-		r.handoffSeconds.Observe(clock.Now().Sub(start).Seconds())
+		r.handoffSeconds.Observe(r.clock.Now().Sub(start).Seconds())
 	}
-	r.log.Info(ctx, "handoff imported", "from", req.From, "mapVersion", req.MapVersion)
+	r.log.Info(ctx, "handoff imported", "from", req.From, "mapVersion", req.MapVersion, "records", len(recs))
 	return nil
 }
 
-// importSnapshot files one source shard's state into the local shards.
-// Drone-keyed state (records, retained PoAs) goes only to drones this
-// node owns under the current ring; zones, replay digests and nonces
-// are safety-relevant on every shard and are imported everywhere —
-// over-approximating the replay set can only reject a replay that
-// would otherwise slip through, never a fresh submission.
-func (r *Router) importSnapshot(snap snapshot, touched map[int]bool) error {
-	for _, d := range snap.Drones {
-		if _, isLocal := r.owner(d.ID); !isLocal {
-			continue
+// importRecord routes one handed-over record by kind. Drone-keyed kinds
+// (registration, rotation, retained PoA, retained disclosure) go to the
+// local shard owning the drone, and nowhere when the current ring gives
+// the drone to another node. Zones, replay digests and nonces are
+// safety-relevant on every shard and are applied everywhere —
+// over-approximating the replay set can only reject a replay that would
+// otherwise slip through, never a fresh submission. The cluster's key
+// pair is settled at start-up and is refused here: a handoff that carries
+// it would be re-keying live shards.
+func (r *Router) importRecord(rec storage.Record) error {
+	if rec.Kind == recEncKey {
+		return errors.New("handoff carries the PoA key pair")
+	}
+	droneID, err := recordDrone(rec)
+	if err != nil {
+		return err
+	}
+	if droneID != "" {
+		if _, isLocal := r.owner(droneID); !isLocal {
+			return nil
 		}
-		rec, err := decodeDroneSnapshot(d)
-		if err != nil {
+		return r.localShard(droneID).applyRecord(rec)
+	}
+	for _, sh := range r.shards {
+		if err := sh.applyRecord(rec); err != nil {
 			return err
-		}
-		sh := r.shardFor(d.ID)
-		r.shards[sh].drones.restore(rec, 0)
-		touched[sh] = true
-	}
-	for _, rt := range snap.Retained {
-		if _, isLocal := r.owner(rt.DroneID); !isLocal {
-			continue
-		}
-		sh := r.shardFor(rt.DroneID)
-		// add (not restore) re-stamps the sequence number under the new
-		// shard's counter; source-side sequence numbers are meaningless
-		// here.
-		r.shards[sh].retained.add(retainedPoA{
-			DroneID:    rt.DroneID,
-			Samples:    rt.Samples,
-			SubmitTime: rt.SubmitTime,
-		})
-		touched[sh] = true
-	}
-	for _, z := range snap.Zones {
-		for sh, srv := range r.shards {
-			if err := srv.zones.Restore(z); err != nil {
-				return err
-			}
-			touched[sh] = true
-		}
-	}
-	for _, z := range snap.Zones3D {
-		for sh, srv := range r.shards {
-			srv.zones3D.restore(z, 0)
-			touched[sh] = true
-		}
-	}
-	for _, n := range snap.Nonces {
-		for sh, srv := range r.shards {
-			srv.nonces.restore(n)
-			touched[sh] = true
-		}
-	}
-	for _, dg := range snap.PoADigests {
-		raw, err := hex.DecodeString(dg.Digest)
-		if err != nil || len(raw) != 32 {
-			return fmt.Errorf("bad PoA digest %q", dg.Digest)
-		}
-		var d [32]byte
-		copy(d[:], raw)
-		for sh, srv := range r.shards {
-			srv.seen.restore(d, dg.Seen)
-			touched[sh] = true
 		}
 	}
 	return nil

@@ -124,11 +124,11 @@ func NewHandlerOpts(srv Backend, opts HandlerOptions) *Handler {
 	h.handle(protocol.PathStreamSample, postDoor(srv.StreamSampleCtx))
 	h.handle(protocol.PathStreamClose, postDoor(srv.CloseStreamCtx))
 	h.handle(protocol.PathAuditorPub, h.auditorPub)
-	h.handle(protocol.PathPublicZones, h.publicZones)
-	h.handle(protocol.PathStatus, h.status)
-	h.mux.HandleFunc(PathMetrics, h.metrics)
-	h.mux.HandleFunc(PathHealthz, h.healthz)
-	h.mux.HandleFunc(PathReadyz, h.readyz)
+	h.handle(protocol.PathPublicZones, get(h.publicZones))
+	h.handle(protocol.PathStatus, get(h.status))
+	h.mux.HandleFunc(PathMetrics, get(h.metrics))
+	h.mux.HandleFunc(PathHealthz, get(h.healthz))
+	h.mux.HandleFunc(PathReadyz, get(h.readyz))
 	if opts.Collector != nil {
 		h.mux.Handle(PathDebugTraces, opts.Collector)
 	}
@@ -174,10 +174,6 @@ func (h *Handler) handle(path string, fn http.HandlerFunc) {
 
 // metrics serves the Prometheus text exposition of the server registry.
 func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	reg := h.srv.Metrics()
 	if reg == nil {
 		http.Error(w, "metrics disabled", http.StatusNotFound)
@@ -189,10 +185,6 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 
 // healthz is the liveness probe: the server answers as soon as it serves.
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, _ = w.Write([]byte("ok\n"))
 }
@@ -202,10 +194,6 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 // then. Liveness (/healthz) stays green the whole time so a slow-joining
 // node is redialed, not restarted.
 func (h *Handler) readyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	err := h.srv.Ready()
 	h.logReadyTransition(r.Context(), err)
@@ -262,10 +250,13 @@ func isForwarded(ctx context.Context) bool {
 	return v
 }
 
-// post restricts an endpoint to the POST method.
-func post(fn http.HandlerFunc) http.HandlerFunc {
+// post and get restrict an endpoint to one method.
+func post(fn http.HandlerFunc) http.HandlerFunc { return only(http.MethodPost, fn) }
+func get(fn http.HandlerFunc) http.HandlerFunc  { return only(http.MethodGet, fn) }
+
+func only(method string, fn http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
+		if r.Method != method {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
@@ -396,10 +387,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // GET /v1/zones?lat=..&lon=..&radiusMeters=.. lists nearby no-fly zones so
 // operators can check an area before filing a flight.
 func (h *Handler) publicZones(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	q := r.URL.Query()
 	lat, err1 := strconv.ParseFloat(q.Get("lat"), 64)
 	lon, err2 := strconv.ParseFloat(q.Get("lon"), 64)
@@ -419,10 +406,6 @@ func (h *Handler) publicZones(w http.ResponseWriter, r *http.Request) {
 
 // status reports operational counters.
 func (h *Handler) status(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	writeJSON(w, http.StatusOK, h.srv.Status())
 }
 

@@ -51,7 +51,8 @@ func (s *Server) StartSession(req protocol.StartSessionRequest) (protocol.StartS
 		return protocol.StartSessionResponse{}, fmt.Errorf("auditor: session key too short (%d bytes)", len(key))
 	}
 
-	id := s.sessions.add(sessionRecord{DroneID: req.DroneID, Key: key})
+	sess := sessionRecord{DroneID: req.DroneID, Key: key}
+	id := s.sessions.issue(s.cfg.Clock.Now(), func(string) sessionRecord { return sess })
 	return protocol.StartSessionResponse{SessionID: id}, nil
 }
 

@@ -2,175 +2,128 @@ package auditor
 
 import (
 	"context"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"time"
 
-	"repro/internal/poa"
-	"repro/internal/privacy"
 	"repro/internal/sigcrypto"
 	"repro/internal/storage"
-	"repro/internal/zone"
 )
 
-// snapshot is the JSON state file of a server: everything needed to
-// restart the Auditor without re-registering the fleet. The private
-// encryption key is included — the file must be protected like a key file
-// (written 0600). Nonces and replay digests carry their first-seen times
-// so a restored server keeps expiring them on the original schedule.
-type snapshot struct {
-	EncKey     string             `json:"encKey"`
-	Drones     []droneSnapshot    `json:"drones"`
-	NextDrone  int                `json:"nextDrone"`
-	Zones      []zone.NFZ         `json:"zones"`
-	Zones3D    []cylinderRecord   `json:"zones3d"`
-	NextZone3D int                `json:"nextZone3d"`
-	Retained   []retainedSnapshot `json:"retained"`
-	Nonces     []nonceSnapshot    `json:"nonces"`
-	PoADigests []digestSnapshot   `json:"poaDigests"`
-	// Disclosures holds the retained sealed/commit submissions awaiting
-	// possible accusation; absent in pre-disclosure snapshots.
-	Disclosures []disclosureSnapshot `json:"disclosures,omitempty"`
-}
-
-// droneSnapshot serialises a registered drone. TEEPub remains the active
-// key so legacy state files round-trip; Keys carries the full rotation
-// ring and is absent in legacy snapshots (restore then treats TEEPub as
-// the sole epoch-0 key).
-type droneSnapshot struct {
-	ID          string           `json:"id"`
-	OperatorPub string           `json:"operatorPub"`
-	TEEPub      string           `json:"teePub"`
-	Suite       string           `json:"suite,omitempty"`
-	Disclosure  string           `json:"disclosure,omitempty"`
-	Keys        []teeKeySnapshot `json:"keys,omitempty"`
-}
-
-// teeKeySnapshot serialises one entry of the T+ key ring.
-type teeKeySnapshot struct {
-	Pub       string    `json:"pub"`
-	Epoch     int       `json:"epoch"`
-	RetiredAt time.Time `json:"retiredAt"`
-}
-
-// retainedSnapshot serialises one retained alibi. Seq is absent from
-// legacy (pre-WAL) state files; zero means "always restore".
-type retainedSnapshot struct {
-	DroneID    string       `json:"droneId"`
-	Samples    []poa.Sample `json:"samples"`
-	SubmitTime time.Time    `json:"submitTime"`
-	Seq        uint64       `json:"seq,omitempty"`
-}
-
-// nonceSnapshot serialises one zone-query nonce with its first-seen time.
-type nonceSnapshot struct {
-	Nonce string    `json:"nonce"`
-	Seen  time.Time `json:"seen"`
-}
-
-// digestSnapshot serialises one replay-detection digest with its claim
-// time.
-type digestSnapshot struct {
-	Digest string    `json:"digest"`
-	Seen   time.Time `json:"seen"`
-}
-
-// disclosureSnapshot serialises one retained sealed/commit submission.
-// Field order and types mirror retainedDisclosure exactly, so the two
-// convert directly (the same pattern as retainedSnapshot/retainedPoA).
-type disclosureSnapshot struct {
-	DroneID    string                 `json:"droneId"`
-	Mode       string                 `json:"mode"`
-	Times      []time.Time            `json:"times"`
-	Root       []byte                 `json:"root,omitempty"`
-	KeyEpoch   int                    `json:"keyEpoch,omitempty"`
-	Entries    []privacy.SealedSample `json:"entries,omitempty"`
-	SubmitTime time.Time              `json:"submitTime"`
-	Seq        uint64                 `json:"seq,omitempty"`
-}
-
-// buildSnapshot captures the server's durable state. Each store is read
-// under its own lock; no store lock is held across another store's, so
-// the capture can run concurrently with submissions (each mutation is
-// either fully captured here or replayed from the WAL — see wal.go).
-func (s *Server) buildSnapshot() (snapshot, error) {
-	var snap snapshot
-	drones := s.drones.all()
-	s.drones.mu.RLock()
-	snap.NextDrone = s.drones.next
-	s.drones.mu.RUnlock()
-	for _, rec := range drones {
-		opPub, err := sigcrypto.MarshalPublicKey(rec.OperatorPub)
-		if err != nil {
-			return snapshot{}, fmt.Errorf("save state: %w", err)
+// exportRecords serialises the server's durable state as the shortest
+// record stream that rebuilds it (see wal.go for the schema): one
+// recDroneRegistered per drone followed by one recKeyRotated per later
+// epoch of its ring, every zone, retained PoA and disclosure, the live
+// nonces and replay digests, and — last, so that a stream cut short at a
+// frame boundary is recognisably incomplete — the PoA key pair. A handoff
+// stream leaves the key out (peers fetch it once, at join) and clears the
+// retention sequence numbers, which mean nothing in the receiving shard's
+// counter.
+//
+// Each store is read under its own lock; no store lock is held across
+// another store's, so the capture can run concurrently with submissions
+// (each mutation is either fully captured here or replayed from the WAL).
+func (s *Server) exportRecords(handoff bool) ([]byte, error) {
+	var (
+		recs []storage.Record
+		errs []error // any failure discards the stream
+	)
+	str := func(v string, err error) string { errs = append(errs, err); return v }
+	emit := func(kind byte, v any) {
+		rec, err := encodeRecord(kind, v)
+		errs = append(errs, err)
+		recs = append(recs, rec)
+	}
+	for _, d := range s.drones.all() {
+		emit(recDroneRegistered, walDrone{
+			ID:          d.ID,
+			OperatorPub: str(sigcrypto.MarshalPublicKey(d.OperatorPub)),
+			TEEPub:      str(d.TEEKeys[0].Pub.Marshal()),
+			Suite:       d.Suite,
+			Disclosure:  d.Disclosure,
+		})
+		for i, k := range d.TEEKeys[1:] {
+			prev := d.TEEKeys[i]
+			emit(recKeyRotated, walRotation{
+				DroneID:   d.ID,
+				OldEpoch:  prev.Epoch,
+				NewEpoch:  k.Epoch,
+				NewPub:    str(k.Pub.Marshal()),
+				RetiredAt: prev.RetiredAt,
+			})
 		}
-		ds := droneSnapshot{ID: rec.ID, OperatorPub: opPub, Suite: rec.Suite, Disclosure: rec.Disclosure}
-		for _, k := range rec.TEEKeys {
-			pub, err := k.Pub.Marshal()
-			if err != nil {
-				return snapshot{}, fmt.Errorf("save state: %w", err)
-			}
-			ds.Keys = append(ds.Keys, teeKeySnapshot{Pub: pub, Epoch: k.Epoch, RetiredAt: k.RetiredAt})
-		}
-		if active := rec.ActiveKey(); active.Pub != nil {
-			if ds.TEEPub, err = active.Pub.Marshal(); err != nil {
-				return snapshot{}, fmt.Errorf("save state: %w", err)
-			}
-		}
-		snap.Drones = append(snap.Drones, ds)
+	}
+	for _, z := range s.zones.All() {
+		emit(recZoneRegistered, z)
+	}
+	for _, z := range s.zones3D.all() {
+		emit(recZone3DRegistered, z)
 	}
 	for _, r := range s.retained.all() {
-		snap.Retained = append(snap.Retained, retainedSnapshot(r))
+		if handoff {
+			r.Seq = 0
+		}
+		emit(recPoARetained, r)
 	}
 	for _, r := range s.disclosures.all() {
-		snap.Disclosures = append(snap.Disclosures, disclosureSnapshot(r))
+		if handoff {
+			r.Seq = 0
+		}
+		emit(recDisclosureRetained, r)
 	}
-	snap.Nonces = s.nonces.all()
-	for _, e := range s.seen.all() {
-		snap.PoADigests = append(snap.PoADigests, digestSnapshot{
-			Digest: hex.EncodeToString(e.digest[:]),
-			Seen:   e.seen,
-		})
+	for _, n := range s.nonces.all() {
+		emit(recNonceSeen, n)
 	}
-	snap.Zones3D = s.zones3D.all()
-	s.zones3D.mu.RLock()
-	snap.NextZone3D = s.zones3D.next
-	s.zones3D.mu.RUnlock()
-
-	snap.Zones = s.zones.All()
-	encKey, err := sigcrypto.MarshalPrivateKey(s.encKey)
-	if err != nil {
-		return snapshot{}, fmt.Errorf("save state: %w", err)
+	for _, d := range s.seen.all() {
+		emit(recDigestClaimed, d)
 	}
-	snap.EncKey = encKey
-	return snap, nil
+	if !handoff {
+		emit(recEncKey, walEncKey{EncKey: str(sigcrypto.MarshalPrivateKey(s.encKey))})
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, fmt.Errorf("export state: %w", err)
+	}
+	return storage.EncodeRecords(recs)
 }
 
-// snapshotBytes serialises the current state; it is the capture function
-// handed to storage.Store.Snapshot.
-func (s *Server) snapshotBytes() ([]byte, error) {
-	snap, err := s.buildSnapshot()
+// restoreServer builds a server from a snapshot stream — the storage
+// engine's latest compaction or a SaveState file — by applying its records
+// in order. The stream must end with the key record; on any error the
+// half-built server is discarded, so a damaged snapshot never yields a
+// partially restored server.
+func restoreServer(cfg Config, data []byte) (*Server, error) {
+	recs, err := storage.DecodeRecords(data)
+	if err != nil {
+		return nil, fmt.Errorf("load state: %w", err)
+	}
+	if n := len(recs); n == 0 || recs[n-1].Kind != recEncKey {
+		return nil, fmt.Errorf("load state: %w: snapshot does not end with the key record", storage.ErrCorrupt)
+	}
+	srv, err := NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("save state: %w", err)
+	for i, rec := range recs {
+		if err := srv.applyRecord(rec); err != nil {
+			return nil, fmt.Errorf("load state: record %d: %w", i, err)
+		}
 	}
-	return data, nil
+	// Re-seed the retention gauge so a scrape right after a restart
+	// reflects the restored store instead of reporting no data until
+	// the next submission or sweep.
+	cfg.Metrics.Gauge(MetricRetainedPoAs).Set(float64(srv.retained.len()))
+	return srv, nil
 }
 
-// SaveState writes the server's full state to path (mode 0600: it holds
-// the private encryption key). Sessions and open streams are deliberately
-// ephemeral and not persisted. The replace is crash-safe: the temp file
-// and the directory entry are both fsynced before SaveState returns, so a
-// power cut leaves either the old state or the new — never a torn or
-// unlinked file.
+// SaveState writes the server's full state to path as one snapshot stream
+// (mode 0600: it holds the private encryption key). Sessions, open streams
+// and challenges are deliberately ephemeral and not persisted. The replace
+// is crash-safe: the temp file and the directory entry are both fsynced
+// before SaveState returns, so a power cut leaves either the old state or
+// the new — never a torn or unlinked file.
 func (s *Server) SaveState(path string) error {
-	data, err := s.snapshotBytes()
+	data, err := s.exportRecords(false)
 	if err != nil {
 		return err
 	}
@@ -251,102 +204,7 @@ func LoadServer(cfg Config, path string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load state: %w", err)
 	}
-	return loadServerBytes(cfg, data)
-}
-
-// loadServerBytes restores a server from serialised snapshot bytes —
-// whether they came from a legacy monolithic state file or the storage
-// engine's latest compacted snapshot. On any decode or restore error the
-// half-built server is discarded and a clean error returned; a corrupt
-// snapshot never yields a partially restored server.
-func loadServerBytes(cfg Config, data []byte) (*Server, error) {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("load state: %w", err)
-	}
-
-	srv, err := NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	key, err := sigcrypto.UnmarshalPrivateKey(snap.EncKey)
-	if err != nil {
-		return nil, fmt.Errorf("load state: enc key: %w", err)
-	}
-	srv.encKey = key
-
-	for _, d := range snap.Drones {
-		rec, err := decodeDroneSnapshot(d)
-		if err != nil {
-			return nil, fmt.Errorf("load state: %w", err)
-		}
-		srv.drones.restore(rec, snap.NextDrone)
-	}
-
-	if err := srv.zones.Import(snap.Zones); err != nil {
-		return nil, fmt.Errorf("load state: %w", err)
-	}
-	for _, z := range snap.Zones3D {
-		srv.zones3D.restore(z, snap.NextZone3D)
-	}
-
-	for _, r := range snap.Retained {
-		srv.retained.restore(retainedPoA(r))
-	}
-	for _, r := range snap.Disclosures {
-		srv.disclosures.restore(retainedDisclosure(r))
-	}
-	// Re-seed the retention gauge so a scrape right after a restart
-	// reflects the restored store instead of reporting no data until
-	// the next submission or sweep.
-	cfg.Metrics.Gauge(MetricRetainedPoAs).Set(float64(srv.retained.len()))
-	for _, n := range snap.Nonces {
-		srv.nonces.restore(n)
-	}
-	for _, d := range snap.PoADigests {
-		raw, err := hex.DecodeString(d.Digest)
-		if err != nil || len(raw) != 32 {
-			return nil, fmt.Errorf("load state: bad PoA digest %q", d.Digest)
-		}
-		var dg [32]byte
-		copy(dg[:], raw)
-		srv.seen.restore(dg, d.Seen)
-	}
-	return srv, nil
-}
-
-// decodeDroneSnapshot rebuilds one registered drone from its snapshot
-// (shared by state-file restore and cluster shard handoff).
-func decodeDroneSnapshot(d droneSnapshot) (DroneRecord, error) {
-	opPub, err := sigcrypto.UnmarshalPublicKey(d.OperatorPub)
-	if err != nil {
-		return DroneRecord{}, fmt.Errorf("drone %s: %w", d.ID, err)
-	}
-	var keys []TEEKey
-	for _, k := range d.Keys {
-		pub, err := sigcrypto.ParsePublicKey(k.Pub)
-		if err != nil {
-			return DroneRecord{}, fmt.Errorf("drone %s: %w", d.ID, err)
-		}
-		keys = append(keys, TEEKey{Pub: pub, Epoch: k.Epoch, RetiredAt: k.RetiredAt})
-	}
-	if len(keys) == 0 {
-		// Legacy snapshot: TEEPub is the sole epoch-0 key.
-		pub, err := sigcrypto.ParsePublicKey(d.TEEPub)
-		if err != nil {
-			return DroneRecord{}, fmt.Errorf("drone %s: %w", d.ID, err)
-		}
-		keys = []TEEKey{{Pub: pub}}
-	}
-	suite := d.Suite
-	if suite == "" {
-		suite = keys[len(keys)-1].Pub.SuiteID()
-	}
-	mode, err := poa.NormalizeDisclosure(d.Disclosure)
-	if err != nil {
-		return DroneRecord{}, fmt.Errorf("drone %s: %w", d.ID, err)
-	}
-	return DroneRecord{ID: d.ID, OperatorPub: opPub, Suite: suite, Disclosure: mode, TEEKeys: keys}, nil
+	return restoreServer(cfg, data)
 }
 
 // OpenServer recovers a server from a storage engine and attaches it, so
@@ -373,7 +231,7 @@ func OpenServer(cfg Config, st storage.Store, legacyState string) (*Server, erro
 	var srv *Server
 	switch {
 	case snapBytes != nil:
-		if srv, err = loadServerBytes(cfg, snapBytes); err != nil {
+		if srv, err = restoreServer(cfg, snapBytes); err != nil {
 			return nil, fmt.Errorf("open server: %w", err)
 		}
 	case legacyState != "":

@@ -6,10 +6,12 @@ package auditor
 // and time-based expiry schedules survive a restart.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/operator"
@@ -529,10 +532,10 @@ func TestRecoveryKeepsRecordsLoggedOutOfSeqOrder(t *testing.T) {
 	d2, _ := srv.disclosures.add(retainedDisclosure{DroneID: "drone-b", Mode: poa.DisclosureCommit, SubmitTime: t0})
 	ctx := context.Background()
 	for _, err := range []error{
-		srv.wal(ctx, recPoARetained, retainedSnapshot(p2)),
-		srv.wal(ctx, recPoARetained, retainedSnapshot(p1)),
-		srv.wal(ctx, recDisclosureRetained, disclosureSnapshot(d2)),
-		srv.wal(ctx, recDisclosureRetained, disclosureSnapshot(d1)),
+		srv.wal(ctx, recPoARetained, p2),
+		srv.wal(ctx, recPoARetained, p1),
+		srv.wal(ctx, recDisclosureRetained, d2),
+		srv.wal(ctx, recDisclosureRetained, d1),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -557,7 +560,7 @@ func TestRecoveryKeepsRecordsLoggedOutOfSeqOrder(t *testing.T) {
 	for _, rec := range []struct {
 		kind byte
 		v    any
-	}{{recPoARetained, retainedSnapshot(p1)}, {recDisclosureRetained, disclosureSnapshot(d2)}} {
+	}{{recPoARetained, p1}, {recDisclosureRetained, d2}} {
 		data, err := json.Marshal(rec.v)
 		if err != nil {
 			t.Fatal(err)
@@ -581,4 +584,169 @@ func TestRecoveryKeepsRecordsLoggedOutOfSeqOrder(t *testing.T) {
 		t.Errorf("%d records survive a purge at their submit time, want 0", got)
 	}
 	st.Close()
+}
+
+// TestStateEquivalenceAcrossRestorePaths is the one-schema property: the
+// log, the snapshot and the handoff are the same records read by the same
+// applyRecord, so a state holding every persistent record kind — a ring
+// rotated twice, a sealed and a commit retention included — rebuilds to
+// the same export from the WAL alone, from a snapshot alone, from a
+// snapshot under a tail that repeats all of it, and (the key and the
+// shard-local Seq aside) on a peer that received it as a handoff.
+func TestStateEquivalenceAcrossRestorePaths(t *testing.T) {
+	ctx := context.Background()
+	clock := &mutableClock{t: t0}
+	mem := storage.NewMemStore()
+	cfg := recoveryConfig(clock)
+	cfg.CompactEvery = -1 // the log keeps every record of this test
+	srv, err := OpenServer(cfg, mem, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutateAll(t, srv)
+	sid, skeys := registerDisclosureDrone(t, srv, rand.New(rand.NewSource(47)), poa.DisclosureSealed)
+	sct, _, _ := sealedSubmission(t, srv, signedTrace(t, skeys, urbana.Offset(90, 60000), 0, 10, 5, time.Second))
+	if resp, err := srv.SubmitSealedPoA(protocol.SubmitSealedPoARequest{DroneID: sid, EncryptedPoA: sct}); err != nil || resp.Verdict != protocol.VerdictRetained {
+		t.Fatalf("sealed submit: %v / %+v", err, resp)
+	}
+	rid, rkeys := registerSuiteDrone(t, srv, sigcrypto.SuiteEd25519, rand.New(rand.NewSource(44)))
+	outgoing := rkeys.tee
+	for epoch := 0; epoch < 2; epoch++ {
+		clock.Set(t0.Add(time.Duration(epoch+1) * time.Minute))
+		next := newSuiteKey(t, sigcrypto.SuiteEd25519, int64(14+epoch))
+		h := signedHandover(t, rid, epoch, outgoing, next.Public(), clock.Now())
+		if _, err := srv.RotateKey(protocol.RotateKeyRequest{DroneID: rid, Handover: h}); err != nil {
+			t.Fatal(err)
+		}
+		outgoing = next
+	}
+
+	want, err := srv.exportRecords(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstSnap, log, err := mem.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[byte]bool{}
+	for _, rec := range log {
+		kinds[rec.Kind] = true
+	}
+	for k := recDroneRegistered; k <= recDisclosureRetained; k++ {
+		if k != recPurge && !kinds[k] {
+			t.Fatalf("the scenario logged no %s record", walKindName(k))
+		}
+	}
+
+	for name, c := range map[string]struct {
+		snap []byte
+		tail []storage.Record
+	}{
+		"WAL only":                        {firstSnap, log},
+		"snapshot only":                   {want, nil},
+		"snapshot + overlapping WAL tail": {want, log},
+	} {
+		st := storage.NewMemStore()
+		if err := st.Snapshot(func() ([]byte, error) { return c.snap, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(ctx, c.tail...); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := OpenServer(recoveryConfig(clock), st, "")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, err := restored.exportRecords(false); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: export differs from the live server's (err %v)\n%s", name, err, diffRecords(t, got, want))
+		}
+	}
+
+	// Handoff: a single-node, single-shard router owns every drone.
+	wantHandoff, err := srv.exportRecords(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := NewRouter(RouterConfig{
+		Self:   cluster.Node{ID: "node-b"},
+		Server: Config{Clock: clock, EncryptionKey: srv.EncryptionKey()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if err := peer.clusterHandoff(ctx, protocol.ClusterHandoffRequest{From: "node-a", MapVersion: 1, State: wantHandoff}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := peer.Shard(0).exportRecords(true); err != nil || !bytes.Equal(got, wantHandoff) {
+		t.Errorf("handoff: the peer's export differs from the source's (err %v)\n%s", err, diffRecords(t, got, wantHandoff))
+	}
+}
+
+// diffRecords renders the first record at which two streams part.
+func diffRecords(t *testing.T, got, want []byte) string {
+	t.Helper()
+	g, err := storage.DecodeRecords(got)
+	if err != nil {
+		return "got: " + err.Error()
+	}
+	w, err := storage.DecodeRecords(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i].Kind != w[i].Kind || !bytes.Equal(g[i].Data, w[i].Data) {
+			return fmt.Sprintf("record %d:\n got %s %s\nwant %s %s", i, walKindName(g[i].Kind), g[i].Data, walKindName(w[i].Kind), w[i].Data)
+		}
+	}
+	return fmt.Sprintf("got %d records, want %d", len(g), len(w))
+}
+
+// TestOpenServerRejectsBitRotInSnapshot: the snapshot is framed and
+// checksummed like the log, so one flipped bit anywhere in the file — a
+// length, a checksum, the inside of a base64 key, where the old JSON file
+// would have loaded as different state — fails recovery with ErrCorrupt.
+func TestOpenServerRejectsBitRotInSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	clock := &mutableClock{t: t0}
+	srv, st := openStoreServer(t, dir, recoveryConfig(clock))
+	mutateAll(t, srv)
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots in %s: %v (err %v), want exactly one", dir, snaps, err)
+	}
+	clean, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 3; off < len(clean); off += len(clean) / 7 {
+		rotten := append([]byte(nil), clean...)
+		rotten[off] ^= 0x10
+		if err := os.WriteFile(snaps[0], rotten, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := storage.OpenFileStore(dir, storage.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := OpenServer(recoveryConfig(clock), fs, ""); !errors.Is(err, storage.ErrCorrupt) || got != nil {
+			t.Errorf("bit flipped at offset %d of %d: server %v, err %v; want ErrCorrupt and no server", off, len(clean), got != nil, err)
+		}
+		fs.Close()
+	}
+	if err := os.WriteFile(snaps[0], clean, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	restored, st := openStoreServer(t, dir, recoveryConfig(clock))
+	defer st.Close()
+	if restored.Status() != srv.Status() {
+		t.Errorf("restored from the clean file: %+v, want %+v", restored.Status(), srv.Status())
+	}
 }

@@ -110,7 +110,14 @@ func (s *Server) RotateKeyCtx(ctx context.Context, req protocol.RotateKeyRequest
 		return protocol.RotateKeyResponse{}, err
 	}
 	now := s.cfg.Clock.Now()
-	if _, err := s.drones.rotate(req.DroneID, h.OldEpoch, TEEKey{Pub: newPub, Epoch: h.NewEpoch}, now); err != nil {
+	// The epoch check repeats under the store lock, so two racing
+	// rotations cannot both succeed off the same outgoing epoch.
+	if _, err := s.drones.update(req.DroneID, func(rec DroneRecord) (DroneRecord, error) {
+		if rec.ActiveKey().Epoch != h.OldEpoch {
+			return rec, fmt.Errorf("%w: outgoing epoch %d is not active", sigcrypto.ErrBadHandover, h.OldEpoch)
+		}
+		return rec.rotated(TEEKey{Pub: newPub, Epoch: h.NewEpoch}, now), nil
+	}); err != nil {
 		return protocol.RotateKeyResponse{}, err
 	}
 	if err := s.wal(ctx, recKeyRotated, walRotation{
@@ -126,48 +133,14 @@ func (s *Server) RotateKeyCtx(ctx context.Context, req protocol.RotateKeyRequest
 	return protocol.RotateKeyResponse{Epoch: h.NewEpoch}, nil
 }
 
-// rotate retires the active key (stamping RetiredAt) and appends the
-// successor, copy-on-write so concurrent readers of the record never see a
-// half-updated ring. The epoch check runs under the store lock, so two
-// racing rotations cannot both succeed off the same outgoing epoch.
-func (st *droneStore) rotate(id string, oldEpoch int, newKey TEEKey, retiredAt time.Time) (DroneRecord, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	rec, ok := st.m[id]
-	if !ok {
-		return DroneRecord{}, fmt.Errorf("%w: %q", ErrUnknownDrone, id)
-	}
-	if len(rec.TEEKeys) == 0 || rec.TEEKeys[len(rec.TEEKeys)-1].Epoch != oldEpoch {
-		return DroneRecord{}, fmt.Errorf("%w: outgoing epoch %d is not active", sigcrypto.ErrBadHandover, oldEpoch)
-	}
-	keys := make([]TEEKey, len(rec.TEEKeys), len(rec.TEEKeys)+1)
-	copy(keys, rec.TEEKeys)
+// rotated returns the record with its active key retired at retiredAt and
+// newKey appended as the successor. The ring is copied, never edited in
+// place: concurrent readers hold the old record and must not see a
+// half-updated ring.
+func (r DroneRecord) rotated(newKey TEEKey, retiredAt time.Time) DroneRecord {
+	keys := make([]TEEKey, len(r.TEEKeys), len(r.TEEKeys)+1)
+	copy(keys, r.TEEKeys)
 	keys[len(keys)-1].RetiredAt = retiredAt
-	keys = append(keys, newKey)
-	rec.TEEKeys = keys
-	st.m[id] = rec
-	return rec, nil
-}
-
-// applyRotation replays a rotation record idempotently: a record whose
-// epoch is already in the ring (the snapshot covered it) is a no-op.
-func (st *droneStore) applyRotation(id string, newKey TEEKey, retiredAt time.Time) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	rec, ok := st.m[id]
-	if !ok {
-		return fmt.Errorf("rotation for unknown drone %q", id)
-	}
-	if len(rec.TEEKeys) > 0 && rec.TEEKeys[len(rec.TEEKeys)-1].Epoch >= newKey.Epoch {
-		return nil
-	}
-	keys := make([]TEEKey, len(rec.TEEKeys), len(rec.TEEKeys)+1)
-	copy(keys, rec.TEEKeys)
-	if len(keys) > 0 {
-		keys[len(keys)-1].RetiredAt = retiredAt
-	}
-	keys = append(keys, newKey)
-	rec.TEEKeys = keys
-	st.m[id] = rec
-	return nil
+	r.TEEKeys = append(keys, newKey)
+	return r
 }

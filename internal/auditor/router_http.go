@@ -41,11 +41,7 @@ var _ clusterBackend = (*Router)(nil)
 // registered bare (no per-endpoint request metrics): node-to-node
 // chatter is not client traffic.
 func (h *Handler) registerClusterRoutes(cb clusterBackend) {
-	h.mux.HandleFunc(protocol.PathClusterMap, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	h.mux.HandleFunc(protocol.PathClusterMap, get(func(w http.ResponseWriter, r *http.Request) {
 		js, err := cb.clusterMapJSON()
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
@@ -53,7 +49,7 @@ func (h *Handler) registerClusterRoutes(cb clusterBackend) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(js)
-	})
+	}))
 	h.mux.HandleFunc(protocol.PathClusterGossip, post(func(w http.ResponseWriter, r *http.Request) {
 		digest, err := readBody(r)
 		if err != nil {
@@ -90,18 +86,14 @@ func (h *Handler) registerClusterRoutes(cb clusterBackend) {
 		})
 		sp.End()
 	}))
-	h.mux.HandleFunc(protocol.PathClusterKey, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	h.mux.HandleFunc(protocol.PathClusterKey, get(func(w http.ResponseWriter, r *http.Request) {
 		resp, err := cb.clusterKey()
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)
-	})
+	}))
 	h.mux.HandleFunc(protocol.PathClusterMetrics, get(func(w http.ResponseWriter, r *http.Request) {
 		// Merge into a buffer first so a mid-aggregation failure can still
 		// answer with a clean 500 instead of a torn exposition.
@@ -119,17 +111,6 @@ func (h *Handler) registerClusterRoutes(cb clusterBackend) {
 	h.mux.HandleFunc(protocol.PathClusterNodeStatus, get(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, cb.nodeStatus())
 	}))
-}
-
-// get restricts an endpoint to the GET method.
-func get(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		fn(w, r)
-	}
 }
 
 // readBody slurps a small request body (gossip digests).

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -69,14 +70,15 @@ type DroneRecord struct {
 	TEEKeys []TEEKey
 }
 
-// retainedPoA is a verified submission kept for later accusations. Seq is
-// assigned by the retention store when the PoA is first added; WAL replay
-// uses it to skip records whose effect is already in a loaded snapshot.
+// retainedPoA is a verified submission kept for later accusations, and its
+// own recPoARetained payload. Seq is assigned by the retention store when
+// the PoA is first added; WAL replay uses it to skip records whose effect
+// is already in a loaded snapshot.
 type retainedPoA struct {
-	DroneID    string
-	Samples    []poa.Sample
-	SubmitTime time.Time
-	Seq        uint64
+	DroneID    string       `json:"droneId"`
+	Samples    []poa.Sample `json:"samples"`
+	SubmitTime time.Time    `json:"submitTime"`
+	Seq        uint64       `json:"seq,omitempty"`
 }
 
 // DefaultNonceTTL bounds the zone-query anti-replay cache: a nonce only
@@ -204,16 +206,16 @@ type Server struct {
 	seqStreamClose []pipeline.Stage
 	seqAccuse      []pipeline.Stage
 
-	drones      *droneStore
+	drones      *idStore[DroneRecord]
 	zones       *zone.Registry
 	nonces      *nonceStore
 	seen        *digestStore // accepted-PoA digests, for replay detection
 	retained    *seqStore[retainedPoA]
 	disclosures *seqStore[retainedDisclosure] // retained sealed/commit submissions
-	challenges  *challengeStore               // outstanding selective-disclosure challenges
-	sessions    *sessionStore
-	zones3D     *zone3DStore
-	streams     *streamStore
+	challenges  *idStore[challengeRecord]     // outstanding selective-disclosure challenges
+	sessions    *idStore[sessionRecord]       // §VII-A1a symmetric flight sessions
+	zones3D     *idStore[cylinderRecord]      // §VII-B1 cylindrical no-fly regions
+	streams     *idStore[*streamState]        // in-flight real-time audits
 
 	// Durability (nil/zero when running purely in memory, e.g. tests).
 	// store receives one typed record per committed mutation; walSince
@@ -268,20 +270,17 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		encKey:      key,
 		pool:        parallel.NewPool(cfg.Workers),
-		drones:      newDroneStore(),
+		drones:      newIDStore[DroneRecord]("drone", ""),
 		zones:       zone.NewRegistry(),
 		nonces:      newNonceStore(cfg.NonceTTL),
 		seen:        newDigestStore(),
 		retained:    newSeqStore[retainedPoA](),
 		disclosures: newSeqStore[retainedDisclosure](),
-		challenges:  newChallengeStore(),
-		sessions:    newSessionStore(),
-		zones3D:     newZone3DStore(),
-		streams:     newStreamStore(),
+		challenges:  newIDStore[challengeRecord]("challenge", cfg.ShardTag),
+		sessions:    newIDStore[sessionRecord]("session", cfg.ShardTag),
+		zones3D:     newIDStore[cylinderRecord]("zone3d", ""),
+		streams:     newIDStore[*streamState]("stream", cfg.ShardTag),
 	}
-	s.sessions.tag = cfg.ShardTag
-	s.streams.tag = cfg.ShardTag
-	s.challenges.tag = cfg.ShardTag
 	if cfg.Metrics != nil {
 		cfg.Metrics.Gauge(MetricVerifyWorkers).Set(float64(s.pool.Size()))
 		busy := cfg.Metrics.Gauge(MetricVerifyWorkersBusy)
@@ -362,18 +361,7 @@ func (s *Server) RegisterDrone(req protocol.RegisterDroneRequest) (protocol.Regi
 // RegisterDroneCtx is RegisterDrone under a caller context (trace
 // propagation into the WAL commit).
 func (s *Server) RegisterDroneCtx(ctx context.Context, req protocol.RegisterDroneRequest) (protocol.RegisterDroneResponse, error) {
-	rec, err := s.parseRegistration(req)
-	if err != nil {
-		return protocol.RegisterDroneResponse{}, err
-	}
-	id := s.drones.register(rec)
-	if err := s.wal(ctx, recDroneRegistered, walDrone{
-		ID: id, OperatorPub: req.OperatorPub, TEEPub: req.TEEPub,
-		Suite: rec.Suite, Disclosure: rec.Disclosure,
-	}); err != nil {
-		return protocol.RegisterDroneResponse{}, err
-	}
-	return protocol.RegisterDroneResponse{DroneID: id}, nil
+	return s.registerDrone(ctx, "", req)
 }
 
 // RegisterDroneWithID files a registration under a caller-chosen ID. The
@@ -385,12 +373,21 @@ func (s *Server) RegisterDroneWithID(ctx context.Context, id string, req protoco
 	if id == "" {
 		return protocol.RegisterDroneResponse{}, errors.New("auditor: empty drone id")
 	}
+	return s.registerDrone(ctx, id, req)
+}
+
+// registerDrone validates a registration, files it — under id, or under
+// the next issued ID when id is empty — and logs it.
+func (s *Server) registerDrone(ctx context.Context, id string, req protocol.RegisterDroneRequest) (protocol.RegisterDroneResponse, error) {
 	rec, err := s.parseRegistration(req)
 	if err != nil {
 		return protocol.RegisterDroneResponse{}, err
 	}
+	now := s.cfg.Clock.Now()
 	rec.ID = id
-	if !s.drones.create(rec) {
+	if id == "" {
+		id = s.drones.issue(now, func(id string) DroneRecord { rec.ID = id; return rec })
+	} else if !s.drones.put(now, id, rec) {
 		return protocol.RegisterDroneResponse{}, fmt.Errorf("auditor: drone id %q already registered", id)
 	}
 	if err := s.wal(ctx, recDroneRegistered, walDrone{
@@ -402,61 +399,53 @@ func (s *Server) RegisterDroneWithID(ctx context.Context, id string, req protoco
 	return protocol.RegisterDroneResponse{DroneID: id}, nil
 }
 
-// parseRegistration validates a registration request and builds the
-// unfiled record (ID unassigned).
+// parseRegistration validates a registration request against this
+// server's allow-lists and builds the unfiled record (ID unassigned).
 func (s *Server) parseRegistration(req protocol.RegisterDroneRequest) (DroneRecord, error) {
-	opPub, err := sigcrypto.UnmarshalPublicKey(req.OperatorPub)
+	rec, err := decodeRegistration(req.OperatorPub, req.TEEPub, req.Disclosure)
+	if err != nil {
+		return DroneRecord{}, err
+	}
+	if req.Suite != "" && req.Suite != rec.Suite {
+		return DroneRecord{}, fmt.Errorf(
+			"auditor: requested suite %q does not match the key envelope (%s)", req.Suite, rec.Suite)
+	}
+	if err := allowed("signature suite", rec.Suite, s.cfg.AllowedSuites); err != nil {
+		return DroneRecord{}, err
+	}
+	if err := allowed("disclosure mode", rec.Disclosure, s.cfg.AllowedDisclosures); err != nil {
+		return DroneRecord{}, err
+	}
+	return rec, nil
+}
+
+// decodeRegistration parses a registration's two keys and disclosure mode
+// — as a request carries them and as a recDroneRegistered record repeats
+// them — into the record with its epoch-0 ring. The suite is the TEE key
+// envelope's.
+func decodeRegistration(operatorPub, teePub, disclosure string) (DroneRecord, error) {
+	opPub, err := sigcrypto.UnmarshalPublicKey(operatorPub)
 	if err != nil {
 		return DroneRecord{}, fmt.Errorf("operator key: %w", err)
 	}
-	teeKey, err := sigcrypto.ParsePublicKey(req.TEEPub)
+	teeKey, err := sigcrypto.ParsePublicKey(teePub)
 	if err != nil {
 		return DroneRecord{}, fmt.Errorf("tee key: %w", err)
 	}
-	suite := teeKey.SuiteID()
-	if req.Suite != "" && req.Suite != suite {
-		return DroneRecord{}, fmt.Errorf(
-			"auditor: requested suite %q does not match the key envelope (%s)", req.Suite, suite)
-	}
-	if err := s.suiteAllowed(suite); err != nil {
-		return DroneRecord{}, err
-	}
-	mode, err := poa.NormalizeDisclosure(req.Disclosure)
+	mode, err := poa.NormalizeDisclosure(disclosure)
 	if err != nil {
 		return DroneRecord{}, fmt.Errorf("auditor: %w", err)
 	}
-	if err := s.disclosureAllowed(mode); err != nil {
-		return DroneRecord{}, err
-	}
-	return DroneRecord{OperatorPub: opPub, Suite: suite, Disclosure: mode, TEEKeys: []TEEKey{{Pub: teeKey}}}, nil
+	return DroneRecord{OperatorPub: opPub, Suite: teeKey.SuiteID(), Disclosure: mode, TEEKeys: []TEEKey{{Pub: teeKey}}}, nil
 }
 
-// suiteAllowed enforces Config.AllowedSuites at registration time; an
-// empty list admits every suite the binary registered.
-func (s *Server) suiteAllowed(suite string) error {
-	if len(s.cfg.AllowedSuites) == 0 {
+// allowed enforces a registration-time allow-list (Config.AllowedSuites,
+// Config.AllowedDisclosures); an empty list admits everything.
+func allowed(what, v string, list []string) error {
+	if len(list) == 0 || slices.Contains(list, v) {
 		return nil
 	}
-	for _, a := range s.cfg.AllowedSuites {
-		if a == suite {
-			return nil
-		}
-	}
-	return fmt.Errorf("auditor: signature suite %q is not accepted here (allowed: %v)", suite, s.cfg.AllowedSuites)
-}
-
-// disclosureAllowed enforces Config.AllowedDisclosures at registration
-// time; an empty list admits every mode.
-func (s *Server) disclosureAllowed(mode string) error {
-	if len(s.cfg.AllowedDisclosures) == 0 {
-		return nil
-	}
-	for _, a := range s.cfg.AllowedDisclosures {
-		if a == mode {
-			return nil
-		}
-	}
-	return fmt.Errorf("auditor: disclosure mode %q is not accepted here (allowed: %v)", mode, s.cfg.AllowedDisclosures)
+	return fmt.Errorf("auditor: %s %q is not accepted here (allowed: %v)", what, v, list)
 }
 
 // ErrDisclosureMismatch is returned when a submission door does not match
@@ -466,12 +455,8 @@ var ErrDisclosureMismatch = errors.New("auditor: submission door does not match 
 // requireDisclosure gates a submission door on the drone's registered
 // disclosure mode.
 func requireDisclosure(rec DroneRecord, mode string) error {
-	got := rec.Disclosure
-	if got == "" {
-		got = poa.DisclosureFull
-	}
-	if got != mode {
-		return fmt.Errorf("%w: drone %s registered %q, this door accepts %q", ErrDisclosureMismatch, rec.ID, got, mode)
+	if rec.Disclosure != mode {
+		return fmt.Errorf("%w: drone %s registered %q, this door accepts %q", ErrDisclosureMismatch, rec.ID, rec.Disclosure, mode)
 	}
 	return nil
 }
@@ -542,7 +527,7 @@ func (s *Server) ZoneQueryCtx(ctx context.Context, req protocol.ZoneQueryRequest
 	if !s.nonces.claim(req.Nonce, now) {
 		return protocol.ZoneQueryResponse{}, fmt.Errorf("%w: replayed", protocol.ErrBadNonce)
 	}
-	if err := s.wal(ctx, recNonceSeen, nonceSnapshot{Nonce: req.Nonce, Seen: now}); err != nil {
+	if err := s.wal(ctx, recNonceSeen, walNonce{Nonce: req.Nonce, Seen: now}); err != nil {
 		return protocol.ZoneQueryResponse{}, err
 	}
 	return protocol.ZoneQueryResponse{Zones: s.zones.QueryRect(req.Area)}, nil
@@ -668,7 +653,7 @@ func (s *Server) retain(ctx context.Context, droneID string, alibi []poa.Sample)
 		SubmitTime: s.cfg.Clock.Now(),
 	})
 	s.cfg.Metrics.Gauge(MetricRetainedPoAs).Set(float64(n))
-	return s.wal(ctx, recPoARetained, retainedSnapshot(r))
+	return s.wal(ctx, recPoARetained, r)
 }
 
 // PurgeExpired drops retained PoAs older than the retention window and
@@ -676,7 +661,8 @@ func (s *Server) retain(ctx context.Context, droneID string, alibi []poa.Sample)
 // Retention: a purge run at that instant removes it. The sweep also
 // expires the replay-digest set (same retention cutoff) and the
 // zone-query nonce cache (NonceTTL), so neither map grows without bound
-// under sustained traffic.
+// under sustained traffic, and drops sessions, disclosure challenges and
+// open streams issued before the same cutoff.
 func (s *Server) PurgeExpired() int { return s.PurgeExpiredCtx(context.Background()) }
 
 // PurgeExpiredCtx is PurgeExpired under a caller context: the retention
@@ -702,6 +688,11 @@ func (s *Server) PurgeExpiredCtx(ctx context.Context) int {
 		s.cfg.Metrics.Counter(MetricExpiredNoncesTotal).Add(uint64(n))
 		swept += n
 	}
+	// Ephemeral state, so nothing to log: a session, challenge or stream
+	// older than the evidence it could refer to is abandoned.
+	s.sessions.sweep(cutoff)
+	s.challenges.sweep(cutoff)
+	s.streams.sweep(cutoff)
 	if removed+swept > 0 {
 		// Log the sweep with its commit-time cutoffs so the expiry
 		// schedule survives a restart. The in-memory purge stands either
@@ -827,13 +818,9 @@ func (s *Server) challengeDisclosure(droneID, zoneID string, at time.Time) (prot
 			At:        at,
 			PairIndex: pair,
 		}
-		ch.ChallengeID = s.challenges.add(challengeRecord{
-			DroneID:       droneID,
-			ZoneID:        zoneID,
-			Mode:          r.Mode,
-			At:            at,
-			PairIndex:     pair,
-			DisclosureSeq: r.Seq,
+		s.challenges.issue(s.cfg.Clock.Now(), func(id string) challengeRecord {
+			ch.ChallengeID = id
+			return challengeRecord{DisclosureChallenge: ch, DisclosureSeq: r.Seq}
 		})
 		return ch, true
 	}

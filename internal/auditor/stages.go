@@ -333,7 +333,7 @@ func (s *Server) stageCommitDigest(ctx context.Context, sub *pipeline.Submission
 	if !sub.DigestClaimed {
 		return nil
 	}
-	return s.wal(ctx, recDigestClaimed, digestSnapshot{
+	return s.wal(ctx, recDigestClaimed, walDigest{
 		Digest: hex.EncodeToString(sub.Digest[:]),
 		Seen:   sub.DigestSeen,
 	})
@@ -501,5 +501,5 @@ func (s *Server) stageRetainDisclosure(ctx context.Context, sub *pipeline.Submis
 		}
 	}
 	r, _ := s.disclosures.add(rec)
-	return s.wal(ctx, recDisclosureRetained, disclosureSnapshot(r))
+	return s.wal(ctx, recDisclosureRetained, r)
 }

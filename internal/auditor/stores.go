@@ -1,13 +1,14 @@
 package auditor
 
 import (
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/poa"
 	"repro/internal/privacy"
+	"repro/internal/protocol"
 )
 
 // This file holds the server's state stores. Historically every field sat
@@ -20,71 +21,130 @@ import (
 // store locks are ever held at once and lock-order cycles are impossible
 // by construction.
 
-// droneStore is the registered-drone registry: (id_drone, D+, T+).
-type droneStore struct {
-	mu   sync.RWMutex
-	m    map[string]DroneRecord
-	next int
+// idStore is the one ID-issuing store: a locked map from issued ID to
+// value, the counter IDs are issued from, and each entry's issue time.
+// One instance each holds the registered drones (id_drone, D+, T+), the
+// §VII-B1 cylindrical zones, the §VII-A1a flight sessions, the open
+// real-time streams and the outstanding disclosure challenges; only the
+// first two are persisted, the other three are swept by age.
+type idStore[T any] struct {
+	mu     sync.RWMutex
+	prefix string // "drone", "zone3d", "session-<shard tag>", ...
+	m      map[string]issued[T]
+	next   int
 }
 
-func newDroneStore() *droneStore { return &droneStore{m: make(map[string]DroneRecord)} }
+type issued[T any] struct {
+	v  T
+	at time.Time
+}
 
-// register issues the next drone ID and files the record under it.
-func (st *droneStore) register(rec DroneRecord) string {
+// newIDStore creates a store issuing "<kind>-0007". A non-empty tag (the
+// server runs as one shard of a cluster) is folded in, "<kind>-<tag>-0007",
+// so IDs issued by different shards never collide.
+func newIDStore[T any](kind, tag string) *idStore[T] {
+	if tag != "" {
+		kind += "-" + tag
+	}
+	return &idStore[T]{prefix: kind, m: make(map[string]issued[T])}
+}
+
+// issue draws the next ID and files mk(id) under it.
+func (st *idStore[T]) issue(now time.Time, mk func(id string) T) string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.next++
-	rec.ID = fmt.Sprintf("drone-%04d", st.next)
-	st.m[rec.ID] = rec
-	return rec.ID
+	id := fmt.Sprintf("%s-%04d", st.prefix, st.next)
+	st.m[id] = issued[T]{v: mk(id), at: now}
+	return id
 }
 
-func (st *droneStore) get(id string) (DroneRecord, bool) {
+// put files v under an ID issued elsewhere — ring-side by the cluster
+// router, or by this store before a restart or on another node — and
+// moves the counter past it. It returns false, changing nothing, when the
+// ID is taken: IDs are never reused, so a replayed record whose entry is
+// already present is a no-op.
+func (st *idStore[T]) put(now time.Time, id string, v T) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, taken := st.m[id]; taken {
+		return false
+	}
+	st.m[id] = issued[T]{v: v, at: now}
+	var n int
+	if _, err := fmt.Sscanf(id, st.prefix+"-%d", &n); err == nil && n > st.next {
+		st.next = n
+	}
+	return true
+}
+
+func (st *idStore[T]) get(id string) (T, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	rec, ok := st.m[id]
-	return rec, ok
+	e, ok := st.m[id]
+	return e.v, ok
 }
 
-func (st *droneStore) len() int {
+// update replaces the value under id with fn's result in one critical
+// section, so two racing updates cannot both act on the same old value.
+// A missing id reports ok=false; fn's error leaves the entry unchanged.
+func (st *idStore[T]) update(id string, fn func(T) (T, error)) (ok bool, err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e, ok := st.m[id]
+	if !ok {
+		return false, nil
+	}
+	if e.v, err = fn(e.v); err == nil {
+		st.m[id] = e
+	}
+	return true, err
+}
+
+func (st *idStore[T]) remove(id string) (T, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e, ok := st.m[id]
+	delete(st.m, id)
+	return e.v, ok
+}
+
+func (st *idStore[T]) len() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.m)
 }
 
-// all returns every record sorted by ID (deterministic persistence).
-func (st *droneStore) all() []DroneRecord {
+// all returns every value sorted by ID (deterministic persistence).
+func (st *idStore[T]) all() []T {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	out := make([]DroneRecord, 0, len(st.m))
-	for _, rec := range st.m {
-		out = append(out, rec)
+	ids := make([]string, 0, len(st.m))
+	for id := range st.m {
+		ids = append(ids, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sort.Strings(ids)
+	out := make([]T, len(ids))
+	for i, id := range ids {
+		out[i] = st.m[id].v
+	}
 	return out
 }
 
-// create files a record under a caller-chosen ID — the cluster routing
-// layer issues drone IDs ring-side and files them on the owning shard.
-// It returns false when the ID is already taken.
-func (st *droneStore) create(rec DroneRecord) bool {
+// sweep drops every entry issued at or before the cutoff and returns how
+// many went. Sessions, streams and challenges are created by requests that
+// need no proof of anything, so an abandoned one must age out.
+func (st *idStore[T]) sweep(cutoff time.Time) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, ok := st.m[rec.ID]; ok {
-		return false
+	removed := 0
+	for id, e := range st.m {
+		if !e.at.After(cutoff) {
+			delete(st.m, id)
+			removed++
+		}
 	}
-	st.m[rec.ID] = rec
-	return true
-}
-
-// restore files a record under its persisted ID and bumps the sequence.
-func (st *droneStore) restore(rec DroneRecord, next int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.m[rec.ID] = rec
-	if next > st.next {
-		st.next = next
-	}
+	return removed
 }
 
 // nonceStore is the zone-query anti-replay cache. Entries carry the time
@@ -136,18 +196,18 @@ func (st *nonceStore) len() int {
 }
 
 // all returns the live entries sorted by nonce (deterministic persistence).
-func (st *nonceStore) all() []nonceSnapshot {
+func (st *nonceStore) all() []walNonce {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]nonceSnapshot, 0, len(st.m))
+	out := make([]walNonce, 0, len(st.m))
 	for n, seen := range st.m {
-		out = append(out, nonceSnapshot{Nonce: n, Seen: seen})
+		out = append(out, walNonce{Nonce: n, Seen: seen})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Nonce < out[j].Nonce })
 	return out
 }
 
-func (st *nonceStore) restore(n nonceSnapshot) {
+func (st *nonceStore) restore(n walNonce) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.m[n.Nonce] = n.Seen
@@ -231,26 +291,19 @@ func (st *digestStore) len() int {
 	return n
 }
 
-// all returns the live digests sorted lexically (deterministic
+// all returns the live digests in their record form, sorted (deterministic
 // persistence).
-func (st *digestStore) all() []digestEntry {
-	var out []digestEntry
+func (st *digestStore) all() []walDigest {
+	var out []walDigest
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		for d, seen := range sh.m {
-			out = append(out, digestEntry{digest: d, seen: seen})
+			out = append(out, walDigest{Digest: hex.EncodeToString(d[:]), Seen: seen})
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		for b := 0; b < 32; b++ {
-			if out[i].digest[b] != out[j].digest[b] {
-				return out[i].digest[b] < out[j].digest[b]
-			}
-		}
-		return false
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Digest < out[j].Digest })
 	return out
 }
 
@@ -259,12 +312,6 @@ func (st *digestStore) restore(d [32]byte, seen time.Time) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.m[d] = seen
-}
-
-// digestEntry is one replay-set member with its claim time.
-type digestEntry struct {
-	digest [32]byte
-	seen   time.Time
 }
 
 // seqStamped is what a record needs to live in a seqStore: the fields the
@@ -283,17 +330,17 @@ func (r retainedPoA) withSeq(seq uint64) retainedPoA { r.Seq = seq; return r }
 // possible accusation. Sealed mode keeps the entries themselves (reveal
 // then needs only the two keys); commit mode keeps just the signed
 // commitment — timestamps, root, epoch — and the entries arrive with the
-// reveal, authenticated by their Merkle paths. Field order matches
-// disclosureSnapshot so the two convert directly.
+// reveal, authenticated by their Merkle paths. It is its own
+// recDisclosureRetained payload.
 type retainedDisclosure struct {
-	DroneID    string
-	Mode       string // poa.DisclosureSealed or poa.DisclosureCommit
-	Times      []time.Time
-	Root       []byte
-	KeyEpoch   int
-	Entries    []privacy.SealedSample
-	SubmitTime time.Time
-	Seq        uint64
+	DroneID    string                 `json:"droneId"`
+	Mode       string                 `json:"mode"` // poa.DisclosureSealed or poa.DisclosureCommit
+	Times      []time.Time            `json:"times"`
+	Root       []byte                 `json:"root,omitempty"`
+	KeyEpoch   int                    `json:"keyEpoch,omitempty"`
+	Entries    []privacy.SealedSample `json:"entries,omitempty"`
+	SubmitTime time.Time              `json:"submitTime"`
+	Seq        uint64                 `json:"seq,omitempty"`
 }
 
 func (r retainedDisclosure) retention() (string, time.Time, uint64) {
@@ -389,18 +436,21 @@ func (st *seqStore[T]) all() []T {
 // already present (snapshot overlap during WAL replay) is skipped. The
 // test is membership, not a high-water mark: add stamps the Seq before
 // the WAL append, so concurrent commits can reach the log in the reverse
-// of their Seq order, and a replay must keep both. Legacy seq-0 entries
-// from pre-WAL snapshots always restore.
+// of their Seq order, and a replay must keep both. A record without a Seq
+// was handed over by another shard, whose counter means nothing here, and
+// is stamped like a new one.
 func (st *seqStore[T]) restore(r T) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, _, seq := r.retention(); seq != 0 {
-		if _, dup := st.have[seq]; dup {
-			return
-		}
-		st.have[seq] = struct{}{}
-		st.seq = max(st.seq, seq)
+	_, _, seq := r.retention()
+	if seq == 0 {
+		seq = st.seq + 1
+		r = r.withSeq(seq)
+	} else if _, dup := st.have[seq]; dup {
+		return
 	}
+	st.have[seq] = struct{}{}
+	st.seq = max(st.seq, seq)
 	st.recs = append(st.recs, r)
 }
 
@@ -408,187 +458,6 @@ func (st *seqStore[T]) restore(r T) {
 // Challenges are deliberately ephemeral, like sessions and open streams:
 // a restart voids them and the zone owner re-accuses.
 type challengeRecord struct {
-	DroneID       string
-	ZoneID        string
-	Mode          string
-	At            time.Time
-	PairIndex     int
-	DisclosureSeq uint64 // Seq of the retained disclosure it challenges
-}
-
-// challengeStore holds outstanding disclosure challenges by ID.
-type challengeStore struct {
-	mu   sync.Mutex
-	tag  string
-	m    map[string]challengeRecord
-	next int
-}
-
-func newChallengeStore() *challengeStore { return &challengeStore{m: make(map[string]challengeRecord)} }
-
-func (st *challengeStore) add(rec challengeRecord) string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.next++
-	id := taggedID("challenge", st.tag, st.next)
-	st.m[id] = rec
-	return id
-}
-
-func (st *challengeStore) get(id string) (challengeRecord, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	rec, ok := st.m[id]
-	return rec, ok
-}
-
-// resolve removes a settled challenge (verdict reached). A failed reveal
-// leaves the challenge open so the operator can retry.
-func (st *challengeStore) resolve(id string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	delete(st.m, id)
-}
-
-// taggedID renders an issued ID, folding in the shard tag when the
-// server runs as one shard of a cluster so IDs issued by different
-// shards never collide ("session-0007" vs "session-a-s1-0007").
-func taggedID(prefix, tag string, n int) string {
-	if tag == "" {
-		return fmt.Sprintf("%s-%04d", prefix, n)
-	}
-	return fmt.Sprintf("%s-%s-%04d", prefix, tag, n)
-}
-
-// sessionStore holds the §VII-A1a symmetric flight sessions.
-type sessionStore struct {
-	mu   sync.RWMutex
-	tag  string
-	m    map[string]sessionRecord
-	next int
-}
-
-func newSessionStore() *sessionStore { return &sessionStore{m: make(map[string]sessionRecord)} }
-
-func (st *sessionStore) add(rec sessionRecord) string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.next++
-	id := taggedID("session", st.tag, st.next)
-	st.m[id] = rec
-	return id
-}
-
-func (st *sessionStore) get(id string) (sessionRecord, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	rec, ok := st.m[id]
-	return rec, ok
-}
-
-func (st *sessionStore) len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.m)
-}
-
-// zone3DStore holds the §VII-B1 cylindrical no-fly regions.
-type zone3DStore struct {
-	mu   sync.RWMutex
-	m    map[string]cylinderRecord
-	next int
-}
-
-func newZone3DStore() *zone3DStore { return &zone3DStore{m: make(map[string]cylinderRecord)} }
-
-func (st *zone3DStore) add(owner string, z poa.CylinderZone) string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.next++
-	id := fmt.Sprintf("zone3d-%04d", st.next)
-	st.m[id] = cylinderRecord{ID: id, Owner: owner, Zone: z}
-	return id
-}
-
-func (st *zone3DStore) len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.m)
-}
-
-// zones returns the bare cylinder geometry (verification hot path).
-func (st *zone3DStore) zones() []poa.CylinderZone {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]poa.CylinderZone, 0, len(st.m))
-	for _, r := range st.m {
-		out = append(out, r.Zone)
-	}
-	return out
-}
-
-// all returns every record sorted by ID (deterministic persistence).
-func (st *zone3DStore) all() []cylinderRecord {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]cylinderRecord, 0, len(st.m))
-	for _, r := range st.m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-func (st *zone3DStore) restore(rec cylinderRecord, next int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.m[rec.ID] = rec
-	if next > st.next {
-		st.next = next
-	}
-}
-
-// streamStore holds the in-flight real-time audits. Each streamState has
-// its own lock so per-sample verification serializes per stream (samples
-// are ordered within a flight) while distinct streams proceed in
-// parallel.
-type streamStore struct {
-	mu   sync.Mutex
-	tag  string
-	m    map[string]*streamState
-	next int
-}
-
-func newStreamStore() *streamStore { return &streamStore{m: make(map[string]*streamState)} }
-
-func (st *streamStore) open(droneID string) string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.next++
-	id := taggedID("stream", st.tag, st.next)
-	st.m[id] = &streamState{DroneID: droneID}
-	return id
-}
-
-func (st *streamStore) get(id string) (*streamState, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	s, ok := st.m[id]
-	return s, ok
-}
-
-func (st *streamStore) remove(id string) (*streamState, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	s, ok := st.m[id]
-	if ok {
-		delete(st.m, id)
-	}
-	return s, ok
-}
-
-func (st *streamStore) len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.m)
+	protocol.DisclosureChallenge        // as issued to the zone owner
+	DisclosureSeq                uint64 // Seq of the retained disclosure it challenges
 }

@@ -37,7 +37,8 @@ func (s *Server) OpenStream(req protocol.OpenStreamRequest) (protocol.OpenStream
 	if err := requireDisclosure(rec, poa.DisclosureFull); err != nil {
 		return protocol.OpenStreamResponse{}, err
 	}
-	return protocol.OpenStreamResponse{StreamID: s.streams.open(req.DroneID)}, nil
+	id := s.streams.issue(s.cfg.Clock.Now(), func(string) *streamState { return &streamState{DroneID: req.DroneID} })
+	return protocol.OpenStreamResponse{StreamID: id}, nil
 }
 
 // StreamSample verifies one incoming signed sample incrementally through

@@ -7,29 +7,37 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/poa"
 	"repro/internal/sigcrypto"
 	"repro/internal/storage"
 	"repro/internal/zone"
 )
 
-// The auditor's WAL schema. Every durable state mutation — and only
-// committed ones — emits exactly one typed record at its commit point:
+// The auditor's record schema — the only persistent representation of
+// its state. Every durable state mutation — and only committed ones —
+// emits exactly one typed record at its commit point:
 //
 //	drone registered, zone registered (circular or polygon-enclosed),
 //	3-D zone registered, PoA retained, zone-query nonce claimed,
-//	accepted-PoA replay digest claimed, retention purge.
+//	accepted-PoA replay digest claimed, retention purge, TEE key rotated,
+//	sealed/commit disclosure retained.
 //
-// Sessions and open streams stay deliberately ephemeral, exactly as in
-// the legacy whole-state snapshot. Replay-digest claims that *fail*
-// verification are released before commit and never logged, so the WAL
-// records the accepted history only.
+// A snapshot is the shortest stream of the same records that rebuilds the
+// state (exportRecords), closed by the one kind the log never carries, the
+// PoA key pair; a cluster handoff ships that stream without the key.
+// applyRecord is therefore the only decoder: recovery, LoadServer and
+// handoff import all reach state through it. DESIGN.md §6 tabulates the
+// kinds.
 //
-// Replay is idempotent: applying a record whose effect is already in the
-// loaded snapshot is a no-op (keyed stores overwrite by key; retained
-// PoAs carry a monotonic sequence number; purges are cutoff-driven).
-// That tolerance is what lets the storage engine capture snapshots
-// concurrently with new appends — see internal/storage.
+// Sessions, open streams and disclosure challenges stay deliberately
+// ephemeral. Replay-digest claims that *fail* verification are released
+// before commit and never logged, so the log records the accepted history
+// only.
+//
+// Replay is idempotent: applying a record whose effect is already present
+// is a no-op (issued IDs are never reused, so a present ID is kept;
+// retained records carry a monotonic sequence number; purges are
+// cutoff-driven). That tolerance is what lets the storage engine capture
+// snapshots concurrently with new appends — see internal/storage.
 const (
 	recDroneRegistered    byte = 1
 	recZoneRegistered     byte = 2
@@ -40,22 +48,22 @@ const (
 	recPurge              byte = 7
 	recKeyRotated         byte = 8
 	recDisclosureRetained byte = 9
+	recEncKey             byte = 10
 )
 
 // DefaultCompactEvery is the number of WAL records between automatic
 // snapshot compactions when Config.CompactEvery is zero.
 const DefaultCompactEvery = 4096
 
-// walDrone is the payload of recDroneRegistered. Suite is empty in
-// pre-rotation records; replay then infers it from the key envelope.
+// walDrone is the payload of recDroneRegistered: the registration as
+// accepted, with the epoch-0 TEE key. Later epochs are recKeyRotated
+// records, in a snapshot as in the log.
 type walDrone struct {
 	ID          string `json:"id"`
 	OperatorPub string `json:"operatorPub"`
 	TEEPub      string `json:"teePub"`
 	Suite       string `json:"suite,omitempty"`
-	// Disclosure is the negotiated disclosure mode; empty in pre-disclosure
-	// records and normalises to full on replay.
-	Disclosure string `json:"disclosure,omitempty"`
+	Disclosure  string `json:"disclosure,omitempty"`
 }
 
 // walRotation is the payload of recKeyRotated: the accepted handover's
@@ -78,30 +86,46 @@ type walPurge struct {
 	Now    time.Time `json:"now"`    // sweep instant (nonce TTL)
 }
 
-// walKindName names a record kind for trace attributes.
+// walNonce is the payload of recNonceSeen: one zone-query nonce with its
+// first-seen time, so a restored server keeps expiring it on schedule.
+type walNonce struct {
+	Nonce string    `json:"nonce"`
+	Seen  time.Time `json:"seen"`
+}
+
+// walDigest is the payload of recDigestClaimed: one replay-detection
+// digest (hex) with its claim time.
+type walDigest struct {
+	Digest string    `json:"digest"`
+	Seen   time.Time `json:"seen"`
+}
+
+// walEncKey is the payload of recEncKey: the PoA-encryption key pair. It
+// closes every snapshot (so the file must be protected like a key file)
+// and appears nowhere else — never in the log, never in a handoff.
+type walEncKey struct {
+	EncKey string `json:"encKey"`
+}
+
+// recordKindNames names each record kind for trace attributes and errors.
+var recordKindNames = [...]string{
+	recDroneRegistered:    "drone-registered",
+	recZoneRegistered:     "zone-registered",
+	recZone3DRegistered:   "zone3d-registered",
+	recPoARetained:        "poa-retained",
+	recNonceSeen:          "nonce-seen",
+	recDigestClaimed:      "digest-claimed",
+	recPurge:              "purge",
+	recKeyRotated:         "key-rotated",
+	recDisclosureRetained: "disclosure-retained",
+	recEncKey:             "enc-key",
+}
+
 func walKindName(kind byte) string {
-	switch kind {
-	case recDroneRegistered:
-		return "drone-registered"
-	case recZoneRegistered:
-		return "zone-registered"
-	case recZone3DRegistered:
-		return "zone3d-registered"
-	case recPoARetained:
-		return "poa-retained"
-	case recNonceSeen:
-		return "nonce-seen"
-	case recDigestClaimed:
-		return "digest-claimed"
-	case recPurge:
-		return "purge"
-	case recKeyRotated:
-		return "key-rotated"
-	case recDisclosureRetained:
-		return "disclosure-retained"
-	default:
-		return fmt.Sprintf("kind-%d", kind)
+	if int(kind) < len(recordKindNames) && recordKindNames[kind] != "" {
+		return recordKindNames[kind]
 	}
+	return fmt.Sprintf("kind-%d", kind)
 }
 
 // wal appends one typed record to the attached store, durable at return.
@@ -117,9 +141,9 @@ func (s *Server) wal(ctx context.Context, kind byte, v any) error {
 	}
 	wctx, sp := s.cfg.Tracer.StartSpan(ctx, "wal.append")
 	sp.SetAttr("kind", walKindName(kind))
-	data, err := json.Marshal(v)
+	rec, err := encodeRecord(kind, v)
 	if err == nil {
-		err = s.store.Append(wctx, storage.Record{Kind: kind, Data: data})
+		err = s.store.Append(wctx, rec)
 	}
 	sp.SetError(err)
 	sp.End()
@@ -136,13 +160,22 @@ func (s *Server) wal(ctx context.Context, kind byte, v any) error {
 	return nil
 }
 
+// encodeRecord builds one record of the schema above from its payload.
+func encodeRecord(kind byte, v any) (storage.Record, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return storage.Record{}, fmt.Errorf("encode %s record: %w", walKindName(kind), err)
+	}
+	return storage.Record{Kind: kind, Data: data}, nil
+}
+
 // Checkpoint writes a compacted snapshot through the attached store,
 // truncating the WAL it covers. No-op without a store.
 func (s *Server) Checkpoint() error {
 	if s.store == nil {
 		return nil
 	}
-	if err := s.store.Snapshot(s.snapshotBytes); err != nil {
+	if err := s.store.Snapshot(func() ([]byte, error) { return s.exportRecords(false) }); err != nil {
 		return fmt.Errorf("auditor: checkpoint: %w", err)
 	}
 	s.walSince.Store(0)
@@ -169,10 +202,10 @@ func (s *Server) attachStore(st storage.Store) {
 	})
 }
 
-// applyRecord replays one WAL record onto the in-memory state. Every
-// branch is idempotent over the snapshot the record may already be part
-// of, and none recomputes verification — the WAL records verdicts the
-// server already committed.
+// applyRecord applies one record to the in-memory state. Every branch is
+// idempotent over state the record may already be part of, and none
+// recomputes verification — a record states a verdict the server already
+// committed.
 func (s *Server) applyRecord(rec storage.Record) error {
 	switch rec.Kind {
 	case recDroneRegistered:
@@ -180,29 +213,15 @@ func (s *Server) applyRecord(rec storage.Record) error {
 		if err := json.Unmarshal(rec.Data, &d); err != nil {
 			return fmt.Errorf("drone record: %w", err)
 		}
-		opPub, err := sigcrypto.UnmarshalPublicKey(d.OperatorPub)
-		if err != nil {
-			return fmt.Errorf("drone record %s: operator key: %w", d.ID, err)
-		}
-		teeKey, err := sigcrypto.ParsePublicKey(d.TEEPub)
-		if err != nil {
-			return fmt.Errorf("drone record %s: tee key: %w", d.ID, err)
-		}
-		suite := d.Suite
-		if suite == "" {
-			suite = teeKey.SuiteID()
-		}
-		mode, err := poa.NormalizeDisclosure(d.Disclosure)
+		drone, err := decodeRegistration(d.OperatorPub, d.TEEPub, d.Disclosure)
 		if err != nil {
 			return fmt.Errorf("drone record %s: %w", d.ID, err)
 		}
-		s.drones.restore(DroneRecord{
-			ID:          d.ID,
-			OperatorPub: opPub,
-			Suite:       suite,
-			Disclosure:  mode,
-			TEEKeys:     []TEEKey{{Pub: teeKey}},
-		}, seqFromID(d.ID, "drone-%04d"))
+		if d.Suite != drone.Suite {
+			return fmt.Errorf("drone record %s: suite %q does not match its key (%s)", d.ID, d.Suite, drone.Suite)
+		}
+		drone.ID = d.ID
+		s.drones.put(s.cfg.Clock.Now(), d.ID, drone)
 	case recZoneRegistered:
 		var z zone.NFZ
 		if err := json.Unmarshal(rec.Data, &z); err != nil {
@@ -216,21 +235,21 @@ func (s *Server) applyRecord(rec storage.Record) error {
 		if err := json.Unmarshal(rec.Data, &z); err != nil {
 			return fmt.Errorf("zone3d record: %w", err)
 		}
-		s.zones3D.restore(z, seqFromID(z.ID, "zone3d-%04d"))
+		s.zones3D.put(s.cfg.Clock.Now(), z.ID, z)
 	case recPoARetained:
-		var r retainedSnapshot
+		var r retainedPoA
 		if err := json.Unmarshal(rec.Data, &r); err != nil {
 			return fmt.Errorf("retained record: %w", err)
 		}
-		s.retained.restore(retainedPoA(r))
+		s.retained.restore(r)
 	case recNonceSeen:
-		var n nonceSnapshot
+		var n walNonce
 		if err := json.Unmarshal(rec.Data, &n); err != nil {
 			return fmt.Errorf("nonce record: %w", err)
 		}
 		s.nonces.restore(n)
 	case recDigestClaimed:
-		var d digestSnapshot
+		var d walDigest
 		if err := json.Unmarshal(rec.Data, &d); err != nil {
 			return fmt.Errorf("digest record: %w", err)
 		}
@@ -259,27 +278,55 @@ func (s *Server) applyRecord(rec storage.Record) error {
 		if err != nil {
 			return fmt.Errorf("rotation record %s: new key: %w", r.DroneID, err)
 		}
-		if err := s.drones.applyRotation(r.DroneID, TEEKey{Pub: newPub, Epoch: r.NewEpoch}, r.RetiredAt); err != nil {
-			return fmt.Errorf("rotation record: %w", err)
+		// An epoch already in the ring (the snapshot covered it) is a no-op.
+		known, _ := s.drones.update(r.DroneID, func(rec DroneRecord) (DroneRecord, error) {
+			if rec.ActiveKey().Epoch >= r.NewEpoch {
+				return rec, nil
+			}
+			return rec.rotated(TEEKey{Pub: newPub, Epoch: r.NewEpoch}, r.RetiredAt), nil
+		})
+		if !known {
+			return fmt.Errorf("rotation record: unknown drone %q", r.DroneID)
 		}
 	case recDisclosureRetained:
-		var d disclosureSnapshot
+		var d retainedDisclosure
 		if err := json.Unmarshal(rec.Data, &d); err != nil {
 			return fmt.Errorf("disclosure record: %w", err)
 		}
-		s.disclosures.restore(retainedDisclosure(d))
+		s.disclosures.restore(d)
+	case recEncKey:
+		var k walEncKey
+		if err := json.Unmarshal(rec.Data, &k); err != nil {
+			return fmt.Errorf("key record: %w", err)
+		}
+		key, err := sigcrypto.UnmarshalPrivateKey(k.EncKey)
+		if err != nil {
+			return fmt.Errorf("key record: %w", err)
+		}
+		s.encKey = key
 	default:
-		return fmt.Errorf("unknown WAL record kind %d", rec.Kind)
+		return fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
 	return nil
 }
 
-// seqFromID recovers the issue counter from a formatted store ID so
-// replayed registrations keep the sequence monotonic.
-func seqFromID(id, format string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, format, &n); err != nil {
-		return 0
+// recordDrone names the drone a record belongs to, or "" for the kinds
+// every shard holds (zones, nonces, digests). The cluster router routes a
+// handed-over record with it; only applyRecord reads the rest.
+func recordDrone(rec storage.Record) (string, error) {
+	switch rec.Kind {
+	case recDroneRegistered, recPoARetained, recKeyRotated, recDisclosureRetained:
+		var k struct {
+			ID      string `json:"id"`      // walDrone
+			DroneID string `json:"droneId"` // the other three
+		}
+		if err := json.Unmarshal(rec.Data, &k); err != nil {
+			return "", fmt.Errorf("%s record: %w", walKindName(rec.Kind), err)
+		}
+		if k.ID+k.DroneID == "" {
+			return "", fmt.Errorf("%s record names no drone", walKindName(rec.Kind))
+		}
+		return k.ID + k.DroneID, nil
 	}
-	return n
+	return "", nil
 }

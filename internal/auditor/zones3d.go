@@ -23,17 +23,28 @@ func (s *Server) RegisterZone3D(owner string, z poa.CylinderZone) (string, error
 	if !z.Center.Valid() || z.R <= 0 || z.AltMax < z.AltMin {
 		return "", fmt.Errorf("%w: %+v", ErrInvalidCylinder, z)
 	}
-	id := s.zones3D.add(owner, z)
+	id := s.zones3D.issue(s.cfg.Clock.Now(), func(id string) cylinderRecord {
+		return cylinderRecord{ID: id, Owner: owner, Zone: z}
+	})
 	if err := s.wal(context.Background(), recZone3DRegistered, cylinderRecord{ID: id, Owner: owner, Zone: z}); err != nil {
 		return "", err
 	}
 	return id, nil
 }
 
-// Zones3D returns all registered cylindrical zones.
-func (s *Server) Zones3D() []poa.CylinderZone { return s.zones3D.zones() }
+// Zones3D returns the bare geometry of every registered cylindrical zone
+// (the verification path wants no IDs or owners).
+func (s *Server) Zones3D() []poa.CylinderZone {
+	recs := s.zones3D.all()
+	out := make([]poa.CylinderZone, len(recs))
+	for i, r := range recs {
+		out[i] = r.Zone
+	}
+	return out
+}
 
-// cylinderRecord is one registered 3-D zone.
+// cylinderRecord is one registered 3-D zone, and its own
+// recZone3DRegistered payload.
 type cylinderRecord struct {
 	ID    string
 	Owner string

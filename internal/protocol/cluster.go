@@ -97,14 +97,15 @@ type ClusterRegisterRequest struct {
 }
 
 // ClusterHandoffRequest streams one node's shard state to the node that
-// owns (part of) it under a newer map. State is the source shard's
-// snapshot in the auditor's persistence format; the receiver imports the
-// entries the new ring assigns to it and checkpoints before answering,
-// so an acknowledged handoff is durable on the new owner.
+// owns (part of) it under a newer map. State is the source shards' state
+// as one framed record stream in the auditor's persistence schema, without
+// the key pair; the receiver applies the records the new ring assigns to
+// it and checkpoints before answering, so an acknowledged handoff is
+// durable on the new owner.
 type ClusterHandoffRequest struct {
-	From       string            `json:"from"`
-	MapVersion uint64            `json:"mapVersion"`
-	State      []json.RawMessage `json:"state"` // one snapshot per source shard
+	From       string `json:"from"`
+	MapVersion uint64 `json:"mapVersion"`
+	State      []byte `json:"state"`
 }
 
 // ClusterKeyResponse carries the cluster's shared PoA encryption key.

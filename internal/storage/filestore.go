@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,7 +22,7 @@ import (
 // snapshots,
 //
 //	wal-00000001.log   wal-00000002.log ...
-//	snap-00000002.json ...
+//	snap-00000002.rec  ...
 //
 // snap-K is captured *after* rotation to segment K, so it contains every
 // mutation recorded in segments < K (entirely) plus possibly some already
@@ -48,7 +50,7 @@ const (
 	walPrefix  = "wal-"
 	walSuffix  = ".log"
 	snapPrefix = "snap-"
-	snapSuffix = ".json"
+	snapSuffix = ".rec"
 )
 
 // Options configures a FileStore.
@@ -440,14 +442,48 @@ func scanSegment(path string) (recs []Record, good, total int64, err error) {
 	}
 	total = st.Size()
 
-	br := bufio.NewReaderSize(f, 1<<16)
-	var off int64
+	recs, good, _ = readRecords(bufio.NewReaderSize(f, 1<<16))
+	return recs, good, total, nil // clean EOF, torn frame, or bit rot
+}
+
+// readRecords reads whole, checksummed frames until the input ends. good
+// is the offset just past the last valid frame; err is nil only when the
+// input ended cleanly on that boundary.
+func readRecords(br *bufio.Reader) (recs []Record, good int64, err error) {
 	for {
 		kind, data, rerr := wire.ReadFrame(br, maxRecordBytes)
+		if rerr == io.EOF {
+			return recs, good, nil
+		}
 		if rerr != nil {
-			return recs, off, total, nil // clean EOF, torn frame, or bit rot
+			return recs, good, rerr
 		}
 		recs = append(recs, Record{Kind: kind, Data: data})
-		off += frameHeaderBytes + int64(1+len(data))
+		good += frameHeaderBytes + int64(1+len(data))
 	}
+}
+
+// EncodeRecords frames a record stream exactly as a WAL segment holds it.
+// The auditor writes its snapshots and cluster handoffs this way, so one
+// framing — and one integrity check — covers every durable byte.
+func EncodeRecords(recs []Record) ([]byte, error) {
+	var out []byte
+	for _, r := range recs {
+		if len(r.Data)+1 > maxRecordBytes {
+			return nil, fmt.Errorf("storage: record of %d bytes exceeds frame limit", len(r.Data))
+		}
+		out = wire.AppendFrame(out, r.Kind, r.Data)
+	}
+	return out, nil
+}
+
+// DecodeRecords is the inverse of EncodeRecords. Unlike the active WAL
+// segment, an encoded stream was written whole, so any byte that is not
+// part of a valid frame — a flipped bit, a cut tail — is ErrCorrupt.
+func DecodeRecords(data []byte) ([]Record, error) {
+	recs, good, err := readRecords(bufio.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad frame at offset %d: %v", ErrCorrupt, good, err)
+	}
+	return recs, nil
 }

@@ -94,8 +94,10 @@ func TestQueryRectAfterImport(t *testing.T) {
 	rect := geo.NewRect(home.Offset(225, 4000), home.Offset(45, 4000))
 
 	restored := NewRegistry()
-	if err := restored.Import(r.All()); err != nil {
-		t.Fatal(err)
+	for _, z := range r.All() {
+		if err := restored.Restore(z); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := r.QueryRect(rect)
 	got := restored.QueryRect(rect)

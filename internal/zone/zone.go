@@ -18,8 +18,6 @@ var (
 	// ErrInvalidZone is returned when registering a zone with an illegal
 	// centre or non-positive radius.
 	ErrInvalidZone = errors.New("zone: invalid zone geometry")
-	// ErrDuplicateID is returned when a zone ID is registered twice.
-	ErrDuplicateID = errors.New("zone: duplicate zone id")
 	// ErrNoZones is returned by nearest-zone queries over an empty set.
 	ErrNoZones = errors.New("zone: no zones")
 )
@@ -55,8 +53,8 @@ func NewRegistry() *Registry {
 }
 
 // SetOnAdd installs a commit hook observing every newly registered zone
-// (Register and RegisterPolygon; Import and Restore replay already-durable
-// state and do not fire it). The hook runs after the zone is filed, with
+// (Register and RegisterPolygon; Restore replays already-durable state and
+// does not fire it). The hook runs after the zone is filed, with
 // the registry lock released, so it may call back into the registry. A
 // hook error propagates to the registering caller; the zone stays filed —
 // the hook's durable log has fallen behind, which the hook reports
@@ -91,10 +89,9 @@ func (r *Registry) Register(owner string, c geo.GeoCircle) (string, error) {
 }
 
 // Restore re-files one previously registered zone under its issued ID,
-// bumping the ID sequence past it. Unlike Import it is idempotent — a zone
-// already present (e.g. restored from a snapshot that a replayed WAL
-// record also covers) is left untouched — and it does not fire the onAdd
-// hook.
+// bumping the ID sequence past it. It is idempotent — a zone already
+// present (e.g. restored from a snapshot that a replayed WAL record also
+// covers) is left untouched — and it does not fire the onAdd hook.
 func (r *Registry) Restore(z NFZ) error {
 	if !z.Circle.Valid() {
 		return fmt.Errorf("%w: %+v", ErrInvalidZone, z.Circle)
@@ -148,30 +145,6 @@ func (r *Registry) All() []NFZ {
 		out = append(out, r.zones[id])
 	}
 	return out
-}
-
-// Import restores a registry from a previously exported zone list (All's
-// output), preserving the issued IDs and continuing the ID sequence after
-// the highest imported one. It fails on duplicate IDs or invalid geometry.
-func (r *Registry) Import(zs []NFZ) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, z := range zs {
-		if !z.Circle.Valid() {
-			return fmt.Errorf("%w: %+v", ErrInvalidZone, z.Circle)
-		}
-		if _, ok := r.zones[z.ID]; ok {
-			return fmt.Errorf("%w: %q", ErrDuplicateID, z.ID)
-		}
-		r.zones[z.ID] = z
-		r.order = append(r.order, z.ID)
-		r.idx.Add(z.Circle)
-		var n int
-		if _, err := fmt.Sscanf(z.ID, "zone-%04d", &n); err == nil && n > r.next {
-			r.next = n
-		}
-	}
-	return nil
 }
 
 // QueryRect returns the zones relevant to a navigation rectangle: every

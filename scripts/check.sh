@@ -60,6 +60,11 @@ go test ./internal/poa -run '^$' -fuzz FuzzDecodeMerkleProof -fuzztime 10s
 echo ">> go test ./internal/privacy -fuzz FuzzDecodeCommitEnvelope -fuzztime 10s"
 go test ./internal/privacy -run '^$' -fuzz FuzzDecodeCommitEnvelope -fuzztime 10s
 
+# The one record decoder reads whatever the disk and cluster peers hand
+# it: any kind, any payload must come back as state or as an error.
+echo ">> go test ./internal/auditor -fuzz FuzzApplyRecord -fuzztime 10s"
+go test ./internal/auditor -run '^$' -fuzz FuzzApplyRecord -fuzztime 10s
+
 # Two-node cluster end-to-end smoke: register a drone on node A, submit
 # its PoA through node B, and expect a transparent forward plus a
 # compliant verdict. The full suite above already runs this test; the

@@ -518,10 +518,10 @@ func BenchmarkFlightSim(b *testing.B) {
 	}
 }
 
-// BenchmarkEncryptPoAResidential measures the Adapter's end-of-flight
-// encryption of a full residential PoA to the auditor.
-func BenchmarkEncryptPoAResidential(b *testing.B) {
-	key := benchKey(b, 1024)
+// residentialPoAPlaintext is the JSON body of a full residential PoA — what
+// the Adapter seals at the end of a flight and the Auditor opens.
+func residentialPoAPlaintext(b *testing.B) []byte {
+	b.Helper()
 	samples := make([]poa.SignedSample, 443)
 	for i := range samples {
 		samples[i] = poa.SignedSample{
@@ -533,10 +533,35 @@ func BenchmarkEncryptPoAResidential(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return plaintext
+}
+
+// BenchmarkEncryptPoAResidential measures the Adapter's end-of-flight
+// encryption of a full residential PoA to the auditor.
+func BenchmarkEncryptPoAResidential(b *testing.B) {
+	key := benchKey(b, 1024)
+	plaintext := residentialPoAPlaintext(b)
 	rng := rand.New(rand.NewSource(6))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sigcrypto.Encrypt(rng, &key.PublicKey, plaintext); err != nil {
+		if _, err := sigcrypto.Seal(rng, &key.PublicKey, plaintext); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOpenPoAResidential measures the Auditor's side of the same
+// envelope: one private-key operation plus AES-GCM over the body.
+func BenchmarkOpenPoAResidential(b *testing.B) {
+	key := benchKey(b, 1024)
+	plaintext := residentialPoAPlaintext(b)
+	ct, err := sigcrypto.Seal(rand.New(rand.NewSource(6)), &key.PublicKey, plaintext)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sigcrypto.Open(key, ct); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -601,7 +626,7 @@ func benchVerifySetup(b *testing.B, reg *obs.Registry, tr *otrace.Tracer) (*audi
 	if err != nil {
 		b.Fatal(err)
 	}
-	ct, err := sigcrypto.Encrypt(rng, srv.EncryptionPub(), plaintext)
+	ct, err := sigcrypto.Seal(rng, srv.EncryptionPub(), plaintext)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -691,7 +716,7 @@ func benchParallelSetup(b *testing.B, workers, n int) (*auditor.Server, string, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	ct, err := sigcrypto.Encrypt(rng, srv.EncryptionPub(), plaintext)
+	ct, err := sigcrypto.Seal(rng, srv.EncryptionPub(), plaintext)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -816,7 +841,7 @@ func benchThroughputStore(b *testing.B, st storage.Store) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if cts[i], err = sigcrypto.Encrypt(rng, srv.EncryptionPub(), plaintext); err != nil {
+		if cts[i], err = sigcrypto.Seal(rng, srv.EncryptionPub(), plaintext); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1051,7 +1076,7 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fullCT, err := sigcrypto.Encrypt(rng, srv.EncryptionPub(), fullPlain)
+		fullCT, err := sigcrypto.Seal(rng, srv.EncryptionPub(), fullPlain)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1062,7 +1087,7 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 		if env.Sig, err = sigcrypto.Sign(teeKey, env.SigningBytes()); err != nil {
 			b.Fatal(err)
 		}
-		commitCT, err := sigcrypto.Encrypt(rng, srv.EncryptionPub(), privacy.EncodeCommitEnvelope(*env))
+		commitCT, err := sigcrypto.Seal(rng, srv.EncryptionPub(), privacy.EncodeCommitEnvelope(*env))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -133,11 +134,7 @@ func encryptPoA(t *testing.T, pub *rsa.PublicKey, p poa.PoA) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := sigcrypto.Encrypt(rand.New(rand.NewSource(7)), pub, plaintext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ct
+	return encryptBytesTo(t, pub, plaintext)
 }
 
 // ownerIndex resolves which node of tc owns droneID (per node 0's map;
@@ -644,10 +641,18 @@ func TestClusterHandoffOmitsKey(t *testing.T) {
 	}
 	tc.registerDrone(t, 0, rand.New(rand.NewSource(8)))
 
-	var body []byte
+	// The membership change below also triggers the router's own rebalance,
+	// so a second handoff can reach the peer while the test reads the first.
+	var (
+		mu   sync.Mutex
+		body []byte
+	)
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == protocol.PathClusterHandoff {
-			body, _ = io.ReadAll(r.Body)
+			got, _ := io.ReadAll(r.Body)
+			mu.Lock()
+			body = got
+			mu.Unlock()
 		}
 		_, _ = w.Write([]byte("{}"))
 	}))
@@ -659,7 +664,10 @@ func TestClusterHandoffOmitsKey(t *testing.T) {
 	}
 
 	var req protocol.ClusterHandoffRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	mu.Lock()
+	captured := body
+	mu.Unlock()
+	if err := json.Unmarshal(captured, &req); err != nil {
 		t.Fatalf("captured handoff body: %v", err)
 	}
 	recs, err := storage.DecodeRecords(req.State)

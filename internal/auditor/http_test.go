@@ -116,14 +116,7 @@ func TestHTTPFullCycle(t *testing.T) {
 
 	// Submit a PoA over HTTP.
 	p := signedTrace(t, keys, urbana, 90, 10, 20, time.Second)
-	plaintext, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := sigcrypto.Encrypt(nil, srv.EncryptionPub(), plaintext)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := encryptFor(t, srv, p)
 	resp = postJSON(t, hs.URL+protocol.PathSubmitPoA, protocol.SubmitPoARequest{
 		DroneID: droneID, EncryptedPoA: ct,
 	})

@@ -43,7 +43,7 @@ func (s *Server) StartSession(req protocol.StartSessionRequest) (protocol.StartS
 		return protocol.StartSessionResponse{}, err
 	}
 
-	key, err := sigcrypto.Decrypt(s.encKey, req.WrappedKey)
+	key, err := sigcrypto.Open(s.encKey, req.WrappedKey)
 	if err != nil {
 		return protocol.StartSessionResponse{}, fmt.Errorf("auditor: unwrap session key: %w", err)
 	}

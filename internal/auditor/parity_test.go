@@ -1,7 +1,11 @@
 package auditor
 
 import (
+	"bytes"
+	"crypto/rsa"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -17,7 +21,12 @@ import (
 // Adapter would.
 func encryptBytes(t *testing.T, srv *Server, plaintext []byte) []byte {
 	t.Helper()
-	ct, err := sigcrypto.Encrypt(rand.New(rand.NewSource(7)), srv.EncryptionPub(), plaintext)
+	return encryptBytesTo(t, srv.EncryptionPub(), plaintext)
+}
+
+func encryptBytesTo(t *testing.T, pub *rsa.PublicKey, plaintext []byte) []byte {
+	t.Helper()
+	ct, err := sigcrypto.Seal(rand.New(rand.NewSource(7)), pub, plaintext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,4 +240,98 @@ func mustRegisterZone(t *testing.T, srv *Server, z geo.GeoCircle) string {
 		t.Fatal(err)
 	}
 	return id
+}
+
+// TestUndecryptableEnvelopeAnswersAlike: a submitter learns that an
+// envelope did not open and nothing about why. Every way of damaging one —
+// a bit flipped in each region, a cut at each boundary, another recipient's
+// key, the retired chunked-RSA format — draws the same response bytes on
+// every door that opens envelopes.
+func TestUndecryptableEnvelopeAnswersAlike(t *testing.T) {
+	full, fullID, _ := newFixture(t)
+	sealed, sealedID, _ := newDisclosureFixture(t, poa.DisclosureSealed)
+	commit, commitID, _ := newDisclosureFixture(t, poa.DisclosureCommit)
+	wc := operator.NewWireClient(startWire(t, full, WireOptions{}).String(), operator.WireClientOptions{})
+	defer wc.Close()
+
+	doors := []struct {
+		name   string
+		srv    *Server
+		submit func(ct []byte) (protocol.SubmitPoAResponse, error)
+	}{
+		{"submit", full, func(ct []byte) (protocol.SubmitPoAResponse, error) {
+			return full.SubmitPoA(protocol.SubmitPoARequest{DroneID: fullID, EncryptedPoA: ct})
+		}},
+		{"batch", full, func(ct []byte) (protocol.SubmitPoAResponse, error) {
+			return full.SubmitBatchPoA(protocol.SubmitBatchPoARequest{DroneID: fullID, EncryptedBatch: ct})
+		}},
+		{"sealed", sealed, func(ct []byte) (protocol.SubmitPoAResponse, error) {
+			return sealed.SubmitSealedPoA(protocol.SubmitSealedPoARequest{DroneID: sealedID, EncryptedPoA: ct})
+		}},
+		{"commit", commit, func(ct []byte) (protocol.SubmitPoAResponse, error) {
+			return commit.SubmitCommitPoA(protocol.SubmitCommitPoARequest{DroneID: commitID, EncryptedEnvelope: ct})
+		}},
+		{"wire", full, func(ct []byte) (protocol.SubmitPoAResponse, error) {
+			return wc.SubmitPoA(protocol.SubmitPoARequest{DroneID: fullID, EncryptedPoA: ct})
+		}},
+	}
+
+	eve, err := sigcrypto.GenerateKeyPair(rand.New(rand.NewSource(66)), sigcrypto.KeySize1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"samples":[]}`)
+	legacy, err := rsa.EncryptPKCS1v15(rand.New(rand.NewSource(8)), full.EncryptionPub(), body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want []byte
+	for _, door := range doors {
+		ct := encryptBytes(t, door.srv, body)
+		k := door.srv.EncryptionPub().Size()
+		regions := []int{0, 1, 1 + k, 1 + k + 12, len(ct) - 16} // version, wrapped key, nonce, body, tag
+		bad := map[string][]byte{"wrong recipient": encryptBytesTo(t, &eve.PublicKey, body), "legacy chunked": legacy}
+		for i, off := range regions {
+			flipped := bytes.Clone(ct)
+			flipped[off] ^= 1
+			bad[fmt.Sprintf("flip byte %d", off)] = flipped
+			bad[fmt.Sprintf("cut at %d", off)] = ct[:off]
+			if i > 0 {
+				bad[fmt.Sprintf("cut at %d", off-1)] = ct[:off-1]
+			}
+		}
+		for name, ct := range bad {
+			resp, err := door.submit(ct)
+			if err != nil {
+				t.Errorf("%s door, %s: %v", door.name, name, err)
+				continue
+			}
+			got, err := json.Marshal(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			}
+			if resp.Verdict != protocol.VerdictViolation || !bytes.Equal(got, want) {
+				t.Errorf("%s door, %s: response %s, want %s", door.name, name, got, want)
+			}
+		}
+	}
+
+	// The session-key door unwraps with the same envelope.
+	var wantErr string
+	for _, wrapped := range [][]byte{nil, legacy, encryptBytesTo(t, &eve.PublicKey, make([]byte, 32))} {
+		_, err := full.StartSession(protocol.StartSessionRequest{DroneID: fullID, WrappedKey: wrapped})
+		if !errors.Is(err, sigcrypto.ErrUndecryptable) {
+			t.Fatalf("StartSession: err = %v, want ErrUndecryptable", err)
+		}
+		if wantErr == "" {
+			wantErr = err.Error()
+		}
+		if err.Error() != wantErr {
+			t.Errorf("StartSession: %q, want %q", err, wantErr)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package auditor
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -190,7 +191,7 @@ func marshalledTEEPub(t testing.TB, srv *Server) string {
 // that answers and can export its state again.
 func FuzzApplyRecord(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	encKey, err := sigcrypto.GenerateKeyPair(rng, 512)
+	encKey, err := sigcrypto.GenerateKeyPair(rng, sigcrypto.KeySize1024)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -256,4 +257,46 @@ func FuzzApplyRecord(f *testing.F) {
 			t.Fatalf("accepted record cannot be exported again: %v", err)
 		}
 	})
+}
+
+// TestEnvelopeKeyCheckedAtConstruction: an encryption key too small to
+// receive an envelope stops the server from starting — configured,
+// generated or recovered from a store — instead of failing every later
+// submission.
+func TestEnvelopeKeyCheckedAtConstruction(t *testing.T) {
+	small, err := sigcrypto.GenerateKeyPair(rand.New(rand.NewSource(1)), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := sigcrypto.MarshalPrivateKey(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallKey, err := encodeRecord(recEncKey, walEncKey{EncKey: enc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := storage.EncodeRecords([]storage.Record{smallKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := storage.NewMemStore()
+	if err := recovered.Snapshot(func() ([]byte, error) { return snapshot, nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, start := range map[string]func() (*Server, error){
+		"configured key": func() (*Server, error) { return NewServer(Config{EncryptionKey: small}) },
+		"configured bits": func() (*Server, error) {
+			return NewServer(Config{EncKeyBits: 512, Random: rand.New(rand.NewSource(2))})
+		},
+		"recovered key": func() (*Server, error) { return OpenServer(Config{}, recovered, "") },
+	} {
+		if srv, err := start(); !errors.Is(err, sigcrypto.ErrEnvelopeKeyTooSmall) || srv != nil {
+			t.Errorf("%s: server %v, err = %v, want ErrEnvelopeKeyTooSmall", name, srv != nil, err)
+		}
+	}
+	if _, err := NewServer(Config{EncKeyBits: sigcrypto.KeySize1024, Random: rand.New(rand.NewSource(3))}); err != nil {
+		t.Errorf("1024-bit key refused: %v", err)
+	}
 }

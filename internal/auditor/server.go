@@ -266,6 +266,9 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("auditor keypair: %w", err)
 		}
 	}
+	if err := sigcrypto.CheckEnvelopeKey(&key.PublicKey); err != nil {
+		return nil, fmt.Errorf("auditor keypair: %w", err)
+	}
 	s := &Server{
 		cfg:         cfg,
 		encKey:      key,

@@ -2,7 +2,6 @@ package auditor
 
 import (
 	"crypto/rsa"
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"testing"
@@ -93,15 +92,7 @@ func signedTrace(t *testing.T, keys droneKeys, start geo.LatLon, bearing, speed 
 // encryptFor encrypts a PoA to the server, as the Adapter would.
 func encryptFor(t *testing.T, srv *Server, p poa.PoA) []byte {
 	t.Helper()
-	plaintext, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := sigcrypto.Encrypt(rand.New(rand.NewSource(7)), srv.EncryptionPub(), plaintext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ct
+	return encryptPoA(t, srv.EncryptionPub(), p)
 }
 
 func TestRegisterDroneIssuesIDs(t *testing.T) {

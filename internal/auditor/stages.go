@@ -103,11 +103,13 @@ func (s *Server) buildPipeline() {
 
 // stageDecrypt opens the encrypted envelope with the Auditor's private
 // key. Undecryptable bytes are a violation: the submitter did not encrypt
-// to the Auditor, so the content is unverifiable by construction.
+// to the Auditor, so the content is unverifiable by construction. The
+// reason is one fixed string — how the envelope failed is not the
+// submitter's to learn.
 func (s *Server) stageDecrypt(_ context.Context, sub *pipeline.Submission) error {
-	plaintext, err := sigcrypto.Decrypt(s.encKey, sub.Ciphertext)
+	plaintext, err := sigcrypto.Open(s.encKey, sub.Ciphertext)
 	if err != nil {
-		return pipeline.Violationf("undecryptable PoA: %v", err)
+		return pipeline.Violationf("undecryptable PoA")
 	}
 	sub.Plaintext = plaintext
 	return nil

@@ -303,6 +303,9 @@ func (s *Server) applyRecord(rec storage.Record) error {
 		if err != nil {
 			return fmt.Errorf("key record: %w", err)
 		}
+		if err := sigcrypto.CheckEnvelopeKey(&key.PublicKey); err != nil {
+			return fmt.Errorf("key record: %w", err)
+		}
 		s.encKey = key
 	default:
 		return fmt.Errorf("unknown record kind %d", rec.Kind)

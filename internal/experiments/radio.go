@@ -25,7 +25,8 @@ type RadioRow struct {
 }
 
 // bytesPerEncryptedSample approximates one PoA record on the wire:
-// canonical sample + RSA-1024 signature + encryption expansion.
+// canonical sample + RSA-1024 signature in their serialised form. The
+// encryption envelope adds a per-flight constant, nothing per sample.
 const bytesPerEncryptedSample = 256
 
 // RunRadio derives the energy comparison from fresh scenario runs.

@@ -162,7 +162,7 @@ func (d *Drone) SubmitSealedPoACtx(ctx context.Context, sealed privacy.SealedPoA
 	if err != nil {
 		return protocol.SubmitPoAResponse{}, fmt.Errorf("marshal sealed PoA: %w", err)
 	}
-	ct, err := sigcrypto.Encrypt(d.random, d.auditorPub, plaintext)
+	ct, err := sigcrypto.Seal(d.random, d.auditorPub, plaintext)
 	if err != nil {
 		return protocol.SubmitPoAResponse{}, fmt.Errorf("encrypt sealed PoA: %w", err)
 	}
@@ -190,7 +190,7 @@ func (d *Drone) SubmitCommitPoACtx(ctx context.Context, env privacy.CommitEnvelo
 	if err != nil {
 		return protocol.SubmitPoAResponse{}, err
 	}
-	ct, err := sigcrypto.Encrypt(d.random, d.auditorPub, privacy.EncodeCommitEnvelope(env))
+	ct, err := sigcrypto.Seal(d.random, d.auditorPub, privacy.EncodeCommitEnvelope(env))
 	if err != nil {
 		return protocol.SubmitPoAResponse{}, fmt.Errorf("encrypt commit envelope: %w", err)
 	}

@@ -253,7 +253,7 @@ func (d *Drone) EncryptPoA(p poa.PoA) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("marshal PoA: %w", err)
 	}
-	ct, err := sigcrypto.Encrypt(d.random, d.auditorPub, plaintext)
+	ct, err := sigcrypto.Seal(d.random, d.auditorPub, plaintext)
 	if err != nil {
 		return nil, fmt.Errorf("encrypt PoA: %w", err)
 	}

@@ -78,7 +78,7 @@ func (d *Drone) SubmitBatchPoACtx(ctx context.Context, batch poa.BatchPoA) (prot
 	if err != nil {
 		return protocol.SubmitPoAResponse{}, fmt.Errorf("marshal batch PoA: %w", err)
 	}
-	ct, err := sigcrypto.Encrypt(d.random, d.auditorPub, plaintext)
+	ct, err := sigcrypto.Seal(d.random, d.auditorPub, plaintext)
 	if err != nil {
 		return protocol.SubmitPoAResponse{}, fmt.Errorf("encrypt batch PoA: %w", err)
 	}

@@ -300,8 +300,8 @@ func TestEncryptPoAOnlyAuditorDecrypts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sigcrypto.Decrypt(eve, ct); err == nil {
-		t.Error("eavesdropper decrypted the PoA")
+	if _, err := sigcrypto.Open(eve, ct); !errors.Is(err, sigcrypto.ErrUndecryptable) {
+		t.Errorf("eavesdropper's Open: err = %v, want ErrUndecryptable", err)
 	}
 
 	// But the submission round-trips.

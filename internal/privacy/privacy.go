@@ -11,8 +11,6 @@
 package privacy
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -99,7 +97,7 @@ func Seal(p poa.PoA, random io.Reader) (SealedPoA, *KeyRing, error) {
 		if _, err := io.ReadFull(random, key); err != nil {
 			return SealedPoA{}, nil, fmt.Errorf("sample %d: key entropy: %w", i, err)
 		}
-		nonce, ct, err := encrypt(key, ss.Sample.Marshal(), random)
+		nonce, ct, err := sigcrypto.SealGCM(random, key, ss.Sample.Marshal(), nil)
 		if err != nil {
 			return SealedPoA{}, nil, fmt.Errorf("sample %d: %w", i, err)
 		}
@@ -143,7 +141,7 @@ func findSpanning(n int, at time.Time, timeAt func(int) time.Time) (int, error) 
 // Open decrypts one entry with its disclosed key and checks internal
 // consistency (public timestamp vs decrypted sample).
 func Open(entry SealedSample, key []byte) (poa.Sample, error) {
-	plaintext, err := decrypt(key, entry.Nonce, entry.Ciphertext)
+	plaintext, err := sigcrypto.OpenGCM(key, entry.Nonce, entry.Ciphertext, nil)
 	if err != nil {
 		return poa.Sample{}, fmt.Errorf("%w: %v", ErrBadKey, err)
 	}
@@ -183,37 +181,4 @@ func JudgeAccusation(e1, e2 SealedSample, k1, k2 []byte, teePub sigcrypto.Public
 		return false, poa.ErrNotChronological
 	}
 	return poa.PairSufficient(s1, s2, z, vmaxMS, mode), nil
-}
-
-// encrypt seals plaintext with AES-256-GCM under key.
-func encrypt(key, plaintext []byte, random io.Reader) (nonce, ct []byte, err error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cipher: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, nil, fmt.Errorf("gcm: %w", err)
-	}
-	nonce = make([]byte, gcm.NonceSize())
-	if _, err := io.ReadFull(random, nonce); err != nil {
-		return nil, nil, fmt.Errorf("nonce: %w", err)
-	}
-	return nonce, gcm.Seal(nil, nonce, plaintext, nil), nil
-}
-
-// decrypt opens an AES-256-GCM ciphertext.
-func decrypt(key, nonce, ct []byte) ([]byte, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("cipher: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("gcm: %w", err)
-	}
-	if len(nonce) != gcm.NonceSize() {
-		return nil, errors.New("bad nonce size")
-	}
-	return gcm.Open(nil, nonce, ct, nil)
 }

@@ -98,7 +98,7 @@ type ZoneQueryResponse struct {
 // submits the PoA, encrypted under the Auditor's public encryption key.
 type SubmitPoARequest struct {
 	DroneID      string `json:"droneId"`
-	EncryptedPoA []byte `json:"encryptedPoA"` // RSAES-PKCS1-v1.5 over the JSON PoA
+	EncryptedPoA []byte `json:"encryptedPoA"` // sigcrypto.Seal over the JSON PoA
 }
 
 // Verdict is the Auditor's conclusion about a submitted PoA.

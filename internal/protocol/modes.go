@@ -15,7 +15,7 @@ package protocol
 // Auditor like a regular PoA.
 type SubmitBatchPoARequest struct {
 	DroneID        string `json:"droneId"`
-	EncryptedBatch []byte `json:"encryptedBatch"` // RSAES over the JSON BatchPoA
+	EncryptedBatch []byte `json:"encryptedBatch"` // sigcrypto.Seal over the JSON BatchPoA
 }
 
 // StartSessionRequest establishes a symmetric flight session: WrappedKey
@@ -37,7 +37,7 @@ type StartSessionResponse struct {
 type SubmitMACPoARequest struct {
 	DroneID      string `json:"droneId"`
 	SessionID    string `json:"sessionId"`
-	EncryptedPoA []byte `json:"encryptedPoA"` // RSAES over the JSON PoA (tags in Sig fields)
+	EncryptedPoA []byte `json:"encryptedPoA"` // sigcrypto.Seal over the JSON PoA (tags in Sig fields)
 }
 
 // Extended endpoint paths.

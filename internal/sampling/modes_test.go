@@ -67,7 +67,7 @@ func TestMACEnvTagsWithSessionKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessionKey, err := sigcrypto.Decrypt(auditorKey, wrapped)
+	sessionKey, err := sigcrypto.Open(auditorKey, wrapped)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 // Package sigcrypto wraps the cryptographic primitives the AliDrone
 // protocol specifies: RSASSA-PKCS1-v1.5 with SHA-1 for signing GPS samples
-// inside the TEE (the paper's TEE_ALG_RSASSA_PKCS1_V1_5_SHA1), RSAES-
-// PKCS1-v1.5 for encrypting Proof-of-Alibi records to the Auditor, and the
+// inside the TEE (the paper's TEE_ALG_RSASSA_PKCS1_V1_5_SHA1), the
+// envelope that encrypts Proof-of-Alibi records to the Auditor, and the
 // HMAC-based symmetric alternative discussed in the paper's §VII-A1a.
 //
-// SHA-1 and PKCS#1 v1.5 are used deliberately to match the paper's
-// implementation; they are what the OP-TEE GlobalPlatform API exposed in
-// 2018 and the benchmarks in Table II depend on their cost profile.
+// SHA-1 and PKCS#1 v1.5 signatures are used deliberately to match the
+// paper's implementation; they are what the OP-TEE GlobalPlatform API
+// exposed in 2018 and the benchmarks in Table II depend on their cost
+// profile. The envelope deliberately departs from the paper's RSAES-
+// PKCS1-v1.5 (envelope.go): no reproduced table or figure measures it.
 package sigcrypto
 
 import (

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // testRand is a deterministic entropy source for reproducible key
@@ -71,68 +70,6 @@ func TestVerifyRejectsTampering(t *testing.T) {
 			t.Errorf("err = %v, want ErrBadSignature", err)
 		}
 	})
-}
-
-func TestEncryptDecryptRoundTrip(t *testing.T) {
-	key, err := GenerateKeyPair(testRand(4), KeySize1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := func(msg []byte) bool {
-		ct, err := Encrypt(testRand(5), &key.PublicKey, msg)
-		if err != nil {
-			return false
-		}
-		pt, err := Decrypt(key, ct)
-		if err != nil {
-			return false
-		}
-		// Decrypt of an empty message yields nil; normalise.
-		return bytes.Equal(pt, msg) || (len(pt) == 0 && len(msg) == 0)
-	}
-	cfg := &quick.Config{MaxCount: 25, Rand: testRand(6)}
-	if err := quick.Check(fn, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncryptMultiBlock(t *testing.T) {
-	key, err := GenerateKeyPair(testRand(7), KeySize1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1024-bit key => 117-byte chunks; force several blocks.
-	msg := bytes.Repeat([]byte("proof-of-alibi "), 40) // 600 bytes
-	ct, err := Encrypt(testRand(8), &key.PublicKey, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ct)%key.Size() != 0 {
-		t.Errorf("ciphertext length %d not block aligned", len(ct))
-	}
-	if len(ct) <= key.Size() {
-		t.Errorf("expected multiple blocks, got %d bytes", len(ct))
-	}
-	pt, err := Decrypt(key, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pt, msg) {
-		t.Error("multi-block round trip mismatch")
-	}
-}
-
-func TestDecryptErrors(t *testing.T) {
-	key, err := GenerateKeyPair(testRand(9), KeySize1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decrypt(key, make([]byte, key.Size()-1)); err == nil {
-		t.Error("non-block-aligned ciphertext should error")
-	}
-	if _, err := Decrypt(key, make([]byte, key.Size())); err == nil {
-		t.Error("garbage block should error")
-	}
 }
 
 func TestPublicKeyMarshalRoundTrip(t *testing.T) {

@@ -3,13 +3,11 @@ package sigcrypto
 import (
 	"crypto"
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha1"
 	"crypto/sha256"
 	"crypto/subtle"
 	"fmt"
-	"io"
 )
 
 // Sign produces an RSASSA-PKCS1-v1.5/SHA-1 signature over msg — the
@@ -31,52 +29,6 @@ func Verify(pub *rsa.PublicKey, msg, sig []byte) error {
 		return ErrBadSignature
 	}
 	return nil
-}
-
-// Encrypt encrypts msg to the recipient public key using RSAES-PKCS1-v1.5,
-// the algorithm the Adapter uses on Proof-of-Alibi records before they
-// leave the drone. Messages longer than the RSA block are split into
-// maximal chunks, each encrypted independently (the per-sample PoA records
-// are small, so in practice one block suffices).
-func Encrypt(random io.Reader, pub *rsa.PublicKey, msg []byte) ([]byte, error) {
-	if random == nil {
-		random = rand.Reader
-	}
-	maxChunk := pub.Size() - 11 // PKCS#1 v1.5 padding overhead
-	if maxChunk <= 0 {
-		return nil, fmt.Errorf("encrypt: key too small (%d bytes)", pub.Size())
-	}
-	out := make([]byte, 0, ((len(msg)/maxChunk)+1)*pub.Size())
-	for len(msg) > 0 {
-		n := len(msg)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		block, err := rsa.EncryptPKCS1v15(random, pub, msg[:n])
-		if err != nil {
-			return nil, fmt.Errorf("encrypt: %w", err)
-		}
-		out = append(out, block...)
-		msg = msg[n:]
-	}
-	return out, nil
-}
-
-// Decrypt reverses Encrypt with the recipient private key.
-func Decrypt(key *rsa.PrivateKey, ct []byte) ([]byte, error) {
-	block := key.Size()
-	if len(ct)%block != 0 {
-		return nil, fmt.Errorf("decrypt: ciphertext length %d not a multiple of %d", len(ct), block)
-	}
-	var out []byte
-	for off := 0; off < len(ct); off += block {
-		pt, err := rsa.DecryptPKCS1v15(nil, key, ct[off:off+block])
-		if err != nil {
-			return nil, fmt.Errorf("decrypt: %w", err)
-		}
-		out = append(out, pt...)
-	}
-	return out, nil
 }
 
 // MAC computes an HMAC-SHA256 tag over msg — the symmetric alternative to

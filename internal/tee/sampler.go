@@ -295,7 +295,7 @@ func (ta *GPSSamplerTA) establishSessionKey(req []byte) ([]byte, error) {
 		return nil, fmt.Errorf("tee: session key entropy: %w", err)
 	}
 	ta.sessionKey = key
-	ct, err := sigcrypto.Encrypt(ta.random, auditorPub, key)
+	ct, err := sigcrypto.Seal(ta.random, auditorPub, key)
 	if err != nil {
 		return nil, fmt.Errorf("tee: wrap session key: %w", err)
 	}

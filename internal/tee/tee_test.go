@@ -286,7 +286,7 @@ func TestSymmetricSessionMode(t *testing.T) {
 	}
 
 	// Only the Auditor can unwrap the session key.
-	sessionKey, err := sigcrypto.Decrypt(auditorKey, wrapped)
+	sessionKey, err := sigcrypto.Open(auditorKey, wrapped)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,15 @@ fi
 echo ">> go build ./..."
 go build ./...
 
+# The envelope is RSA-OAEP + AES-GCM (internal/sigcrypto/envelope.go).
+# PKCS#1 v1.5 encryption must not come back in shipped code: it is a
+# padding oracle and costs one private-key operation per block.
+echo ">> no PKCS#1 v1.5 encryption outside tests"
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build '(Encrypt|Decrypt)PKCS1v15' .; then
+	echo "PKCS#1 v1.5 encryption in a non-test Go file (use sigcrypto.Seal/Open)" >&2
+	exit 1
+fi
+
 # Metrics naming gate: every Metric* constant follows the
 # alidrone_[a-z0-9_]+ convention and obs.L call sites pass label keys in
 # sorted order (see scripts/metricslint/main.go). A misnamed series
@@ -64,6 +73,10 @@ go test ./internal/privacy -run '^$' -fuzz FuzzDecodeCommitEnvelope -fuzztime 10
 # it: any kind, any payload must come back as state or as an error.
 echo ">> go test ./internal/auditor -fuzz FuzzApplyRecord -fuzztime 10s"
 go test ./internal/auditor -run '^$' -fuzz FuzzApplyRecord -fuzztime 10s
+
+# The envelope opener is the first code to touch a submission's bytes.
+echo ">> go test ./internal/sigcrypto -fuzz FuzzOpenEnvelope -fuzztime 10s"
+go test ./internal/sigcrypto -run '^$' -fuzz FuzzOpenEnvelope -fuzztime 10s
 
 # Two-node cluster end-to-end smoke: register a drone on node A, submit
 # its PoA through node B, and expect a transparent forward plus a

@@ -286,23 +286,30 @@ func BenchmarkBatchSignTrace(b *testing.B) {
 // BenchmarkPairSufficientConservative is the paper's online boundary test.
 func BenchmarkPairSufficientConservative(b *testing.B) {
 	s1, s2, z := benchPair()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		poa.PairSufficient(s1, s2, z, geo.MaxDroneSpeedMPS, poa.Conservative)
+		benchSink = poa.PairSufficient(s1, s2, z, geo.MaxDroneSpeedMPS, poa.Conservative)
 	}
 }
 
-// BenchmarkPairSufficientExact is the auditor's exact ellipse-disk test.
+// BenchmarkPairSufficientExact is the auditor's exact ellipse-disk test
+// on a pair the planar lower bound clears (30 m from a house at 5 m/s).
 func BenchmarkPairSufficientExact(b *testing.B) {
 	s1, s2, z := benchPair()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		poa.PairSufficient(s1, s2, z, geo.MaxDroneSpeedMPS, poa.Exact)
+		benchSink = poa.PairSufficient(s1, s2, z, geo.MaxDroneSpeedMPS, poa.Exact)
 	}
 }
 
+// benchSink keeps the compiler from discarding a benchmarked call.
+var benchSink bool
+
 // BenchmarkVerifySufficiencyResidential verifies a full residential-flight
-// PoA (the auditor's per-submission geometric cost).
+// PoA: /exact is the auditor's per-submission geometric cost (its default
+// mode), /conservative the paper's boundary test over the same trace.
 func BenchmarkVerifySufficiencyResidential(b *testing.B) {
 	sc, err := trace.NewResidentialScenario(trace.DefaultResidentialConfig(benchStart))
 	if err != nil {
@@ -315,10 +322,44 @@ func BenchmarkVerifySufficiencyResidential(b *testing.B) {
 			Time: benchStart.Add(dt),
 		})
 	}
+	for _, mode := range []poa.TestMode{poa.Exact, poa.Conservative} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := poa.VerifySufficiency(samples, sc.Zones, geo.MaxDroneSpeedMPS, mode); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkVerifySufficiencyStreet is the sufficiency stage on the
+// repository benchmark's street flight (benchmark/gen.go): 152 samples
+// 0.4 s apart at 10 m/s down a 720 m street, 49 six-metre house zones
+// staggered 20-22 m either side of the centreline, Exact mode. Every pair
+// clears every house.
+func BenchmarkVerifySufficiencyStreet(b *testing.B) {
+	home := geo.LatLon{Lat: 40.1106, Lon: -88.2073}
+	rng := rand.New(rand.NewSource(5))
+	samples := make([]poa.Sample, 152)
+	for i := range samples {
+		samples[i] = poa.Sample{
+			Pos:  home.Offset(90, 4*float64(i)),
+			Time: benchStart.Add(time.Duration(i) * 400 * time.Millisecond),
+		}
+	}
+	zones := make([]geo.GeoCircle, 49)
+	for i, side := 0, 0.0; i < len(zones); i, side = i+1, 180-side {
+		on := home.Offset(90, 15*float64(i)+rng.Float64()*6-3)
+		zones[i] = geo.GeoCircle{Center: on.Offset(side, 20+rng.Float64()*2), R: geo.FeetToMeters(20)}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := poa.VerifySufficiency(samples, sc.Zones, geo.MaxDroneSpeedMPS, poa.Conservative); err != nil {
-			b.Fatal(err)
+		rep, err := poa.VerifySufficiency(samples, zones, geo.MaxDroneSpeedMPS, poa.Exact)
+		if err != nil || !rep.Sufficient() {
+			b.Fatalf("street trace: %+v, %v", rep.Insufficiencies, err)
 		}
 	}
 }
@@ -355,6 +396,7 @@ func BenchmarkZoneNearestLinear94(b *testing.B) {
 func BenchmarkZoneNearestIndex94(b *testing.B) {
 	idx := zone.NewIndex(benchZones(94), 0)
 	p := geo.LatLon{Lat: 40.115, Lon: -88.21}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := idx.Nearest(p); err != nil {
@@ -380,6 +422,23 @@ func BenchmarkZoneNearestLinear2000(b *testing.B) {
 func BenchmarkZoneNearestIndex2000(b *testing.B) {
 	idx := zone.NewIndex(benchZones(2000), 0)
 	p := geo.LatLon{Lat: 40.115, Lon: -88.21}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := idx.Nearest(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkZoneNearestAirport is the paper's airport study: one 5-mile
+// zone, the drone 30 m outside its boundary, so the query's cell is ~40
+// rings of 200 m cells from the only populated one.
+func BenchmarkZoneNearestAirport(b *testing.B) {
+	z := geo.GeoCircle{Center: geo.LatLon{Lat: 40.1106, Lon: -88.2073}, R: geo.MilesToMeters(5)}
+	idx := zone.NewIndex([]geo.GeoCircle{z}, 0)
+	p := z.Center.Offset(70, z.R+30)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := idx.Nearest(p); err != nil {

@@ -6,11 +6,13 @@
 // fact (paper §IV-C2: "the AliDrone Server should save the PoAs for a
 // couple of days").
 //
-// The verification hot path is parallel: per-sample signature checks and
-// the sufficiency scan fan out across a bounded worker pool shared by all
-// requests, and the server state is split into independently locked
-// stores so submissions from different drones never serialize on a global
-// lock (see DESIGN.md "Concurrency architecture").
+// The verification hot path is parallel: per-sample signature and MAC
+// checks fan out across a bounded worker pool shared by all requests (the
+// sufficiency scan stays on the request's goroutine: at tens of
+// nanoseconds per pair × zone there is nothing to shard), and the server
+// state is split into independently locked stores so submissions from
+// different drones never serialize on a global lock (see DESIGN.md
+// "Concurrency architecture").
 package auditor
 
 import (
@@ -99,7 +101,7 @@ type Config struct {
 	// Retention is how long verified PoAs are kept for accusations.
 	Retention time.Duration
 	// Workers sizes the verification worker pool shared by all parallel
-	// stages (per-sample RSA/HMAC checks, sufficiency sharding). 0
+	// stages (the per-sample signature and HMAC checks). 0
 	// selects GOMAXPROCS; 1 reproduces the historical sequential
 	// pipeline exactly — the paper-fidelity configuration.
 	Workers int

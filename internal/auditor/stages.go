@@ -287,7 +287,7 @@ func (s *Server) stageSufficiency(_ context.Context, sub *pipeline.Submission) e
 	if zones == nil {
 		zones = s.zonesForTrace(sub.Samples)
 	}
-	rep, err := poa.VerifySufficiencyPool(sub.Samples, zones, s.cfg.VMaxMS, s.cfg.Mode, s.pool)
+	rep, err := poa.VerifySufficiency(sub.Samples, zones, s.cfg.VMaxMS, s.cfg.Mode)
 	if err != nil {
 		return &pipeline.Violation{Reason: err.Error()}
 	}

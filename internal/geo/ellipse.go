@@ -55,10 +55,17 @@ func (e TravelEllipse) MinFocalSumOnDisk(c Circle) float64 {
 	return minOnCircle(e.focalSum, c)
 }
 
-// IntersectsDisk reports whether the ellipse and the disk share any point,
-// using the exact convex minimisation. An empty ellipse intersects nothing.
+// IntersectsDisk reports whether the ellipse and the disk share any point.
+// An empty ellipse intersects nothing.
+//
+// The planar lower bound goes first: every point p of the disk has
+// d(p,Fi) >= Di (DisjointFromDiskConservative), so D1+D2 > SumLimit means
+// the focal-sum minimum over the disk exceeds SumLimit too. Bound and
+// minimisation measure the same points in the same plane, so the
+// implication is the triangle inequality and the answer is the
+// minimisation's own; only disks the bound cannot clear pay for it.
 func (e TravelEllipse) IntersectsDisk(c Circle) bool {
-	if e.Empty() {
+	if e.DisjointFromDiskConservative(c) || e.Empty() {
 		return false
 	}
 	return e.MinFocalSumOnDisk(c) <= e.SumLimit

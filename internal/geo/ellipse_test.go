@@ -103,12 +103,23 @@ func TestIntersectsDiskOverlapping(t *testing.T) {
 	}
 }
 
-// TestConservativeImpliesExact checks the soundness relationship the
-// sampler relies on: whenever the paper's conservative boundary test says
-// "disjoint", the exact test must agree. (The converse may fail — the
-// conservative test is allowed to be pessimistic.)
+// intersectsByMinimisation is the definition IntersectsDisk must keep:
+// the ellipse is non-empty and the focal-sum minimum over the disk is
+// within SumLimit. IntersectsDisk answers most disks from the planar lower
+// bound instead; these tests hold it to the minimisation's answer.
+func intersectsByMinimisation(e TravelEllipse, c Circle) bool {
+	return !e.Empty() && e.MinFocalSumOnDisk(c) <= e.SumLimit
+}
+
+// TestConservativeImpliesExact checks the soundness relationship both the
+// sampler and IntersectsDisk's bound-first shortcut rely on: whenever the
+// paper's conservative boundary test says "disjoint", the minimisation
+// must agree. (The converse may fail — the conservative test is allowed
+// to be pessimistic.) IntersectsDisk itself must equal the minimisation
+// on every draw.
 func TestConservativeImpliesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	cleared := 0
 	for i := 0; i < 2000; i++ {
 		f1 := Point{X: rng.Float64()*2000 - 1000, Y: rng.Float64()*2000 - 1000}
 		f2 := Point{X: rng.Float64()*2000 - 1000, Y: rng.Float64()*2000 - 1000}
@@ -118,9 +129,71 @@ func TestConservativeImpliesExact(t *testing.T) {
 			Center: Point{X: rng.Float64()*4000 - 2000, Y: rng.Float64()*4000 - 2000},
 			R:      rng.Float64() * 500,
 		}
-		if e.DisjointFromDiskConservative(c) && e.IntersectsDisk(c) {
-			t.Fatalf("conservative says disjoint but exact says intersecting:\n e=%+v\n c=%+v", e, c)
+		exact := intersectsByMinimisation(e, c)
+		if e.DisjointFromDiskConservative(c) {
+			cleared++
+			if exact {
+				t.Fatalf("conservative says disjoint but exact says intersecting:\n e=%+v\n c=%+v", e, c)
+			}
 		}
+		if got := e.IntersectsDisk(c); got != exact {
+			t.Fatalf("IntersectsDisk = %v, minimisation says %v:\n e=%+v\n c=%+v", got, exact, e, c)
+		}
+	}
+	if cleared == 0 || cleared == 2000 {
+		t.Fatalf("bound cleared %d of 2000 draws — one side of the test is vacuous", cleared)
+	}
+}
+
+// TestIntersectsDiskBoundFirst pins IntersectsDisk where the lower bound
+// and the minimisation are closest to disagreeing: disks tangent to the
+// ellipse, foci and centre collinear with the disk on one side (there
+// D1+D2 *is* the focal-sum minimum, so the bound is tight), and a focus
+// inside the disk (a negative Di).
+func TestIntersectsDiskBoundFirst(t *testing.T) {
+	// a = 500, c = 300, b = 400: vertices at (±500, 0) and (0, ±400).
+	e := TravelEllipse{F1: Point{X: -300, Y: 0}, F2: Point{X: 300, Y: 0}, SumLimit: 1000}
+	segment := TravelEllipse{F1: e.F1, F2: e.F2, SumLimit: 600} // degenerate: the focal segment itself
+	empty := TravelEllipse{F1: e.F1, F2: e.F2, SumLimit: 599}   // speed-infeasible pair
+	point := TravelEllipse{F1: e.F1, F2: e.F1, SumLimit: 0}     // zero-Δt pair
+	// Outward unit normal at the ellipse point (400, 240): ∝ (x/a², y/b²).
+	nx, ny := 400/250000.0, 240/160000.0
+	nx, ny = nx/math.Hypot(nx, ny), ny/math.Hypot(nx, ny)
+
+	tests := []struct {
+		name string
+		e    TravelEllipse
+		c    Circle
+		want bool
+	}{
+		{"collinear, tangent at the major vertex", e, Circle{Center: Point{X: 600, Y: 0}, R: 100}, true},
+		{"collinear, 1 mm short of the major vertex", e, Circle{Center: Point{X: 600.001, Y: 0}, R: 100}, false},
+		{"collinear, 1 mm past the major vertex", e, Circle{Center: Point{X: 599.999, Y: 0}, R: 100}, true},
+		{"collinear, other side", e, Circle{Center: Point{X: -650, Y: 0}, R: 149.999}, false},
+		{"1 mm short of the minor vertex", e, Circle{Center: Point{X: 0, Y: 460.001}, R: 60}, false},
+		{"1 mm past the minor vertex", e, Circle{Center: Point{X: 0, Y: 459.999}, R: 60}, true},
+		{"off-axis, 1 mm short", e, Circle{Center: Point{X: 400 + nx*50.001, Y: 240 + ny*50.001}, R: 50}, false},
+		{"off-axis, 1 mm past", e, Circle{Center: Point{X: 400 + nx*49.999, Y: 240 + ny*49.999}, R: 50}, true},
+		{"focus inside the disk", e, Circle{Center: Point{X: -300, Y: 10}, R: 50}, true},
+		{"both foci inside the disk", e, Circle{Center: Point{}, R: 301}, true},
+		{"disk inside the ellipse, off the focal segment", e, Circle{Center: Point{X: 0, Y: 200}, R: 10}, true},
+		{"segment ellipse, focus on the disk boundary", segment, Circle{Center: Point{X: 400, Y: 0}, R: 100}, true},
+		{"segment ellipse, disk 1 mm beyond the focus", segment, Circle{Center: Point{X: 400.001, Y: 0}, R: 100}, false},
+		{"segment ellipse, disk beside the segment", segment, Circle{Center: Point{X: 0, Y: 100.001}, R: 100}, false},
+		{"empty ellipse, focus inside the disk", empty, Circle{Center: Point{X: -300, Y: 10}, R: 50}, false},
+		{"empty ellipse, disk over both foci", empty, Circle{Center: Point{}, R: 1000}, false},
+		{"point ellipse inside the disk", point, Circle{Center: Point{X: -290, Y: 0}, R: 10}, true},
+		{"point ellipse outside the disk", point, Circle{Center: Point{X: -289.999, Y: 0}, R: 10}, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := tt.e.IntersectsDisk(tt.c); got != tt.want {
+				t.Errorf("IntersectsDisk(%+v) = %v, want %v", tt.c, got, tt.want)
+			}
+			if ref := intersectsByMinimisation(tt.e, tt.c); ref != tt.want {
+				t.Errorf("minimisation on %+v = %v, want %v", tt.c, ref, tt.want)
+			}
+		})
 	}
 }
 

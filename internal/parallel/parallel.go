@@ -1,17 +1,14 @@
 // Package parallel is the worker-pool substrate of the auditor's
 // verification engine. A Pool bounds the number of goroutines doing
-// CPU-bound verification work (RSA/HMAC per-sample checks, sufficiency
-// geometry) across *all* concurrent requests, so a burst of submissions
-// degrades gracefully instead of spawning submissions × samples
-// goroutines.
+// CPU-bound verification work (the per-sample signature and HMAC checks)
+// across *all* concurrent requests, so a burst of submissions degrades
+// gracefully instead of spawning submissions × samples goroutines.
 //
-// Determinism is a design requirement, not an accident: every helper is
-// specified so that a Pool with one worker (or a nil Pool) produces
-// byte-identical results to the historical sequential loops, and a Pool
-// with many workers produces the *same* results faster. FirstError
-// returns the lowest failing index — exactly what a sequential scan
-// would report — and Shard preserves input order by handing out
-// contiguous ranges.
+// Determinism is a design requirement, not an accident: a Pool with one
+// worker (or a nil Pool) produces byte-identical results to the
+// historical sequential loop, and a Pool with many workers produces the
+// *same* results faster. FirstError returns the lowest failing index —
+// exactly what a sequential scan would report.
 package parallel
 
 import (
@@ -176,54 +173,4 @@ func (p *Pool) FirstErrorCtx(ctx context.Context, n int, check func(int) error) 
 		return -1, err
 	}
 	return -1, nil
-}
-
-// Shards splits [0, n) into at most workers contiguous half-open ranges
-// of near-equal size, in order. It returns nil for n <= 0.
-func Shards(n, workers int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make([][2]int, 0, workers)
-	lo := 0
-	for w := 0; w < workers; w++ {
-		size := (n - lo) / (workers - w)
-		out = append(out, [2]int{lo, lo + size})
-		lo += size
-	}
-	return out
-}
-
-// Each runs fn over contiguous shards of [0, n) and waits for all of
-// them. Shard s covers [lo, hi). With a nil or single-worker pool it is
-// one synchronous call fn(0, 0, n); otherwise up to Size() workers each
-// take one shard, so callers can collect per-shard results into a slice
-// indexed by s and concatenate to preserve input order.
-func (p *Pool) Each(n int, fn func(s, lo, hi int)) int {
-	shards := Shards(n, p.Size())
-	if len(shards) == 0 {
-		return 0
-	}
-	if p.Sequential() || len(shards) == 1 {
-		fn(0, shards[0][0], shards[0][1])
-		return 1
-	}
-	var wg sync.WaitGroup
-	for s, sh := range shards {
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			p.acquire()
-			defer p.release()
-			fn(s, lo, hi)
-		}(s, sh[0], sh[1])
-	}
-	wg.Wait()
-	return len(shards)
 }

@@ -90,76 +90,6 @@ func TestFirstErrorCancels(t *testing.T) {
 	}
 }
 
-func TestShards(t *testing.T) {
-	cases := []struct {
-		n, workers int
-		want       [][2]int
-	}{
-		{0, 4, nil},
-		{5, 1, [][2]int{{0, 5}}},
-		{5, 8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}},
-		{10, 3, [][2]int{{0, 3}, {3, 6}, {6, 10}}},
-		{7, 0, [][2]int{{0, 7}}},
-	}
-	for _, c := range cases {
-		got := Shards(c.n, c.workers)
-		if len(got) != len(c.want) {
-			t.Errorf("Shards(%d,%d) = %v, want %v", c.n, c.workers, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("Shards(%d,%d)[%d] = %v, want %v", c.n, c.workers, i, got[i], c.want[i])
-			}
-		}
-	}
-	// Shards must tile [0, n) exactly for arbitrary inputs.
-	for n := 1; n < 40; n++ {
-		for w := 1; w < 10; w++ {
-			shards := Shards(n, w)
-			prev := 0
-			for _, sh := range shards {
-				if sh[0] != prev || sh[1] <= sh[0] {
-					t.Fatalf("Shards(%d,%d) = %v: bad tiling", n, w, shards)
-				}
-				prev = sh[1]
-			}
-			if prev != n {
-				t.Fatalf("Shards(%d,%d) = %v: does not cover [0,%d)", n, w, shards, n)
-			}
-		}
-	}
-}
-
-// TestEachCoversAll: every index lands in exactly one shard, and the
-// per-shard results concatenate back in input order.
-func TestEachCoversAll(t *testing.T) {
-	for _, p := range []*Pool{nil, NewPool(1), NewPool(4)} {
-		const n = 97
-		results := make([][]int, p.Size())
-		shards := p.Each(n, func(s, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				results[s] = append(results[s], i)
-			}
-		})
-		if shards < 1 || shards > p.Size() {
-			t.Fatalf("pool size %d: %d shards", p.Size(), shards)
-		}
-		var flat []int
-		for _, r := range results[:shards] {
-			flat = append(flat, r...)
-		}
-		if len(flat) != n {
-			t.Fatalf("pool size %d: covered %d of %d", p.Size(), len(flat), n)
-		}
-		for i, v := range flat {
-			if v != i {
-				t.Fatalf("pool size %d: order broken at %d: %d", p.Size(), i, v)
-			}
-		}
-	}
-}
-
 // TestOnBusyBalanced: the busy hook must see matched +1/-1 pairs and
 // never exceed the pool size.
 func TestOnBusyBalanced(t *testing.T) {
@@ -177,7 +107,6 @@ func TestOnBusyBalanced(t *testing.T) {
 			}
 		}
 	}
-	p.Each(50, func(s, lo, hi int) {})
 	if _, err := p.FirstError(50, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/geo"
-	"repro/internal/parallel"
 )
 
 // TestMode selects how ellipse-zone disjointness is decided.
@@ -41,21 +40,40 @@ func (m TestMode) String() string {
 // should have validated chronology first — such pairs are treated as
 // insufficient only if a sample actually lies in the zone.
 func PairSufficient(s1, s2 Sample, z geo.GeoCircle, vmaxMS float64, mode TestMode) bool {
-	dt := s2.Time.Sub(s1.Time).Seconds()
-	if dt < 0 {
-		dt = 0
-	}
+	t := newPairTest(s1, s2, vmaxMS, mode)
+	return t.sufficient(z)
+}
 
-	switch mode {
-	case Exact:
-		pr := geo.NewProjection(s1.Pos)
-		e := geo.NewTravelEllipse(pr.ToLocal(s1.Pos), pr.ToLocal(s2.Pos), dt, vmaxMS)
-		return !e.IntersectsDisk(z.ToLocal(pr))
-	default:
-		d1 := z.BoundaryDistMeters(s1.Pos)
-		d2 := z.BoundaryDistMeters(s2.Pos)
-		return d1+d2 > vmaxMS*dt
+// pairTest is one consecutive pair prepared for testing against any
+// number of zones: what depends on the pair alone — the travel budget
+// and, in Exact mode, the pair's tangent plane and travel ellipse — is
+// built here once, so a zone costs a projection of its centre and the
+// disjointness test, nothing else.
+type pairTest struct {
+	p1, p2 geo.LatLon
+	limit  float64 // vmax·Δt, metres
+
+	// Exact mode only: the plane anchored at p1 and the ellipse on it.
+	pr *geo.Projection
+	e  geo.TravelEllipse
+}
+
+func newPairTest(s1, s2 Sample, vmaxMS float64, mode TestMode) pairTest {
+	dt := max(0, s2.Time.Sub(s1.Time).Seconds())
+	t := pairTest{p1: s1.Pos, p2: s2.Pos, limit: vmaxMS * dt}
+	if mode == Exact {
+		t.pr = geo.NewProjection(s1.Pos)
+		t.e = geo.NewTravelEllipse(t.pr.ToLocal(s1.Pos), t.pr.ToLocal(s2.Pos), dt, vmaxMS)
 	}
+	return t
+}
+
+// sufficient reports whether the pair's travel range is disjoint from z.
+func (t *pairTest) sufficient(z geo.GeoCircle) bool {
+	if t.pr != nil {
+		return !t.e.IntersectsDisk(z.ToLocal(t.pr))
+	}
+	return z.BoundaryDistMeters(t.p1)+z.BoundaryDistMeters(t.p2) > t.limit
 }
 
 // Insufficiency pinpoints one failed pair/zone combination in a trace.
@@ -85,19 +103,9 @@ func (r Report) InsufficientPairs() int {
 
 // VerifySufficiency checks eq. 1 of the paper: every consecutive sample
 // pair must prove impossibility of travelling into every zone. Samples must
-// be strictly chronological and number at least two.
+// be strictly chronological and number at least two. Insufficiencies are
+// reported in ascending (pair, zone) order.
 func VerifySufficiency(samples []Sample, zones []geo.GeoCircle, vmaxMS float64, mode TestMode) (Report, error) {
-	return VerifySufficiencyPool(samples, zones, vmaxMS, mode, nil)
-}
-
-// VerifySufficiencyPool is VerifySufficiency with the (pair × zone)
-// checks sharded across a worker pool: consecutive-sample pairs are split
-// into contiguous ranges, one per worker, and the per-shard insufficiency
-// lists are concatenated in shard order. Because the shards are contiguous
-// and each shard scans pairs then zones in ascending order — exactly the
-// sequential nesting — the resulting Report is identical (same ordering,
-// same InsufficientPairs) to the nil-pool sequential scan.
-func VerifySufficiencyPool(samples []Sample, zones []geo.GeoCircle, vmaxMS float64, mode TestMode, pool *parallel.Pool) (Report, error) {
 	if len(samples) < 2 {
 		return Report{}, ErrTooFewSamples
 	}
@@ -105,32 +113,14 @@ func VerifySufficiencyPool(samples []Sample, zones []geo.GeoCircle, vmaxMS float
 		return Report{}, err
 	}
 
-	var rep Report
-	rep.Pairs = len(samples) - 1
-
-	scan := func(lo, hi int) []Insufficiency {
-		var out []Insufficiency
-		for i := lo; i < hi; i++ {
-			for zi, z := range zones {
-				if !PairSufficient(samples[i], samples[i+1], z, vmaxMS, mode) {
-					out = append(out, Insufficiency{PairIndex: i, ZoneIndex: zi})
-				}
+	rep := Report{Pairs: len(samples) - 1}
+	for i := 0; i < rep.Pairs; i++ {
+		t := newPairTest(samples[i], samples[i+1], vmaxMS, mode)
+		for zi, z := range zones {
+			if !t.sufficient(z) {
+				rep.Insufficiencies = append(rep.Insufficiencies, Insufficiency{PairIndex: i, ZoneIndex: zi})
 			}
 		}
-		return out
-	}
-
-	if pool.Sequential() {
-		rep.Insufficiencies = scan(0, rep.Pairs)
-		return rep, nil
-	}
-
-	perShard := make([][]Insufficiency, pool.Size())
-	n := pool.Each(rep.Pairs, func(s, lo, hi int) {
-		perShard[s] = scan(lo, hi)
-	})
-	for _, ins := range perShard[:n] {
-		rep.Insufficiencies = append(rep.Insufficiencies, ins...)
 	}
 	return rep, nil
 }

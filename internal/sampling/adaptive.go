@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/poa"
 	"repro/internal/zone"
@@ -77,6 +78,13 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adaptive first sample: %w", err)
 	}
+	// d1 is last's distance to its nearest zone boundary. It moves only
+	// when a sample is recorded, so it is searched for then, not at every
+	// GPS update.
+	d1, _, err := a.nearest(last.Pos)
+	if err != nil {
+		return nil, err
+	}
 
 	for at := a.Env.Receiver.NextUpdateAfter(start); !at.After(until); at = a.Env.Receiver.NextUpdateAfter(at) {
 		a.Env.Clock.Set(at)
@@ -86,17 +94,13 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 		}
 
 		record := false
-		_, d2, err := a.Index.Nearest(s2.Pos)
-		switch {
-		case errors.Is(err, zone.ErrNoZones):
-			// Nothing to prove alibi against; only the heartbeat fires.
-		case err != nil:
-			return nil, fmt.Errorf("adaptive nearest zone: %w", err)
-		default:
-			_, d1, err := a.Index.Nearest(last.Pos)
-			if err != nil {
-				return nil, fmt.Errorf("adaptive nearest zone: %w", err)
-			}
+		d2, zones, err := a.nearest(s2.Pos)
+		if err != nil {
+			return nil, err
+		}
+		// With no zones there is nothing to prove alibi against; only
+		// the heartbeat fires.
+		if zones {
 			dt := s2.Time.Sub(last.Time).Seconds()
 			sum := d1 + d2
 			cond2 := sum >= a.VMaxMS*dt           // pair still sufficient
@@ -117,6 +121,9 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 			last, err = a.authSample(res)
 			if err != nil {
 				return nil, fmt.Errorf("adaptive auth at %v: %w", at, err)
+			}
+			if d1, _, err = a.nearest(last.Pos); err != nil {
+				return nil, err
 			}
 			if zoneTriggered {
 				burst++
@@ -142,6 +149,19 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 
 	res.finish(start, until)
 	return res, nil
+}
+
+// nearest returns p's distance to the nearest zone boundary; zones is
+// false when the flight has no zone at all.
+func (a *Adaptive) nearest(p geo.LatLon) (d float64, zones bool, err error) {
+	_, d, err = a.Index.Nearest(p)
+	switch {
+	case errors.Is(err, zone.ErrNoZones):
+		return 0, false, nil
+	case err != nil:
+		return 0, false, fmt.Errorf("adaptive nearest zone: %w", err)
+	}
+	return d, true, nil
 }
 
 // readSample performs the cheap normal-world read.

@@ -257,6 +257,35 @@ func TestAdaptiveHeartbeat(t *testing.T) {
 	}
 }
 
+// TestAdaptiveHeartbeatRefreshesD1: D1 belongs to the last *recorded*
+// sample, whichever rule recorded it. Flying straight at a zone from
+// 1.5 km out, the first dozen samples are heartbeats; were D1 left at the
+// anchor's 1.5 km after them, condition (3) would not fire before the
+// boundary and the 10 s heartbeat pairs near the zone (D1+D2 = 300 m
+// against vmax·Δt = 447 m) would be insufficient.
+func TestAdaptiveHeartbeatRefreshesD1(t *testing.T) {
+	route := straightRoute(t, 10, 140*time.Second)
+	z := geo.GeoCircle{Center: geo.LatLon{Lat: 40.1106, Lon: -88.2073}.Offset(90, 1600), R: 100}
+	zs := []geo.GeoCircle{z}
+
+	env, _ := buildEnv(t, route, 5)
+	a := &Adaptive{Env: env, Index: zone.NewIndex(zs, 0), VMaxMS: geo.MaxDroneSpeedMPS, MaxGap: 10 * time.Second}
+	res, err := a.Run(route.End())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gap := res.Stats.Times[1].Sub(res.Stats.Times[0]); gap != a.MaxGap {
+		t.Fatalf("second sample after %v, want a %v heartbeat", gap, a.MaxGap)
+	}
+	rep, err := poa.VerifySufficiency(res.PoA.Alibi(), zs, geo.MaxDroneSpeedMPS, poa.Conservative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Sufficient() {
+		t.Errorf("PoA insufficient after heartbeat samples: %+v (times %v)", rep.Insufficiencies, res.Stats.Times)
+	}
+}
+
 func TestAdaptiveStrictVsRelaxedOnMissedUpdate(t *testing.T) {
 	// A missed hardware update right at the closest approach can make
 	// the next gap insufficient. Relaxed mode re-anchors immediately;

@@ -13,7 +13,8 @@ import (
 //   - The Adapter builds one per flight from the zone query response and
 //     calls Nearest once per GPS update (up to 5 Hz), so lookup cost
 //     matters when a residential area holds hundreds of zones; the grid
-//     turns the O(n) scan into a ring search over a handful of cells.
+//     turns the O(n) scan into a ring search over the populated cells
+//     near the drone, without allocating.
 //   - The Auditor's Registry keeps one incrementally up to date as zones
 //     register (Add) and answers navigation-rectangle queries through
 //     QueryRect, so zonesForTrace stays sublinear in registry size.
@@ -28,8 +29,9 @@ type Index struct {
 	maxR     float64
 	// local caches the projected centres so queries do not re-project.
 	local []geo.Point
-	// Populated cell bounding box, so rect queries never enumerate the
-	// empty plane between a huge query rectangle and the data.
+	// Populated cell bounding box, so neither rect queries nor the
+	// nearest-zone ring search enumerate the empty plane between a query
+	// and the data.
 	minCell, maxCell [2]int
 }
 
@@ -106,40 +108,64 @@ func (idx *Index) cellOf(p geo.Point) [2]int {
 }
 
 // Nearest returns the index of the zone whose boundary is closest to p and
-// that signed boundary distance. It expands square rings of cells outward
-// until no unexplored ring can possibly contain a closer boundary.
+// that signed boundary distance. It walks square rings of cells outward
+// from p's cell, but only the rings that can hold a zone: it starts at the
+// first ring that reaches the populated cell box, visits only the cells of
+// a ring that lie inside the box, and stops once no unexplored ring can
+// hold a closer boundary or the box is covered. Cost therefore follows the
+// zones near p, not the distance to them: a point 30 m outside a 5-mile
+// zone, or an ocean away from every zone, is answered in one ring. Rings
+// and the cells within a ring are visited in a fixed order and the first
+// of several equally near zones wins.
 func (idx *Index) Nearest(p geo.LatLon) (int, float64, error) {
 	if len(idx.zones) == 0 {
 		return 0, 0, ErrNoZones
 	}
 	lp := idx.pr.ToLocal(p)
-	center := idx.cellOf(lp)
+	c := idx.cellOf(lp)
+	lo, hi := idx.minCell, idx.maxCell
 
 	bestIdx, bestDist := -1, math.Inf(1)
-	consider := func(zi int) {
-		// Planar distance is accurate at ring-search scale; recompute the
-		// final answer with haversine below for exactness.
-		d := idx.local[zi].Dist(lp) - idx.zones[zi].R
-		if d < bestDist {
-			bestIdx, bestDist = zi, d
+	visit := func(cx, cy int) {
+		for _, zi := range idx.cells[[2]int{cx, cy}] {
+			// Planar distance is accurate at ring-search scale; recompute the
+			// final answer with haversine below for exactness.
+			d := idx.local[zi].Dist(lp) - idx.zones[zi].R
+			if d < bestDist {
+				bestIdx, bestDist = zi, d
+			}
 		}
 	}
 
-	for ring := 0; ; ring++ {
-		// Lower bound on centre distance for cells in this ring.
-		ringMin := float64(ring-1) * idx.cellSize
-		if ring == 0 {
-			ringMin = 0
-		}
-		if bestIdx >= 0 && ringMin-idx.maxR > bestDist {
+	// Chebyshev cell distance from c to the nearest and to the farthest
+	// cell of the box: the rings in between are the only populated ones.
+	first := max(lo[0]-c[0], c[0]-hi[0], lo[1]-c[1], c[1]-hi[1], 0)
+	last := max(c[0]-lo[0], hi[0]-c[0], c[1]-lo[1], hi[1]-c[1])
+	for ring := first; ring <= last; ring++ {
+		// Every centre in this ring is at least ring-1 cells away.
+		if bestIdx >= 0 && float64(ring-1)*idx.cellSize-idx.maxR > bestDist {
 			break
 		}
-		if float64(ring)*idx.cellSize > 1e7 { // paranoia bound: ~Earth scale
-			break
+		// South and north rows west to east, then the west and east
+		// columns between them, each clipped to the box. ring >= first
+		// already puts south and west at or below hi and north and east at
+		// or above lo, so each side has one bound left to check.
+		south, north := c[1]-ring, c[1]+ring
+		for x := max(c[0]-ring, lo[0]); x <= min(c[0]+ring, hi[0]); x++ {
+			if lo[1] <= south {
+				visit(x, south)
+			}
+			if north <= hi[1] && ring > 0 {
+				visit(x, north)
+			}
 		}
-		for _, c := range ringCells(center, ring) {
-			for _, zi := range idx.cells[c] {
-				consider(zi)
+		west, east := c[0]-ring, c[0]+ring
+		for y := max(south+1, lo[1]); y <= min(north-1, hi[1]); y++ {
+			if lo[0] <= west {
+				visit(west, y)
+			}
+			if east <= hi[0] {
+				visit(east, y)
 			}
 		}
 	}
@@ -202,20 +228,5 @@ func (idx *Index) QueryRect(rect geo.Rect) []int {
 		}
 	}
 	sort.Ints(out)
-	return out
-}
-
-// ringCells enumerates the cells forming square ring r around c.
-func ringCells(c [2]int, r int) [][2]int {
-	if r == 0 {
-		return [][2]int{c}
-	}
-	out := make([][2]int, 0, 8*r)
-	for dx := -r; dx <= r; dx++ {
-		out = append(out, [2]int{c[0] + dx, c[1] - r}, [2]int{c[0] + dx, c[1] + r})
-	}
-	for dy := -r + 1; dy <= r-1; dy++ {
-		out = append(out, [2]int{c[0] - r, c[1] + dy}, [2]int{c[0] + r, c[1] + dy})
-	}
 	return out
 }

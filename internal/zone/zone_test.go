@@ -2,6 +2,7 @@ package zone
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,41 +216,144 @@ func TestNearestLinear(t *testing.T) {
 	}
 }
 
+// nearestRingSearch is the ring search Index.Nearest used before it was
+// bounded to the populated cell box, kept verbatim as the reference the
+// bounded search must reproduce: every ring from 0 outward, every cell of
+// each ring, until no unexplored ring can hold a closer boundary. It does
+// not terminate sensibly for a query more than 10,000 km from every zone.
+func nearestRingSearch(idx *Index, p geo.LatLon) (int, float64) {
+	lp := idx.pr.ToLocal(p)
+	center := idx.cellOf(lp)
+	bestIdx, bestDist := -1, math.Inf(1)
+	for ring := 0; ; ring++ {
+		ringMin := float64(ring-1) * idx.cellSize
+		if ring == 0 {
+			ringMin = 0
+		}
+		if bestIdx >= 0 && ringMin-idx.maxR > bestDist {
+			break
+		}
+		cells := [][2]int{center}
+		if ring > 0 {
+			cells = cells[:0]
+			for dx := -ring; dx <= ring; dx++ {
+				cells = append(cells, [2]int{center[0] + dx, center[1] - ring}, [2]int{center[0] + dx, center[1] + ring})
+			}
+			for dy := -ring + 1; dy <= ring-1; dy++ {
+				cells = append(cells, [2]int{center[0] - ring, center[1] + dy}, [2]int{center[0] + ring, center[1] + dy})
+			}
+		}
+		for _, c := range cells {
+			for _, zi := range idx.cells[c] {
+				if d := idx.local[zi].Dist(lp) - idx.zones[zi].R; d < bestDist {
+					bestIdx, bestDist = zi, d
+				}
+			}
+		}
+	}
+	return bestIdx, idx.zones[bestIdx].BoundaryDistMeters(p)
+}
+
 // TestIndexMatchesLinear cross-validates the grid index against the linear
-// scan on random layouts and query points.
+// scan (distance) and against the unbounded ring search it replaced (zone
+// index and distance, bit for bit) on random layouts and query points and
+// on the layouts that shape the bounded search: one 5-mile zone, one- to
+// three-zone indexes, and one huge zone beside many small ones.
 func TestIndexMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(200)
+	check := func(name string, zs []geo.GeoCircle, idx *Index, p geo.LatLon) {
+		t.Helper()
+		li, ld, err := NearestLinear(zs, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gi, gd, err := idx.Nearest(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Ties between different zones at equal distance are legal
+		// against the linear scan; compare distances.
+		if math.Abs(ld-gd) > 0.5 {
+			t.Fatalf("%s: linear (%d, %.2f) vs grid (%d, %.2f) at %v", name, li, ld, gi, gd, p)
+		}
+		if ri, rd := nearestRingSearch(idx, p); gi != ri || gd != rd {
+			t.Fatalf("%s: ring search (%d, %v) vs bounded (%d, %v) at %v", name, ri, rd, gi, gd, p)
+		}
+	}
+	field := func(n int, spread, maxR float64) []geo.GeoCircle {
 		zs := make([]geo.GeoCircle, n)
 		for i := range zs {
 			zs[i] = geo.GeoCircle{
-				Center: urbana.Offset(rng.Float64()*360, rng.Float64()*5000),
-				R:      1 + rng.Float64()*300,
+				Center: urbana.Offset(rng.Float64()*360, rng.Float64()*spread),
+				R:      1 + rng.Float64()*maxR,
 			}
 		}
+		return zs
+	}
+
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(200)
+		if trial < 9 {
+			n = 1 + trial%3
+		}
+		zs := field(n, 5000, 300)
 		idx := NewIndex(zs, 0)
 		if idx.Len() != n {
 			t.Fatalf("index Len = %d, want %d", idx.Len(), n)
 		}
-
 		for q := 0; q < 50; q++ {
-			p := urbana.Offset(rng.Float64()*360, rng.Float64()*6000)
-			li, ld, err := NearestLinear(zs, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gi, gd, err := idx.Nearest(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Ties between different zones at equal distance are legal;
-			// compare distances.
-			if math.Abs(ld-gd) > 0.5 {
-				t.Fatalf("trial %d: linear (%d, %.2f) vs grid (%d, %.2f) at %v",
-					trial, li, ld, gi, gd, p)
-			}
+			check(fmt.Sprintf("trial %d", trial), zs, idx, urbana.Offset(rng.Float64()*360, rng.Float64()*6000))
 		}
+	}
+
+	// One 5-mile zone: the query's cell is ~40 rings from the only
+	// populated cell whether the drone is inside, just outside or far off.
+	airport := []geo.GeoCircle{{Center: urbana, R: geo.MilesToMeters(5)}}
+	idx := NewIndex(airport, 0)
+	for _, out := range []float64{-6000, -airport[0].R, 30, 12000} {
+		for q := 0; q < 20; q++ {
+			check(fmt.Sprintf("airport %+.0f m", out), airport, idx, urbana.Offset(rng.Float64()*360, airport[0].R+out))
+		}
+	}
+
+	// One 8 km zone inflates maxR for 200 small ones: the search cannot
+	// stop on distance for ~40 rings and must stop on the box instead.
+	mixed := append(field(200, 3000, 60), geo.GeoCircle{Center: urbana.Offset(45, 9000), R: 8000})
+	idx = NewIndex(mixed, 0)
+	for q := 0; q < 200; q++ {
+		check("mixed", mixed, idx, urbana.Offset(rng.Float64()*360, rng.Float64()*20000))
+	}
+
+	// Two zones exactly equidistant from the query, in different cells
+	// of the same ring (the pitch is their planar offset, so they sit in
+	// cells +1 and -1): visiting order decides, and it must be the old one.
+	twins := []geo.GeoCircle{
+		{Center: geo.LatLon{Lat: 40.25, Lon: -88.25}, R: 100},
+		{Center: geo.LatLon{Lat: 40.25, Lon: -88.75}, R: 100},
+	}
+	idx = NewIndex(twins, NewIndex(twins, 0).local[0].X)
+	if idx.cellOf(idx.local[0]) != [2]int{1, 0} || idx.cellOf(idx.local[1]) != [2]int{-1, 0} {
+		t.Fatalf("twins fixture: cells %v %v", idx.cellOf(idx.local[0]), idx.cellOf(idx.local[1]))
+	}
+	check("twins", twins, idx, geo.LatLon{Lat: 40.25, Lon: -88.5})
+
+	// A query further from every zone than the old search's ~10,000 km
+	// "paranoia bound" (a receiver's no-fix 0,0 against a Sydney zone) ran
+	// ~10^10 cell lookups and then indexed zones[-1]. One ring now.
+	sydney := []geo.GeoCircle{{Center: geo.LatLon{Lat: -33.8688, Lon: 151.2093}, R: 500}}
+	idx = NewIndex(sydney, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		gi, gd, err := idx.Nearest(geo.LatLon{})
+		if _, ld, _ := NearestLinear(sydney, geo.LatLon{}); err != nil || gi != 0 || gd != ld {
+			t.Errorf("no-fix query: (%d, %v, %v), want (0, %v, nil)", gi, gd, err, ld)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Nearest did not answer a far-away query within 1 s")
 	}
 }
 

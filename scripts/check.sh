@@ -86,5 +86,19 @@ go test ./internal/sigcrypto -run '^$' -fuzz FuzzOpenEnvelope -fuzztime 10s
 echo ">> go test ./internal/auditor -run TestClusterTwoNodeSmoke -count=1"
 go test ./internal/auditor -run 'TestClusterTwoNodeSmoke$' -count=1
 
+# Absolute per-stage budget (ROADMAP north star: gates are budgets per door
+# and per stage, not only ratios). The sufficiency stage cost 65 ms of a
+# traced street-full-http flight before the exact test went lower-bound
+# first and costs ~0.2 ms since; 10 ms is the ROADMAP's bar and a 50x
+# margin, so a slow runner cannot trip it but a return to minimising every
+# (pair, zone) does. The same run's correctness gate must hold.
+echo ">> stage budget: poa.sufficiency_ms < 10 on a traced street-full-http run"
+RESULT="$(bash benchmark/run.sh --workload street-full-http --seed 1 --seconds 3 --trace 1 | tail -n 1)"
+MS="$(printf '%s\n' "${RESULT}" | sed -n 's/.*"poa\.sufficiency_ms":{"value":\([0-9.eE+-]*\).*/\1/p')"
+if ! printf '%s\n' "${RESULT}" | grep -q '"correct":true' || ! awk -v ms="${MS}" 'BEGIN { exit !(ms != "" && ms + 0 < 10) }'; then
+	echo "stage budget failed: poa.sufficiency_ms=${MS:-missing} (want < 10), or the run's correctness gate did not pass" >&2
+	exit 1
+fi
+
 echo "all checks passed"
 ./scripts/loc.sh

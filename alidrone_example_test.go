@@ -1,6 +1,7 @@
 package alidrone_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -49,11 +50,12 @@ func Example() {
 	if err := drone.Register(); err != nil {
 		log.Fatal(err)
 	}
-	res, err := platform.FlyAdaptive([]alidrone.GeoCircle{{Center: home.Offset(0, 150), R: 6}}, route.End())
+	proof, err := drone.Fly(context.Background(), platform.Receiver(), []alidrone.GeoCircle{{Center: home.Offset(0, 150), R: 6}}, route.End(),
+		operator.FlightSpec{Mode: operator.ModeAdaptive})
 	if err != nil {
 		log.Fatal(err)
 	}
-	verdict, err := drone.SubmitPoA(res.PoA)
+	verdict, err := drone.SubmitProof(context.Background(), proof)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,9 +27,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -45,7 +47,7 @@ import (
 func main() {
 	auditorURL := flag.String("auditor", "http://localhost:8470", "auditor base URL")
 	scenario := flag.String("scenario", "residential", "flight scenario: airport or residential")
-	mode := flag.String("mode", "adaptive", "sampling mode: adaptive, fixed, batch, mac, streaming, sealed or commit")
+	mode := flag.String("mode", "adaptive", "sampling mode: "+strings.Join(operator.ModeNames(), ", "))
 	disclosure := flag.String("disclosure", "", "disclosure mode announced at registration: full, sealed or commit (empty = follow -mode)")
 	fixedRate := flag.Float64("fixed-rate", 2, "sampling rate for -mode fixed (Hz)")
 	storeDir := flag.String("store", "", "directory for persisted flight records (empty = do not persist)")
@@ -100,35 +102,16 @@ func run(auditorURL, scenario, mode, disclosure, storeDir, suite string, rotateE
 		return err
 	}
 
-	cfg := operator.MissionConfig{FixedRateHz: fixedRate, RotateEvery: rotateEvery}
-	switch mode {
-	case "adaptive":
-		cfg.Mode = operator.ModeAdaptive
-	case "fixed":
-		cfg.Mode = operator.ModeFixedRate
-	case "batch":
-		cfg.Mode = operator.ModeBatch
-	case "mac":
-		cfg.Mode = operator.ModeMAC
-	case "streaming":
-		cfg.Mode = operator.ModeStreaming
-	case "sealed":
-		cfg.Mode = operator.ModeSealed
-	case "commit":
-		cfg.Mode = operator.ModeCommit
-	default:
-		return fmt.Errorf("unknown mode %q", mode)
+	m, err := operator.ParseMode(mode)
+	if err != nil {
+		return err
 	}
+	cfg := operator.MissionConfig{FlightSpec: operator.FlightSpec{Mode: m, FixedRateHz: fixedRate}, RotateEvery: rotateEvery}
 	// The registered disclosure mode defaults to the submission mode's
 	// natural one; -disclosure overrides (e.g. register sealed but fly a
 	// full-mode flight to see the auditor reject it).
 	if disclosure == "" {
-		switch cfg.Mode {
-		case operator.ModeSealed:
-			disclosure = poa.DisclosureSealed
-		case operator.ModeCommit:
-			disclosure = poa.DisclosureCommit
-		}
+		disclosure = m.Disclosure()
 	} else if _, err := poa.NormalizeDisclosure(disclosure); err != nil {
 		return err
 	}
@@ -224,7 +207,7 @@ func run(auditorURL, scenario, mode, disclosure, storeDir, suite string, rotateE
 	if rep.Verdict.Challenge != nil {
 		ch := rep.Verdict.Challenge
 		fmt.Printf("selective-disclosure challenge %s: reveal pair at index %d\n", ch.ChallengeID, ch.PairIndex)
-		final, err := drone.RevealForChallenge(*ch)
+		final, err := drone.RevealForChallengeCtx(context.Background(), *ch)
 		if err != nil {
 			return fmt.Errorf("answer disclosure challenge: %w", err)
 		}

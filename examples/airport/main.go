@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -45,7 +46,13 @@ func run() error {
 		return err
 	}
 
-	for _, mode := range []string{"fixed-1hz", "adaptive"} {
+	for _, run := range []struct {
+		label string
+		spec  operator.FlightSpec
+	}{
+		{"fixed-1hz", operator.FlightSpec{Mode: operator.ModeFixedRate, FixedRateHz: 1}},
+		{"adaptive", operator.FlightSpec{Mode: operator.ModeAdaptive}},
+	} {
 		vault, err := tee.ManufactureVault(nil, sigcrypto.KeySize1024)
 		if err != nil {
 			return err
@@ -67,21 +74,11 @@ func run() error {
 			return err
 		}
 
-		var samples int
-		if mode == "adaptive" {
-			res, err := drone.FlyAdaptive(rx, []geo.GeoCircle{airportZone}, sc.Route.End())
-			if err != nil {
-				return err
-			}
-			samples = res.PoA.Len()
-		} else {
-			res, err := drone.FlyFixedRate(rx, 1, sc.Route.End())
-			if err != nil {
-				return err
-			}
-			samples = res.PoA.Len()
+		p, err := drone.Fly(context.Background(), rx, []geo.GeoCircle{airportZone}, sc.Route.End(), run.spec)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("%-10s %4d GPS samples over %v\n", mode, samples, sc.Route.Duration())
+		fmt.Printf("%-10s %4d GPS samples over %v\n", run.label, p.Run.PoA.Len(), sc.Route.Duration())
 	}
 
 	// Show the distance profile the figure plots.

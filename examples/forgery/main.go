@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -67,10 +68,11 @@ func run() error {
 	if err := drone.Register(); err != nil {
 		return err
 	}
-	honest, err := drone.FlyAdaptive(rx, []geo.GeoCircle{z}, route.End())
+	flight, err := drone.Fly(context.Background(), rx, []geo.GeoCircle{z}, route.End(), operator.FlightSpec{Mode: operator.ModeAdaptive})
 	if err != nil {
 		return err
 	}
+	honest := flight.Run
 
 	eval := attack.Evaluate{API: srv, DroneID: drone.ID(), EncryptPoA: drone.EncryptPoA}
 	report := func(r attack.Result) {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -83,14 +84,14 @@ func run() error {
 	if err := drone.Register(); err != nil {
 		return err
 	}
-	res, err := drone.FlyAdaptive(platform.Receiver(), zones, route.End())
+	proof, err := drone.Fly(context.Background(), platform.Receiver(), zones, route.End(), operator.FlightSpec{Mode: operator.ModeAdaptive})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("delivery flight: %v, %d signed samples (mean %.2f Hz)\n",
-		route.Duration().Round(time.Second), res.PoA.Len(), res.Stats.MeanRateHz())
+		route.Duration().Round(time.Second), proof.Run.PoA.Len(), proof.Run.Stats.MeanRateHz())
 
-	verdict, err := drone.SubmitPoA(res.PoA)
+	verdict, err := drone.SubmitProof(context.Background(), proof)
 	if err != nil {
 		return err
 	}

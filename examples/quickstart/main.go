@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -87,15 +88,15 @@ func run() error {
 	fmt.Printf("zones in flight area: %d\n", len(zones))
 
 	// 5. Fly with adaptive sampling: the secure world signs each sample.
-	res, err := drone.FlyAdaptive(rx, zone.Circles(zones), route.End())
+	proof, err := drone.Fly(context.Background(), rx, zone.Circles(zones), route.End(), operator.FlightSpec{Mode: operator.ModeAdaptive})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("flight done: %d signed samples (mean %.2f Hz)\n",
-		res.PoA.Len(), res.Stats.MeanRateHz())
+		proof.Run.PoA.Len(), proof.Run.Stats.MeanRateHz())
 
 	// 6. Submit the encrypted Proof-of-Alibi.
-	verdict, err := drone.SubmitPoA(res.PoA)
+	verdict, err := drone.SubmitProof(context.Background(), proof)
 	if err != nil {
 		return err
 	}

@@ -76,7 +76,7 @@ func run() error {
 
 	// Real-time streaming audit: the auditor checks each sample in
 	// flight.
-	rep, err := drone.RunMission(platform.Receiver(), flown, operator.MissionConfig{Mode: operator.ModeStreaming})
+	rep, err := drone.RunMission(platform.Receiver(), flown, operator.MissionConfig{FlightSpec: operator.FlightSpec{Mode: operator.ModeStreaming}})
 	if err != nil {
 		return err
 	}

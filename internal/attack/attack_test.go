@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -76,13 +77,13 @@ func newWorld(t *testing.T) *world {
 		t.Fatal(err)
 	}
 
-	res, err := d.FlyAdaptive(rx, []geo.GeoCircle{z}, route.End())
+	flight, err := d.Fly(context.Background(), rx, []geo.GeoCircle{z}, route.End(), operator.FlightSpec{Mode: operator.ModeAdaptive})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	return &world{
-		srv: srv, drone: d, zone: z, zoneID: zoneID, honest: res.PoA,
+		srv: srv, drone: d, zone: z, zoneID: zoneID, honest: flight.Run.PoA,
 		evalCtx: Evaluate{API: srv, DroneID: d.ID(), EncryptPoA: d.EncryptPoA},
 	}
 }

@@ -257,3 +257,30 @@ func TestUpdatePeriod(t *testing.T) {
 		t.Errorf("RateHz = %v", rx.RateHz())
 	}
 }
+
+// TestTickArithmeticRoundTrips pins the one tick ↔ time conversion: a
+// tick's own instant maps back to that tick, and the next update after
+// any instant is strictly later — including at 3 Hz, whose period is not
+// a whole number of nanoseconds.
+func TestTickArithmeticRoundTrips(t *testing.T) {
+	for _, rate := range []float64{1, 2, 2.5, 3, 4, 5} {
+		rx, err := NewReceiver(testPath(), rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(0); k < 2000; k++ {
+			at := rx.tickTime(k)
+			if got := rx.tickIndexAtOrBefore(at); got != k {
+				t.Fatalf("%v Hz: tickIndexAtOrBefore(tickTime(%d)) = %d", rate, k, got)
+			}
+			if got := rx.tickIndexAtOrBefore(at.Add(-2 * time.Nanosecond)); got != k-1 {
+				t.Fatalf("%v Hz: tick 2 ns before tickTime(%d) = %d, want %d", rate, k, got, k-1)
+			}
+			for _, probe := range []time.Time{at, at.Add(-time.Nanosecond), at.Add(time.Nanosecond)} {
+				if next := rx.NextUpdateAfter(probe); !next.After(probe) {
+					t.Fatalf("%v Hz: NextUpdateAfter(%v) = %v, not after it", rate, probe.Sub(t0), next.Sub(t0))
+				}
+			}
+		}
+	}
+}

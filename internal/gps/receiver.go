@@ -88,23 +88,44 @@ func NewReceiver(p Path, rateHz float64, opts ...ReceiverOption) (*Receiver, err
 func (r *Receiver) RateHz() float64 { return r.rateHz }
 
 // UpdatePeriod returns the interval between hardware measurement updates.
-func (r *Receiver) UpdatePeriod() time.Duration {
-	return time.Duration(float64(time.Second) / r.rateHz)
+func (r *Receiver) UpdatePeriod() time.Duration { return r.tickOffset(1) }
+
+// tickOffset is when update tick k happens after the path start, in whole
+// nanoseconds. It is the one tick-to-time conversion: tickTime adds it to
+// the start and tickIndexAtOrBefore inverts it exactly, so a tick's own
+// instant maps back to that tick even when the period is not a whole
+// number of nanoseconds (3 Hz).
+func (r *Receiver) tickOffset(k int64) time.Duration {
+	return time.Duration(float64(k) * float64(time.Second) / r.rateHz)
 }
 
 // tickTime returns the wall time of update tick k.
 func (r *Receiver) tickTime(k int64) time.Time {
-	return r.path.Start().Add(time.Duration(float64(k) * float64(time.Second) / r.rateHz))
+	return r.path.Start().Add(r.tickOffset(k))
 }
 
 // tickIndexAtOrBefore returns the index of the last update tick at or
-// before t, or -1 when t precedes the first tick.
+// before t, or -1 when t precedes the first tick. A tick counts as
+// reached 1e-9 of a period early, truncated to whole nanoseconds: one
+// nanosecond at 1 Hz, none at the faster rates. The fix-rate sampler asks
+// for the update after the instant one nanosecond before its wake-up, so
+// at 1 Hz it samples the update after the wake-up tick; the evaluation's
+// 1 Hz counts (Fig 6) are taken that way.
 func (r *Receiver) tickIndexAtOrBefore(t time.Time) int64 {
-	dt := t.Sub(r.path.Start()).Seconds()
+	dt := t.Sub(r.path.Start())
 	if dt < 0 {
 		return -1
 	}
-	k := int64(math.Floor(dt*r.rateHz + 1e-9))
+	dt += r.tickOffset(1) / time.Second
+	// The float estimate is off by at most one tick; settle it against
+	// tickOffset itself.
+	k := int64(float64(dt) * r.rateHz / float64(time.Second))
+	for k > 0 && r.tickOffset(k) > dt {
+		k--
+	}
+	for r.tickOffset(k+1) <= dt {
+		k++
+	}
 	return k
 }
 

@@ -198,16 +198,16 @@ func shouldReroute(err error) bool {
 	return true // transport-level failure: node unreachable
 }
 
-// route runs fn against the owning node, refreshing the map and
-// re-routing exactly once when the first attempt hit a stale map or a
-// dead node.
-func route[Resp any](c *ClusterAuditor, droneID string, fn func(*HTTPAuditor) (Resp, error)) (Resp, error) {
+// route runs call(node, req) against the owning node, refreshing the map
+// and re-routing exactly once when the first attempt hit a stale map or
+// a dead node.
+func route[Req, Resp any](c *ClusterAuditor, droneID string, call func(*HTTPAuditor, Req) (Resp, error), req Req) (Resp, error) {
 	var zero Resp
 	cl, err := c.routeTo(droneID)
 	if err != nil {
 		return zero, err
 	}
-	resp, err := fn(cl)
+	resp, err := call(cl, req)
 	if err == nil || !shouldReroute(err) {
 		return resp, err
 	}
@@ -218,76 +218,60 @@ func route[Resp any](c *ClusterAuditor, droneID string, fn func(*HTTPAuditor) (R
 	if rerr != nil || cl2 == cl {
 		return resp, err
 	}
-	return fn(cl2)
+	return call(cl2, req)
 }
 
 // RegisterDrone implements protocol.API. Registration is routed to any
 // ready node; the cluster issues the drone ID and files the record on
 // the owning node, so the caller need not (and cannot) pre-route it.
 func (c *ClusterAuditor) RegisterDrone(req protocol.RegisterDroneRequest) (protocol.RegisterDroneResponse, error) {
-	return route(c, "", func(cl *HTTPAuditor) (protocol.RegisterDroneResponse, error) {
-		return cl.RegisterDrone(req)
-	})
+	return route(c, "", (*HTTPAuditor).RegisterDrone, req)
 }
 
 // RegisterZone implements protocol.API. Any node accepts a zone and
 // replicates it cluster-wide.
 func (c *ClusterAuditor) RegisterZone(req protocol.RegisterZoneRequest) (protocol.RegisterZoneResponse, error) {
-	return route(c, "", func(cl *HTTPAuditor) (protocol.RegisterZoneResponse, error) {
-		return cl.RegisterZone(req)
-	})
+	return route(c, "", (*HTTPAuditor).RegisterZone, req)
 }
 
 // ZoneQuery implements protocol.API.
 func (c *ClusterAuditor) ZoneQuery(req protocol.ZoneQueryRequest) (protocol.ZoneQueryResponse, error) {
-	return route(c, req.DroneID, func(cl *HTTPAuditor) (protocol.ZoneQueryResponse, error) {
-		return cl.ZoneQuery(req)
-	})
+	return route(c, req.DroneID, (*HTTPAuditor).ZoneQuery, req)
 }
 
 // SubmitPoA implements protocol.API.
 func (c *ClusterAuditor) SubmitPoA(req protocol.SubmitPoARequest) (protocol.SubmitPoAResponse, error) {
-	return route(c, req.DroneID, func(cl *HTTPAuditor) (protocol.SubmitPoAResponse, error) {
-		return cl.SubmitPoA(req)
-	})
+	return route(c, req.DroneID, (*HTTPAuditor).SubmitPoA, req)
 }
 
 // SubmitBatchPoA implements protocol.ModesAPI.
 func (c *ClusterAuditor) SubmitBatchPoA(req protocol.SubmitBatchPoARequest) (protocol.SubmitPoAResponse, error) {
-	return route(c, req.DroneID, func(cl *HTTPAuditor) (protocol.SubmitPoAResponse, error) {
-		return cl.SubmitBatchPoA(req)
-	})
+	return route(c, req.DroneID, (*HTTPAuditor).SubmitBatchPoA, req)
 }
 
 // StartSession implements protocol.ModesAPI.
 func (c *ClusterAuditor) StartSession(req protocol.StartSessionRequest) (protocol.StartSessionResponse, error) {
-	return route(c, req.DroneID, func(cl *HTTPAuditor) (protocol.StartSessionResponse, error) {
-		return cl.StartSession(req)
-	})
+	return route(c, req.DroneID, (*HTTPAuditor).StartSession, req)
 }
 
 // SubmitMACPoA implements protocol.ModesAPI.
 func (c *ClusterAuditor) SubmitMACPoA(req protocol.SubmitMACPoARequest) (protocol.SubmitPoAResponse, error) {
-	return route(c, req.DroneID, func(cl *HTTPAuditor) (protocol.SubmitPoAResponse, error) {
-		return cl.SubmitMACPoA(req)
-	})
+	return route(c, req.DroneID, (*HTTPAuditor).SubmitMACPoA, req)
 }
 
 // RotateKey implements protocol.RotationAPI.
 func (c *ClusterAuditor) RotateKey(req protocol.RotateKeyRequest) (protocol.RotateKeyResponse, error) {
-	return route(c, req.DroneID, func(cl *HTTPAuditor) (protocol.RotateKeyResponse, error) {
-		return cl.RotateKey(req)
-	})
+	return route(c, req.DroneID, (*HTTPAuditor).RotateKey, req)
 }
 
 // OpenStream implements protocol.StreamAPI. The node that opens a
 // stream holds its incremental state, so subsequent samples pin to it.
 func (c *ClusterAuditor) OpenStream(req protocol.OpenStreamRequest) (protocol.OpenStreamResponse, error) {
 	var opened *HTTPAuditor
-	resp, err := route(c, req.DroneID, func(cl *HTTPAuditor) (protocol.OpenStreamResponse, error) {
+	resp, err := route(c, req.DroneID, func(cl *HTTPAuditor, req protocol.OpenStreamRequest) (protocol.OpenStreamResponse, error) {
 		opened = cl
 		return cl.OpenStream(req)
-	})
+	}, req)
 	if err == nil && resp.StreamID != "" {
 		c.mu.Lock()
 		c.streams[resp.StreamID] = opened

@@ -6,7 +6,6 @@
 package operator
 
 import (
-	"context"
 	"crypto/rand"
 	"crypto/rsa"
 	"encoding/json"
@@ -16,12 +15,10 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/gps"
 	"repro/internal/obs"
 	otrace "repro/internal/obs/trace"
 	"repro/internal/poa"
 	"repro/internal/protocol"
-	"repro/internal/sampling"
 	"repro/internal/sigcrypto"
 	"repro/internal/tee"
 	"repro/internal/zone"
@@ -82,9 +79,6 @@ func NewDrone(api protocol.API, auditorPub *rsa.PublicKey, dev *tee.Device, cloc
 // ID returns the drone identifier issued at registration (empty before).
 func (d *Drone) ID() string { return d.id }
 
-// Device exposes the TrustZone device (for performance counters).
-func (d *Drone) Device() *tee.Device { return d.dev }
-
 // SetMetrics attaches a metrics registry to the drone stack: the samplers
 // and the TEE device all report into it. Call before flying; if the API
 // client is an HTTPAuditor, attach the registry there separately.
@@ -93,24 +87,12 @@ func (d *Drone) SetMetrics(reg *obs.Registry) {
 	d.dev.SetMetrics(reg)
 }
 
-// Metrics returns the drone registry (nil when disabled).
-func (d *Drone) Metrics() *obs.Registry { return d.metrics }
-
 // SetTracer attaches a tracer: each mission then runs under a
 // "drone.proof" root span whose identity propagates through the API
 // client to the auditor. If the API client is an HTTPAuditor, attach the
 // tracer there separately (SetTracer on the client) for per-call
 // http.client spans.
 func (d *Drone) SetTracer(tr *otrace.Tracer) { d.tracer = tr }
-
-// Tracer returns the drone tracer (nil when disabled).
-func (d *Drone) Tracer() *otrace.Tracer { return d.tracer }
-
-// apiFor resolves the API to call under ctx (trace propagation and
-// cancellation when the transport supports context binding).
-func (d *Drone) apiFor(ctx context.Context) protocol.API {
-	return protocol.BindContext(ctx, d.api)
-}
 
 // SetDisclosure selects the disclosure mode announced at registration:
 // poa.DisclosureFull (or empty), poa.DisclosureSealed, or
@@ -169,7 +151,7 @@ func (d *Drone) RotateKey() error {
 	}
 	rot, ok := d.api.(protocol.RotationAPI)
 	if !ok {
-		return fmt.Errorf("operator: auditor transport %T does not support key rotation", d.api)
+		return fmt.Errorf("%w: key rotation on %T", ErrDoorUnsupported, d.api)
 	}
 	raw, err := d.dev.Invoke(tee.GPSSamplerUUID, tee.CmdRotateKey, []byte(d.id))
 	if err != nil {
@@ -208,84 +190,4 @@ func (d *Drone) QueryZones(area geo.Rect) ([]zone.NFZ, error) {
 		return nil, fmt.Errorf("zone query: %w", err)
 	}
 	return resp.Zones, nil
-}
-
-// FlyAdaptive runs the adaptive sampler over a flight (the production
-// configuration).
-func (d *Drone) FlyAdaptive(rx *gps.Receiver, zones []geo.GeoCircle, until time.Time) (*sampling.RunResult, error) {
-	if d.id == "" {
-		return nil, ErrNotRegistered
-	}
-	a := &sampling.Adaptive{
-		Env:     sampling.NewTEEEnv(d.dev, d.clock, rx),
-		Index:   zone.NewIndex(zones, 0),
-		VMaxMS:  geo.MaxDroneSpeedMPS,
-		Metrics: d.metrics,
-	}
-	res, err := a.Run(until)
-	if err != nil {
-		return nil, fmt.Errorf("adaptive flight: %w", err)
-	}
-	return res, nil
-}
-
-// FlyFixedRate runs the fixed-rate baseline sampler over a flight.
-func (d *Drone) FlyFixedRate(rx *gps.Receiver, rateHz float64, until time.Time) (*sampling.RunResult, error) {
-	if d.id == "" {
-		return nil, ErrNotRegistered
-	}
-	f := &sampling.FixedRate{
-		Env:     sampling.NewTEEEnv(d.dev, d.clock, rx),
-		RateHz:  rateHz,
-		Metrics: d.metrics,
-	}
-	res, err := f.Run(until)
-	if err != nil {
-		return nil, fmt.Errorf("fixed-rate flight: %w", err)
-	}
-	return res, nil
-}
-
-// EncryptPoA serialises and encrypts a Proof-of-Alibi to the Auditor, the
-// form the Adapter persists locally and later submits.
-func (d *Drone) EncryptPoA(p poa.PoA) ([]byte, error) {
-	plaintext, err := json.Marshal(p)
-	if err != nil {
-		return nil, fmt.Errorf("marshal PoA: %w", err)
-	}
-	ct, err := sigcrypto.Seal(d.random, d.auditorPub, plaintext)
-	if err != nil {
-		return nil, fmt.Errorf("encrypt PoA: %w", err)
-	}
-	return ct, nil
-}
-
-// Submit performs protocol task 4 with an already-encrypted PoA.
-func (d *Drone) Submit(encryptedPoA []byte) (protocol.SubmitPoAResponse, error) {
-	return d.SubmitCtx(context.Background(), encryptedPoA)
-}
-
-// SubmitCtx is Submit under a caller context: the submission call carries
-// the context's trace span across the wire.
-func (d *Drone) SubmitCtx(ctx context.Context, encryptedPoA []byte) (protocol.SubmitPoAResponse, error) {
-	if d.id == "" {
-		return protocol.SubmitPoAResponse{}, ErrNotRegistered
-	}
-	resp, err := d.apiFor(ctx).SubmitPoA(protocol.SubmitPoARequest{
-		DroneID:      d.id,
-		EncryptedPoA: encryptedPoA,
-	})
-	if err != nil {
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("submit PoA: %w", err)
-	}
-	return resp, nil
-}
-
-// SubmitPoA encrypts and submits in one step.
-func (d *Drone) SubmitPoA(p poa.PoA) (protocol.SubmitPoAResponse, error) {
-	ct, err := d.EncryptPoA(p)
-	if err != nil {
-		return protocol.SubmitPoAResponse{}, err
-	}
-	return d.Submit(ct)
 }

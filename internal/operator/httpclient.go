@@ -302,125 +302,100 @@ func (c *HTTPAuditor) postJSON(path string, req, resp any) error {
 	return nil
 }
 
+// post is postJSON for one door's typed response.
+func post[Resp any](c *HTTPAuditor, path string, req any) (Resp, error) {
+	var resp Resp
+	err := c.postJSON(path, req, &resp)
+	return resp, err
+}
+
 // RegisterDrone implements protocol.API.
 func (c *HTTPAuditor) RegisterDrone(req protocol.RegisterDroneRequest) (protocol.RegisterDroneResponse, error) {
-	var resp protocol.RegisterDroneResponse
-	err := c.postJSON(protocol.PathRegisterDrone, req, &resp)
-	return resp, err
+	return post[protocol.RegisterDroneResponse](c, protocol.PathRegisterDrone, req)
 }
 
 // RegisterZone implements protocol.API.
 func (c *HTTPAuditor) RegisterZone(req protocol.RegisterZoneRequest) (protocol.RegisterZoneResponse, error) {
-	var resp protocol.RegisterZoneResponse
-	err := c.postJSON(protocol.PathRegisterZone, req, &resp)
-	return resp, err
+	return post[protocol.RegisterZoneResponse](c, protocol.PathRegisterZone, req)
 }
 
 // ZoneQuery implements protocol.API.
 func (c *HTTPAuditor) ZoneQuery(req protocol.ZoneQueryRequest) (protocol.ZoneQueryResponse, error) {
-	var resp protocol.ZoneQueryResponse
-	err := c.postJSON(protocol.PathZoneQuery, req, &resp)
-	return resp, err
+	return post[protocol.ZoneQueryResponse](c, protocol.PathZoneQuery, req)
 }
 
 // SubmitPoA implements protocol.API.
 func (c *HTTPAuditor) SubmitPoA(req protocol.SubmitPoARequest) (protocol.SubmitPoAResponse, error) {
-	var resp protocol.SubmitPoAResponse
-	err := c.postJSON(protocol.PathSubmitPoA, req, &resp)
-	return resp, err
+	return post[protocol.SubmitPoAResponse](c, protocol.PathSubmitPoA, req)
 }
 
 var _ protocol.RotationAPI = (*HTTPAuditor)(nil)
 
 // RotateKey implements protocol.RotationAPI.
 func (c *HTTPAuditor) RotateKey(req protocol.RotateKeyRequest) (protocol.RotateKeyResponse, error) {
-	var resp protocol.RotateKeyResponse
-	err := c.postJSON(protocol.PathRotateKey, req, &resp)
-	return resp, err
+	return post[protocol.RotateKeyResponse](c, protocol.PathRotateKey, req)
 }
 
 var _ protocol.ModesAPI = (*HTTPAuditor)(nil)
 
 // SubmitBatchPoA implements protocol.ModesAPI.
 func (c *HTTPAuditor) SubmitBatchPoA(req protocol.SubmitBatchPoARequest) (protocol.SubmitPoAResponse, error) {
-	var resp protocol.SubmitPoAResponse
-	err := c.postJSON(protocol.PathSubmitBatchPoA, req, &resp)
-	return resp, err
+	return post[protocol.SubmitPoAResponse](c, protocol.PathSubmitBatchPoA, req)
 }
 
 // StartSession implements protocol.ModesAPI.
 func (c *HTTPAuditor) StartSession(req protocol.StartSessionRequest) (protocol.StartSessionResponse, error) {
-	var resp protocol.StartSessionResponse
-	err := c.postJSON(protocol.PathStartSession, req, &resp)
-	return resp, err
+	return post[protocol.StartSessionResponse](c, protocol.PathStartSession, req)
 }
 
 // SubmitMACPoA implements protocol.ModesAPI.
 func (c *HTTPAuditor) SubmitMACPoA(req protocol.SubmitMACPoARequest) (protocol.SubmitPoAResponse, error) {
-	var resp protocol.SubmitPoAResponse
-	err := c.postJSON(protocol.PathSubmitMACPoA, req, &resp)
-	return resp, err
+	return post[protocol.SubmitPoAResponse](c, protocol.PathSubmitMACPoA, req)
 }
 
 var _ protocol.DisclosureAPI = (*HTTPAuditor)(nil)
 
 // SubmitSealedPoA implements protocol.DisclosureAPI.
 func (c *HTTPAuditor) SubmitSealedPoA(req protocol.SubmitSealedPoARequest) (protocol.SubmitPoAResponse, error) {
-	var resp protocol.SubmitPoAResponse
-	err := c.postJSON(protocol.PathSubmitSealedPoA, req, &resp)
-	return resp, err
+	return post[protocol.SubmitPoAResponse](c, protocol.PathSubmitSealedPoA, req)
 }
 
 // SubmitCommitPoA implements protocol.DisclosureAPI.
 func (c *HTTPAuditor) SubmitCommitPoA(req protocol.SubmitCommitPoARequest) (protocol.SubmitPoAResponse, error) {
-	var resp protocol.SubmitPoAResponse
-	err := c.postJSON(protocol.PathSubmitCommitPoA, req, &resp)
-	return resp, err
+	return post[protocol.SubmitPoAResponse](c, protocol.PathSubmitCommitPoA, req)
 }
 
 // Reveal implements protocol.DisclosureAPI.
 func (c *HTTPAuditor) Reveal(req protocol.RevealRequest) (protocol.SubmitPoAResponse, error) {
-	var resp protocol.SubmitPoAResponse
-	err := c.postJSON(protocol.PathReveal, req, &resp)
-	return resp, err
+	return post[protocol.SubmitPoAResponse](c, protocol.PathReveal, req)
 }
 
 var _ protocol.StreamAPI = (*HTTPAuditor)(nil)
 
 // OpenStream implements protocol.StreamAPI.
 func (c *HTTPAuditor) OpenStream(req protocol.OpenStreamRequest) (protocol.OpenStreamResponse, error) {
-	var resp protocol.OpenStreamResponse
-	err := c.postJSON(protocol.PathStreamOpen, req, &resp)
-	return resp, err
+	return post[protocol.OpenStreamResponse](c, protocol.PathStreamOpen, req)
 }
 
 // StreamSample implements protocol.StreamAPI.
 func (c *HTTPAuditor) StreamSample(req protocol.StreamSampleRequest) (protocol.StreamSampleResponse, error) {
-	var resp protocol.StreamSampleResponse
-	err := c.postJSON(protocol.PathStreamSample, req, &resp)
-	return resp, err
+	return post[protocol.StreamSampleResponse](c, protocol.PathStreamSample, req)
 }
 
 // CloseStream implements protocol.StreamAPI.
 func (c *HTTPAuditor) CloseStream(req protocol.CloseStreamRequest) (protocol.SubmitPoAResponse, error) {
-	var resp protocol.SubmitPoAResponse
-	err := c.postJSON(protocol.PathStreamClose, req, &resp)
-	return resp, err
+	return post[protocol.SubmitPoAResponse](c, protocol.PathStreamClose, req)
 }
 
 // Accuse files a Zone Owner incident report against a drone.
 func (c *HTTPAuditor) Accuse(req protocol.AccusationRequest) (protocol.SubmitPoAResponse, error) {
-	var resp protocol.SubmitPoAResponse
-	err := c.postJSON(protocol.PathAccuse, req, &resp)
-	return resp, err
+	return post[protocol.SubmitPoAResponse](c, protocol.PathAccuse, req)
 }
 
-// FetchPublicZones performs the unauthenticated B4UFLY-style lookup of
-// no-fly zones within radiusMeters of a point.
-func (c *HTTPAuditor) FetchPublicZones(center geo.LatLon, radiusMeters float64) ([]zone.NFZ, error) {
-	url := fmt.Sprintf("%s%s?lat=%g&lon=%g&radiusMeters=%g",
-		c.base, protocol.PathPublicZones, center.Lat, center.Lon, radiusMeters)
-	httpResp, err := c.do(protocol.PathPublicZones, func(ctx context.Context) (*http.Response, error) {
+// getJSON GETs url under path's metrics and retries and decodes a 200
+// response body into resp.
+func (c *HTTPAuditor) getJSON(path, url string, resp any) error {
+	httpResp, err := c.do(path, func(ctx context.Context) (*http.Response, error) {
 		hr, err := newRequest(ctx, http.MethodGet, url, "", nil)
 		if err != nil {
 			return nil, err
@@ -428,40 +403,34 @@ func (c *HTTPAuditor) FetchPublicZones(center geo.LatLon, radiusMeters float64) 
 		return c.hc.Do(hr)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("fetch public zones: %w", err)
+		return err
 	}
 	defer drainClose(httpResp.Body)
 	if httpResp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fetch public zones: HTTP %d", httpResp.StatusCode)
+		return fmt.Errorf("HTTP %d", httpResp.StatusCode)
 	}
+	return json.NewDecoder(httpResp.Body).Decode(resp)
+}
+
+// FetchPublicZones performs the unauthenticated B4UFLY-style lookup of
+// no-fly zones within radiusMeters of a point.
+func (c *HTTPAuditor) FetchPublicZones(center geo.LatLon, radiusMeters float64) ([]zone.NFZ, error) {
+	url := fmt.Sprintf("%s%s?lat=%g&lon=%g&radiusMeters=%g",
+		c.base, protocol.PathPublicZones, center.Lat, center.Lon, radiusMeters)
 	var body protocol.ZoneQueryResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("decode public zones: %w", err)
+	if err := c.getJSON(protocol.PathPublicZones, url, &body); err != nil {
+		return nil, fmt.Errorf("fetch public zones: %w", err)
 	}
 	return body.Zones, nil
 }
 
 // FetchEncryptionPub retrieves the Auditor's PoA-encryption public key.
 func (c *HTTPAuditor) FetchEncryptionPub() (*rsa.PublicKey, error) {
-	httpResp, err := c.do(protocol.PathAuditorPub, func(ctx context.Context) (*http.Response, error) {
-		hr, err := newRequest(ctx, http.MethodGet, c.base+protocol.PathAuditorPub, "", nil)
-		if err != nil {
-			return nil, err
-		}
-		return c.hc.Do(hr)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fetch auditor pub: %w", err)
-	}
-	defer drainClose(httpResp.Body)
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fetch auditor pub: HTTP %d", httpResp.StatusCode)
-	}
 	var body struct {
 		EncryptionPub string `json:"encryptionPub"`
 	}
-	if err := json.NewDecoder(httpResp.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("decode auditor pub: %w", err)
+	if err := c.getJSON(protocol.PathAuditorPub, c.base+protocol.PathAuditorPub, &body); err != nil {
+		return nil, fmt.Errorf("fetch auditor pub: %w", err)
 	}
 	return sigcrypto.UnmarshalPublicKey(body.EncryptionPub)
 }

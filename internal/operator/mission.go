@@ -9,45 +9,15 @@ import (
 	"repro/internal/geo"
 	"repro/internal/gps"
 	"repro/internal/planner"
-	"repro/internal/poa"
-	"repro/internal/privacy"
 	"repro/internal/protocol"
 	"repro/internal/sampling"
 	"repro/internal/trace"
 	"repro/internal/zone"
 )
 
-// SamplingMode selects the Proof-of-Alibi envelope for a mission.
-type SamplingMode int
-
-// Mission sampling modes.
-const (
-	// ModeAdaptive is the paper's production configuration: per-sample
-	// RSA signatures, adaptive rate.
-	ModeAdaptive SamplingMode = iota + 1
-	// ModeFixedRate uses the fix-rate baseline.
-	ModeFixedRate
-	// ModeBatch buffers in the TEE and signs the trace once (§VII-A1b).
-	ModeBatch
-	// ModeMAC establishes a symmetric session first (§VII-A1a).
-	ModeMAC
-	// ModeStreaming transmits samples in real time.
-	ModeStreaming
-	// ModeSealed flies a normal adaptive flight, then seals the PoA under
-	// one-time keys before submission (paper §VII-B3): the Auditor retains
-	// ciphertexts and judges only under accusation.
-	ModeSealed
-	// ModeCommit buffers in the TEE and submits only the signed Merkle
-	// commitment envelope; positions never leave the drone unless a
-	// selective-disclosure challenge opens a spanning pair.
-	ModeCommit
-)
-
 // MissionConfig describes one complete flight workflow.
 type MissionConfig struct {
-	Mode SamplingMode
-	// FixedRateHz applies to ModeFixedRate.
-	FixedRateHz float64
+	FlightSpec
 	// QueryMargin pads the zone-query rectangle around the route
 	// (default 2000 m).
 	QueryMargin float64
@@ -60,9 +30,8 @@ type MissionConfig struct {
 	// (or registration). The rotation runs between landing and
 	// submission, so the just-flown samples submit under the now-retired
 	// epoch — inside the Auditor's acceptance window. Zero disables
-	// rotation. Applies to the per-sample and batch envelopes (the MAC
-	// envelope does not use the TEE sign key; streaming submits
-	// in-flight).
+	// rotation. Applies to every mode but MAC (whose envelope does not use
+	// the TEE sign key) and streaming (which submits in flight).
 	RotateEvery time.Duration
 }
 
@@ -77,60 +46,22 @@ type MissionReport struct {
 	StreamedViolationAt int
 }
 
-// modeName names a sampling mode for trace attributes.
-func modeName(m SamplingMode) string {
-	switch m {
-	case ModeAdaptive, 0:
-		return "adaptive"
-	case ModeFixedRate:
-		return "fixed-rate"
-	case ModeBatch:
-		return "batch"
-	case ModeMAC:
-		return "mac"
-	case ModeStreaming:
-		return "streaming"
-	case ModeSealed:
-		return "sealed"
-	case ModeCommit:
-		return "commit"
-	default:
-		return fmt.Sprintf("mode-%d", int(m))
-	}
-}
-
-// teeSign runs fn — a flight whose sampling invokes the TEE — under a
-// "tee.sign" span annotated with the secure-world work it caused (SMC
-// world switches, signatures, MACs, bytes covered), read as deltas of the
-// device's monotonic counters.
-func (d *Drone) teeSign(ctx context.Context, fn func() error) error {
-	if d.tracer == nil {
-		return fn()
-	}
-	before := d.dev.Snapshot()
-	_, sp := d.tracer.StartSpan(ctx, "tee.sign")
-	err := fn()
-	after := d.dev.Snapshot()
-	sp.SetInt("smcCalls", int64(after.SMCCalls-before.SMCCalls))
-	sp.SetInt("signs", int64(after.Signs-before.Signs))
-	sp.SetInt("macs", int64(after.MACs-before.MACs))
-	sp.SetInt("signedBytes", int64(after.SignedBytes-before.SignedBytes))
-	sp.SetError(err)
-	sp.End()
-	return err
-}
-
 // RunMission executes the entire protocol workflow for one flight over the
-// given route: zone query → flight with the selected envelope →
-// (persist) → submission. The drone must already be registered.
+// given route: zone query → Fly → (key rotation) → (persist) →
+// submission. The drone must already be registered; the mission is
+// checked against its mode and the transport before the first call.
 //
 // With a tracer attached (SetTracer) the flight-and-submit phase runs
 // under a "drone.proof" root span — one trace per proof — with child
 // spans for the TEE signing work and, through a context-binding API
 // client, the HTTP submission and the auditor's verification pipeline.
-func (d *Drone) RunMission(rx *gps.Receiver, route *trace.Route, cfg MissionConfig) (*MissionReport, error) {
+func (d *Drone) RunMission(rx *gps.Receiver, route *trace.Route, cfg MissionConfig) (rep *MissionReport, err error) {
 	if d.id == "" {
 		return nil, ErrNotRegistered
+	}
+	row, err := d.check(cfg.FlightSpec, cfg.RotateEvery)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.QueryMargin <= 0 {
 		cfg.QueryMargin = 2000
@@ -138,129 +69,51 @@ func (d *Drone) RunMission(rx *gps.Receiver, route *trace.Route, cfg MissionConf
 	if cfg.FlightID == "" {
 		cfg.FlightID = fmt.Sprintf("flight-%d", route.Start().Unix())
 	}
-
 	zones, err := d.QueryZones(RouteBounds(route, cfg.QueryMargin))
 	if err != nil {
 		return nil, err
 	}
-	circles := zone.Circles(zones)
-	rep := &MissionReport{FlightID: cfg.FlightID, Zones: zones, StreamedViolationAt: -1}
 
 	ctx, root := d.tracer.StartSpan(context.Background(), "drone.proof")
 	root.SetAttr("flight", cfg.FlightID)
-	root.SetAttr("mode", modeName(cfg.Mode))
-	defer root.End()
-
-	switch cfg.Mode {
-	case ModeAdaptive, 0:
-		err = d.teeSign(ctx, func() error {
-			rep.Run, err = d.FlyAdaptive(rx, circles, route.End())
-			return err
-		})
-		if err == nil {
-			err = d.maybeRotate(cfg.RotateEvery)
-		}
-		if err != nil {
-			root.SetError(err)
-			return nil, err
-		}
-		rep.Verdict, err = d.submitWithStore(ctx, rep.Run, route, cfg)
-	case ModeFixedRate:
-		if cfg.FixedRateHz <= 0 {
-			return nil, fmt.Errorf("operator: fixed-rate mission needs FixedRateHz")
-		}
-		err = d.teeSign(ctx, func() error {
-			rep.Run, err = d.FlyFixedRate(rx, cfg.FixedRateHz, route.End())
-			return err
-		})
-		if err == nil {
-			err = d.maybeRotate(cfg.RotateEvery)
-		}
-		if err != nil {
-			root.SetError(err)
-			return nil, err
-		}
-		rep.Verdict, err = d.submitWithStore(ctx, rep.Run, route, cfg)
-	case ModeBatch:
-		var batch poa.BatchPoA
-		err = d.teeSign(ctx, func() error {
-			var ferr error
-			batch, rep.Run, ferr = d.FlyAdaptiveBatch(rx, circles, route.End())
-			return ferr
-		})
-		if err == nil {
-			err = d.maybeRotate(cfg.RotateEvery)
-		}
-		if err != nil {
-			root.SetError(err)
-			return nil, err
-		}
-		rep.Verdict, err = d.SubmitBatchPoACtx(ctx, batch)
-	case ModeMAC:
-		sessionID, serr := d.StartSession()
-		if serr != nil {
-			root.SetError(serr)
-			return nil, serr
-		}
-		err = d.teeSign(ctx, func() error {
-			var ferr error
-			rep.Run, ferr = d.FlyAdaptiveMAC(rx, circles, route.End())
-			return ferr
-		})
-		if err != nil {
-			root.SetError(err)
-			return nil, err
-		}
-		rep.Verdict, err = d.SubmitMACPoACtx(ctx, sessionID, rep.Run.PoA)
-	case ModeSealed:
-		var sealed privacy.SealedPoA
-		err = d.teeSign(ctx, func() error {
-			var ferr error
-			sealed, rep.Run, ferr = d.FlySealed(rx, circles, route.End())
-			return ferr
-		})
-		if err == nil {
-			err = d.maybeRotate(cfg.RotateEvery)
-		}
-		if err != nil {
-			root.SetError(err)
-			return nil, err
-		}
-		rep.Verdict, err = d.SubmitSealedPoACtx(ctx, sealed)
-	case ModeCommit:
-		var env privacy.CommitEnvelope
-		err = d.teeSign(ctx, func() error {
-			var ferr error
-			env, rep.Run, ferr = d.FlyCommit(rx, circles, route.End())
-			return ferr
-		})
-		if err == nil {
-			err = d.maybeRotate(cfg.RotateEvery)
-		}
-		if err != nil {
-			root.SetError(err)
-			return nil, err
-		}
-		rep.Verdict, err = d.SubmitCommitPoACtx(ctx, env)
-	case ModeStreaming:
-		var sres *StreamingResult
-		sres, err = d.FlyAdaptiveStreaming(rx, circles, route.End())
-		if err != nil {
-			root.SetError(err)
-			return nil, err
-		}
-		rep.Run = sres.Run
-		rep.Verdict = sres.Final
-		rep.StreamedViolationAt = sres.ViolationAt
-	default:
-		return nil, fmt.Errorf("operator: unknown sampling mode %d", cfg.Mode)
-	}
-	if err != nil {
+	root.SetAttr("mode", row.name)
+	defer func() {
 		root.SetError(err)
+		root.End()
+	}()
+
+	p, err := d.Fly(ctx, rx, zone.Circles(zones), route.End(), cfg.FlightSpec)
+	if err != nil {
 		return nil, err
 	}
-	root.SetAttr("verdict", string(rep.Verdict.Verdict))
-	return rep, nil
+	if row.rotates {
+		if err = d.maybeRotate(cfg.RotateEvery); err != nil {
+			return nil, err
+		}
+	}
+	ct, err := d.encrypt(p)
+	if err != nil {
+		return nil, err
+	}
+	var rec *FlightRecord
+	if row.persists && cfg.Store != nil {
+		rec = &FlightRecord{FlightID: cfg.FlightID, DroneID: d.id, Start: route.Start(), End: route.End(), EncryptedPoA: ct}
+		if err = cfg.Store.Save(*rec); err != nil {
+			return nil, err
+		}
+	}
+	verdict, err := d.send(ctx, p, ct)
+	if err != nil {
+		return nil, err
+	}
+	if rec != nil {
+		rec.Submitted = true
+		// Best effort: the verdict is already in hand; a failed
+		// bookkeeping write must not fail the mission.
+		_ = cfg.Store.Save(*rec)
+	}
+	root.SetAttr("verdict", string(verdict.Verdict))
+	return &MissionReport{FlightID: cfg.FlightID, Zones: zones, Run: p.Run, Verdict: verdict, StreamedViolationAt: p.ViolationAt}, nil
 }
 
 // maybeRotate rotates the TEE key when at least `every` of flight-clock
@@ -274,33 +127,6 @@ func (d *Drone) maybeRotate(every time.Duration) error {
 		return nil
 	}
 	return d.RotateKey()
-}
-
-// submitWithStore encrypts, optionally persists, then submits a PoA run.
-func (d *Drone) submitWithStore(ctx context.Context, run *sampling.RunResult, route *trace.Route, cfg MissionConfig) (protocol.SubmitPoAResponse, error) {
-	ct, err := d.EncryptPoA(run.PoA)
-	if err != nil {
-		return protocol.SubmitPoAResponse{}, err
-	}
-	if cfg.Store != nil {
-		rec := FlightRecord{
-			FlightID:     cfg.FlightID,
-			DroneID:      d.id,
-			Start:        route.Start(),
-			End:          route.End(),
-			EncryptedPoA: ct,
-		}
-		if err := cfg.Store.Save(rec); err != nil {
-			return protocol.SubmitPoAResponse{}, err
-		}
-		defer func() {
-			rec.Submitted = true
-			// Best effort: the verdict is already in hand; a failed
-			// bookkeeping write must not fail the mission.
-			_ = cfg.Store.Save(rec)
-		}()
-	}
-	return d.SubmitCtx(ctx, ct)
 }
 
 // RouteBounds computes the zone-query rectangle for a route: its bounding

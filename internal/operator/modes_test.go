@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net/http/httptest"
@@ -9,14 +10,27 @@ import (
 
 	"repro/internal/auditor"
 	"repro/internal/geo"
+	"repro/internal/gps"
 	"repro/internal/poa"
 	"repro/internal/protocol"
+	"repro/internal/sampling"
 	"repro/internal/trace"
 )
 
+// fly is Fly under a background context, failing the test on error.
+func (s *stack) fly(t *testing.T, rx *gps.Receiver, route *trace.Route, zones []geo.GeoCircle, spec FlightSpec) *Proof {
+	t.Helper()
+	p, err := s.drone.Fly(context.Background(), rx, zones, route.End(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestBatchModeEndToEnd(t *testing.T) {
 	s := newInProcessStack(t)
-	if _, err := s.srv.Zones().Register("alice", geo.GeoCircle{Center: urbana.Offset(0, 2000), R: 100}); err != nil {
+	z := geo.GeoCircle{Center: urbana.Offset(0, 2000), R: 100}
+	if _, err := s.srv.Zones().Register("alice", z); err != nil {
 		t.Fatal(err)
 	}
 	route, err := trace.ConstantSpeedLine(urbana, 90, 10, t0, time.Minute)
@@ -29,19 +43,16 @@ func TestBatchModeEndToEnd(t *testing.T) {
 	}
 
 	s.dev.ResetStats()
-	batch, res, err := s.drone.FlyAdaptiveBatch(rx, []geo.GeoCircle{{Center: urbana.Offset(0, 2000), R: 100}}, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Samples) != res.PoA.Len() {
-		t.Errorf("batch has %d samples, run recorded %d", len(batch.Samples), res.PoA.Len())
+	p := s.fly(t, rx, route, []geo.GeoCircle{z}, FlightSpec{Mode: ModeBatch})
+	if len(p.Batch.Samples) != p.Run.PoA.Len() {
+		t.Errorf("batch has %d samples, run recorded %d", len(p.Batch.Samples), p.Run.PoA.Len())
 	}
 	// Exactly one signature for the whole flight — the point of §VII-A1b.
 	if st := s.dev.Snapshot(); st.Signs != 1 {
 		t.Errorf("Signs = %d, want 1", st.Signs)
 	}
 
-	resp, err := s.drone.SubmitBatchPoA(batch)
+	resp, err := s.drone.SubmitProof(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +75,11 @@ func TestBatchModeTamperedBatchRejected(t *testing.T) {
 	if err := s.drone.Register(); err != nil {
 		t.Fatal(err)
 	}
-	batch, _, err := s.drone.FlyAdaptiveBatch(rx, nil, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := s.fly(t, rx, route, nil, FlightSpec{Mode: ModeBatch})
 
 	// Move one sample: the single signature no longer covers the batch.
-	batch.Samples[0].Pos.Lat += 0.01
-	resp, err := s.drone.SubmitBatchPoA(batch)
+	p.Batch.Samples[0].Pos.Lat += 0.01
+	resp, err := s.drone.SubmitProof(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +90,8 @@ func TestBatchModeTamperedBatchRejected(t *testing.T) {
 
 func TestMACModeEndToEnd(t *testing.T) {
 	s := newInProcessStack(t)
-	if _, err := s.srv.Zones().Register("alice", geo.GeoCircle{Center: urbana.Offset(0, 2000), R: 100}); err != nil {
+	z := geo.GeoCircle{Center: urbana.Offset(0, 2000), R: 100}
+	if _, err := s.srv.Zones().Register("alice", z); err != nil {
 		t.Fatal(err)
 	}
 	route, err := trace.ConstantSpeedLine(urbana, 90, 10, t0, time.Minute)
@@ -94,24 +103,16 @@ func TestMACModeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sessionID, err := s.drone.StartSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sessionID == "" {
+	p := s.fly(t, rx, route, []geo.GeoCircle{z}, FlightSpec{Mode: ModeMAC})
+	if p.SessionID == "" {
 		t.Fatal("empty session id")
-	}
-
-	res, err := s.drone.FlyAdaptiveMAC(rx, []geo.GeoCircle{{Center: urbana.Offset(0, 2000), R: 100}}, route.End())
-	if err != nil {
-		t.Fatal(err)
 	}
 	// No asymmetric signatures during the flight.
 	if st := s.dev.Snapshot(); st.Signs != 0 || st.MACs == 0 {
 		t.Errorf("stats = %+v, want MACs only", st)
 	}
 
-	resp, err := s.drone.SubmitMACPoA(sessionID, res.PoA)
+	resp, err := s.drone.SubmitProof(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +131,10 @@ func TestMACModeTamperedTagRejected(t *testing.T) {
 	if err := s.drone.Register(); err != nil {
 		t.Fatal(err)
 	}
-	sessionID, err := s.drone.StartSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.drone.FlyAdaptiveMAC(rx, nil, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := s.fly(t, rx, route, nil, FlightSpec{Mode: ModeMAC})
 
-	res.PoA.Samples[0].Sample.Pos.Lat += 0.01
-	resp, err := s.drone.SubmitMACPoA(sessionID, res.PoA)
+	p.Run.PoA.Samples[0].Sample.Pos.Lat += 0.01
+	resp, err := s.drone.SubmitProof(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,24 +153,22 @@ func TestMACModeSessionValidation(t *testing.T) {
 	if err := s.drone.Register(); err != nil {
 		t.Fatal(err)
 	}
+	twoSamples := &sampling.RunResult{PoA: poa.PoA{Samples: make([]poa.SignedSample, 2)}}
 
 	// Unknown session.
-	_, err = s.drone.SubmitMACPoA("session-9999", poa.PoA{Samples: make([]poa.SignedSample, 2)})
+	_, err = s.drone.SubmitProof(context.Background(), &Proof{Mode: ModeMAC, SessionID: "session-9999", Run: twoSamples})
 	if !errors.Is(err, auditor.ErrUnknownSession) {
 		t.Errorf("err = %v, want ErrUnknownSession", err)
 	}
 
 	// A session established by another drone cannot be used.
 	s2 := newInProcessStackSharing(t, s.srv)
-	_ = s2.withReceiver(t, route, 5)
+	rx2 := s2.withReceiver(t, route, 5)
 	if err := s2.drone.Register(); err != nil {
 		t.Fatal(err)
 	}
-	otherSession, err := s2.drone.StartSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.drone.SubmitMACPoA(otherSession, poa.PoA{Samples: make([]poa.SignedSample, 2)}); !errors.Is(err, auditor.ErrUnknownSession) {
+	other := s2.fly(t, rx2, route, nil, FlightSpec{Mode: ModeMAC})
+	if _, err := s.drone.SubmitProof(context.Background(), &Proof{Mode: ModeMAC, SessionID: other.SessionID, Run: twoSamples}); !errors.Is(err, auditor.ErrUnknownSession) {
 		t.Errorf("cross-drone session err = %v, want ErrUnknownSession", err)
 	}
 }
@@ -201,11 +193,8 @@ func TestModesOverHTTP(t *testing.T) {
 	}
 
 	// Batch over HTTP.
-	batch, _, err := s.drone.FlyAdaptiveBatch(rx, nil, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := s.drone.SubmitBatchPoA(batch)
+	batch := s.fly(t, rx, route, nil, FlightSpec{Mode: ModeBatch})
+	resp, err := s.drone.SubmitProof(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,25 +202,17 @@ func TestModesOverHTTP(t *testing.T) {
 		t.Fatalf("HTTP batch verdict = %v (%s)", resp.Verdict, resp.Reason)
 	}
 
-	// Session + MAC over HTTP.
-	sessionID, err := s.drone.StartSession()
-	if err != nil {
+	// Session + MAC over HTTP, flown near a zone so the adaptive sampler
+	// records a verifiable multi-sample trace.
+	z := geo.GeoCircle{Center: urbana.Offset(90, 150).Offset(0, 60), R: 30}
+	if _, err := srv.Zones().Register("alice", z); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.drone.FlyAdaptiveMAC(rx, nil, route.End())
-	if err != nil {
-		t.Fatal(err)
+	mac := s.fly(t, rx, route, []geo.GeoCircle{z}, FlightSpec{Mode: ModeMAC})
+	if mac.Run.PoA.Len() < 3 {
+		t.Fatalf("MAC flight near a zone recorded %d samples", mac.Run.PoA.Len())
 	}
-	// The adaptive run with no zones only anchors once; pad via fixed
-	// rate for a verifiable 2+ sample trace.
-	if res.PoA.Len() < 2 {
-		res2, err := s.drone.FlyFixedRateMAC(rx, 1, route.End())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res = res2
-	}
-	mresp, err := s.drone.SubmitMACPoA(sessionID, res.PoA)
+	mresp, err := s.drone.SubmitProof(context.Background(), mac)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,4 +226,84 @@ func TestModesOverHTTP(t *testing.T) {
 func newInProcessStackSharing(t *testing.T, srv *auditor.Server) *stack {
 	t.Helper()
 	return newStack(t, srv, srv)
+}
+
+func TestModeNamesRoundTrip(t *testing.T) {
+	names := ModeNames()
+	if len(names) != 7 {
+		t.Fatalf("ModeNames = %v, want seven modes", names)
+	}
+	for i, name := range names {
+		m, err := ParseMode(name)
+		if err != nil || m != SamplingMode(i+1) || m.String() != name {
+			t.Errorf("ParseMode(%q) = %v, %v", name, m, err)
+		}
+	}
+	if _, err := ParseMode("warp"); err == nil {
+		t.Error("unknown mode parsed")
+	}
+	if got := SamplingMode(0).String(); got != "adaptive" {
+		t.Errorf("zero mode = %q, want adaptive", got)
+	}
+	if got := SamplingMode(99).String(); got != "mode-99" {
+		t.Errorf("unknown mode = %q", got)
+	}
+	for m, want := range map[SamplingMode]string{ModeAdaptive: "", ModeSealed: poa.DisclosureSealed, ModeCommit: poa.DisclosureCommit, 99: ""} {
+		if got := m.Disclosure(); got != want {
+			t.Errorf("%v.Disclosure() = %q, want %q", m, got, want)
+		}
+	}
+}
+
+// TestNamedFlightEntryPoints drives the per-mode entry points kept beside
+// Fly and SubmitProof for the repository benchmark (FlyAdaptive,
+// FlyCommit, FlyAdaptiveStreaming, EncryptPoA, Submit, SubmitCommitPoA)
+// end to end.
+func TestNamedFlightEntryPoints(t *testing.T) {
+	for _, m := range []SamplingMode{ModeAdaptive, ModeStreaming, ModeCommit} {
+		s, route, _ := missionFixture(t)
+		rx := s.withReceiver(t, route, 5)
+		s.registerFor(t, m)
+		zones := []geo.GeoCircle{{Center: urbana.Offset(0, 1000), R: 100}}
+		var resp protocol.SubmitPoAResponse
+		var samples int
+		switch m {
+		case ModeAdaptive:
+			run, err := s.drone.FlyAdaptive(rx, zones, route.End())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := s.drone.EncryptPoA(run.PoA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples = run.PoA.Len()
+			resp, err = s.drone.Submit(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+		case ModeStreaming:
+			res, err := s.drone.FlyAdaptiveStreaming(rx, zones, route.End())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ViolationAt != -1 {
+				t.Errorf("clean stream flagged sample %d", res.ViolationAt)
+			}
+			samples, resp = res.Run.PoA.Len(), res.Final
+		case ModeCommit:
+			env, run, err := s.drone.FlyCommit(rx, zones, route.End())
+			if err != nil {
+				t.Fatal(err)
+			}
+			samples = run.PoA.Len()
+			resp, err = s.drone.SubmitCommitPoA(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if samples < 2 || resp.Verdict != protocol.VerdictCompliant {
+			t.Errorf("%v: %d samples, verdict %v (%s)", m, samples, resp.Verdict, resp.Reason)
+		}
+	}
 }

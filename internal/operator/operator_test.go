@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/gps"
 	"repro/internal/protocol"
+	"repro/internal/sampling"
 	"repro/internal/sigcrypto"
 	"repro/internal/tee"
 	"repro/internal/trace"
@@ -31,7 +33,15 @@ type stack struct {
 
 func newStack(t *testing.T, api protocol.API, srv *auditor.Server) *stack {
 	t.Helper()
-	rng := rand.New(rand.NewSource(1))
+	return newSeededStack(t, api, srv, 1)
+}
+
+// newSeededStack is newStack with the drone's keys, nonces and envelope
+// randomness drawn from the given seed: drones sharing an auditor need
+// distinct seeds, or their zone-query nonces may collide.
+func newSeededStack(t *testing.T, api protocol.API, srv *auditor.Server, seed int64) *stack {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 
 	vault, err := tee.ManufactureVault(rng, sigcrypto.KeySize1024)
 	if err != nil {
@@ -101,16 +111,13 @@ func TestEndToEndCompliantFlight(t *testing.T) {
 	}
 
 	// Fly with adaptive sampling.
-	res, err := s.drone.FlyAdaptive(rx, []geo.GeoCircle{zones[0].Circle}, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PoA.Len() < 1 {
+	p := s.fly(t, rx, route, []geo.GeoCircle{zones[0].Circle}, FlightSpec{Mode: ModeAdaptive})
+	if p.Run.PoA.Len() < 1 {
 		t.Fatal("empty PoA")
 	}
 
 	// Submit: the flight never approached the zone, so compliant.
-	resp, err := s.drone.SubmitPoA(res.PoA)
+	resp, err := s.drone.SubmitProof(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +172,8 @@ func TestEndToEndOverHTTP(t *testing.T) {
 		t.Fatalf("zones = %d, want 1", len(zones))
 	}
 
-	res, err := s.drone.FlyFixedRate(rx, 1, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := s.drone.SubmitPoA(res.PoA)
+	p := s.fly(t, rx, route, nil, FlightSpec{Mode: ModeFixedRate, FixedRateHz: 1})
+	resp, err := s.drone.SubmitProof(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +209,21 @@ func TestUnregisteredDroneOperations(t *testing.T) {
 	if _, err := s.drone.QueryZones(geo.Rect{}); !errors.Is(err, ErrNotRegistered) {
 		t.Errorf("QueryZones err = %v, want ErrNotRegistered", err)
 	}
-	if _, err := s.drone.FlyAdaptive(rx, nil, route.End()); !errors.Is(err, ErrNotRegistered) {
-		t.Errorf("FlyAdaptive err = %v, want ErrNotRegistered", err)
+	ctx := context.Background()
+	if _, err := s.drone.Fly(ctx, rx, nil, route.End(), FlightSpec{}); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("Fly err = %v, want ErrNotRegistered", err)
 	}
-	if _, err := s.drone.FlyFixedRate(rx, 1, route.End()); !errors.Is(err, ErrNotRegistered) {
-		t.Errorf("FlyFixedRate err = %v, want ErrNotRegistered", err)
+	if _, err := s.drone.SubmitProof(ctx, &Proof{Mode: ModeFixedRate, Run: &sampling.RunResult{}}); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("SubmitProof err = %v, want ErrNotRegistered", err)
 	}
 	if _, err := s.drone.Submit(nil); !errors.Is(err, ErrNotRegistered) {
 		t.Errorf("Submit err = %v, want ErrNotRegistered", err)
+	}
+	if _, err := s.drone.RevealForChallengeCtx(ctx, protocol.DisclosureChallenge{}); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("RevealForChallengeCtx err = %v, want ErrNotRegistered", err)
+	}
+	if err := s.drone.RotateKey(); !errors.Is(err, ErrNotRegistered) {
+		t.Errorf("RotateKey err = %v, want ErrNotRegistered", err)
 	}
 }
 
@@ -286,12 +297,9 @@ func TestEncryptPoAOnlyAuditorDecrypts(t *testing.T) {
 	if err := s.drone.Register(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.drone.FlyFixedRate(rx, 1, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := s.fly(t, rx, route, nil, FlightSpec{Mode: ModeFixedRate, FixedRateHz: 1})
 
-	ct, err := s.drone.EncryptPoA(res.PoA)
+	ct, err := s.drone.EncryptPoA(p.Run.PoA)
 	if err != nil {
 		t.Fatal(err)
 	}

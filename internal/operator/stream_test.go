@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net/http/httptest"
@@ -29,10 +30,7 @@ func TestStreamingCleanFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := s.drone.FlyAdaptiveStreaming(rx, []geo.GeoCircle{z}, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := s.fly(t, rx, route, []geo.GeoCircle{z}, FlightSpec{Mode: ModeStreaming})
 	if res.ViolationAt >= 0 {
 		t.Errorf("clean flight flagged at sample %d", res.ViolationAt)
 	}
@@ -66,10 +64,7 @@ func TestStreamingDetectsInsufficientPairInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := s.drone.FlyAdaptiveStreaming(rx, []geo.GeoCircle{z}, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := s.fly(t, rx, route, []geo.GeoCircle{z}, FlightSpec{Mode: ModeStreaming})
 	if res.ViolationAt < 0 {
 		t.Fatal("sparse pass next to zone not flagged in flight")
 	}
@@ -96,10 +91,7 @@ func TestStreamingOverHTTP(t *testing.T) {
 	if err := s.drone.Register(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.drone.FlyAdaptiveStreaming(rx, nil, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := s.fly(t, rx, route, nil, FlightSpec{Mode: ModeStreaming})
 	if res.Final.Verdict != protocol.VerdictCompliant {
 		t.Errorf("HTTP streaming verdict = %v (%s)", res.Final.Verdict, res.Final.Reason)
 	}
@@ -180,11 +172,8 @@ func TestAccusationOverHTTP(t *testing.T) {
 	if err := s.drone.Register(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.drone.FlyFixedRate(rx, 1, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.drone.SubmitPoA(res.PoA); err != nil {
+	p := s.fly(t, rx, route, nil, FlightSpec{Mode: ModeFixedRate, FixedRateHz: 1})
+	if _, err := s.drone.SubmitProof(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 

@@ -329,8 +329,7 @@ func (c *WireClient) sleepCtx(ctx context.Context, d time.Duration) error {
 // are occasional.
 type WireAuditor struct {
 	*HTTPAuditor
-	wc  *WireClient
-	ctx context.Context // bound call context (nil = Background)
+	wc *WireClient
 }
 
 var (
@@ -344,35 +343,25 @@ func NewWireAuditor(h *HTTPAuditor, addr string, opts WireClientOptions) *WireAu
 	return &WireAuditor{HTTPAuditor: h, wc: NewWireClient(addr, opts)}
 }
 
-// Wire exposes the underlying wire client (for Close and direct use).
-func (w *WireAuditor) Wire() *WireClient { return w.wc }
-
 // Close tears down the wire connection.
 func (w *WireAuditor) Close() error { return w.wc.Close() }
 
-// SubmitPoA routes submissions over the binary transport.
+// SubmitPoA routes submissions over the binary transport, under the
+// bound call context.
 func (w *WireAuditor) SubmitPoA(req protocol.SubmitPoARequest) (protocol.SubmitPoAResponse, error) {
-	ctx := w.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return w.wc.SubmitPoACtx(ctx, req)
+	return w.wc.SubmitPoACtx(w.callCtx(), req)
 }
 
 // SubmitCommitPoA routes commit-mode submissions over the binary
 // transport (the other disclosure endpoints stay on HTTP: sealed
 // payloads are as large as full ones, and reveals are rare).
 func (w *WireAuditor) SubmitCommitPoA(req protocol.SubmitCommitPoARequest) (protocol.SubmitPoAResponse, error) {
-	ctx := w.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return w.wc.SubmitCommitPoACtx(ctx, req)
+	return w.wc.SubmitCommitPoACtx(w.callCtx(), req)
 }
 
 // BindContext implements protocol.ContextBinder. It must be overridden
 // here — the promoted HTTPAuditor method would return the bare HTTP
 // client and silently drop the wire path.
 func (w *WireAuditor) BindContext(ctx context.Context) protocol.API {
-	return &WireAuditor{HTTPAuditor: w.HTTPAuditor.WithContext(ctx), wc: w.wc, ctx: ctx}
+	return &WireAuditor{HTTPAuditor: w.HTTPAuditor.WithContext(ctx), wc: w.wc}
 }

@@ -357,3 +357,49 @@ func TestStatsHelpers(t *testing.T) {
 		t.Error("empty stats rates should be nil")
 	}
 }
+
+// TestSamplersFinishOnA3HzReceiver runs both samplers on a receiver whose
+// period is not a whole number of nanoseconds. Each run gets a deadline
+// on its own goroutine, so a sampler stuck on one GPS update fails the
+// test instead of hanging the suite.
+func TestSamplersFinishOnA3HzReceiver(t *testing.T) {
+	route := straightRoute(t, 10, 30*time.Second)
+	runs := map[string]func(Env) (*RunResult, error){
+		"adaptive": func(env Env) (*RunResult, error) {
+			z := geo.GeoCircle{Center: geo.LatLon{Lat: 40.1106, Lon: -88.2073}.Offset(90, 150).Offset(0, 40), R: 20}
+			a := &Adaptive{Env: env, Index: zone.NewIndex([]geo.GeoCircle{z}, 0), VMaxMS: geo.MaxDroneSpeedMPS}
+			return a.Run(route.End())
+		},
+		"fixed": func(env Env) (*RunResult, error) {
+			f := &FixedRate{Env: env, RateHz: 3}
+			return f.Run(route.End())
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			env, _ := buildEnv(t, route, 3)
+			type outcome struct {
+				res *RunResult
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := run(env)
+				done <- outcome{res, err}
+			}()
+			timer := time.NewTimer(2 * time.Second)
+			defer timer.Stop()
+			select {
+			case o := <-done:
+				if o.err != nil {
+					t.Fatal(o.err)
+				}
+				if o.res.PoA.Len() < 2 {
+					t.Errorf("recorded %d samples", o.res.PoA.Len())
+				}
+			case <-timer.C:
+				t.Fatal("sampler did not finish within 2 s on a 3 Hz receiver")
+			}
+		})
+	}
+}

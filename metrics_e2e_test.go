@@ -74,7 +74,7 @@ func TestMissionReplayPopulatesMetrics(t *testing.T) {
 	if err := drone.Register(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := drone.RunMission(platform.Receiver(), sc.Route, operator.MissionConfig{Mode: operator.ModeAdaptive})
+	rep, err := drone.RunMission(platform.Receiver(), sc.Route, operator.MissionConfig{FlightSpec: operator.FlightSpec{Mode: operator.ModeAdaptive}})
 	if err != nil {
 		t.Fatal(err)
 	}

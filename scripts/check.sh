@@ -100,5 +100,17 @@ if ! printf '%s\n' "${RESULT}" | grep -q '"correct":true' || ! awk -v ms="${MS}"
 	exit 1
 fi
 
+# Per-package coverage floor (ROADMAP: coverage is lowest where code is
+# not yet written once). The drone client flies every sampling mode from
+# one table and its tests fly every mode over every client transport, so
+# a path left untested shows up here. The floor is the coverage reached
+# when the table landed, rounded down.
+echo ">> coverage floor: internal/operator >= 84%"
+COVER="$(go test -count=1 -cover ./internal/operator | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
+if ! awk -v c="${COVER}" 'BEGIN { exit !(c != "" && c + 0 >= 84) }'; then
+	echo "coverage floor failed: internal/operator at ${COVER:-unknown}% (want >= 84%)" >&2
+	exit 1
+fi
+
 echo "all checks passed"
 ./scripts/loc.sh

@@ -130,7 +130,7 @@ func (tc *testCluster) registerDrone(t *testing.T, i int, rng *rand.Rand) (strin
 // encryptPoA encrypts a PoA to the cluster's shared key.
 func encryptPoA(t *testing.T, pub *rsa.PublicKey, p poa.PoA) []byte {
 	t.Helper()
-	plaintext, err := json.Marshal(p)
+	plaintext, err := poa.EncodePoA(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,15 +275,15 @@ func TestClusterSingleHopGuard(t *testing.T) {
 	nonOwner := 1 - tc.ownerIndex(t, droneID)
 
 	trace := signedTrace(t, keys, urbana, 90, 10, 3, time.Second)
-	body, _ := json.Marshal(protocol.SubmitPoARequest{
+	body, contentType, query, _ := protocol.EncodeHTTPRequest(new(bytes.Buffer), protocol.SubmitPoARequest{
 		DroneID:      droneID,
 		EncryptedPoA: encryptPoA(t, tc.routers[0].EncryptionPub(), trace),
 	})
-	req, err := http.NewRequest(http.MethodPost, tc.url(nonOwner)+protocol.PathSubmitPoA, strings.NewReader(string(body)))
+	req, err := http.NewRequest(http.MethodPost, tc.url(nonOwner)+protocol.PathSubmitPoA+query, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	req.Header.Set(protocol.ForwardedHeader, "1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -78,9 +78,10 @@ type HandlerOptions struct {
 	Slow time.Duration
 }
 
-// Handler exposes a Backend over HTTP with JSON bodies. Register it on
-// any mux or serve it directly. The same handler fronts a single-node
-// Server and a cluster Router; routing is the backend's concern.
+// Handler exposes a Backend over HTTP: raw ciphertext bodies on the
+// envelope doors, JSON everywhere else. Register it on any mux or serve
+// it directly. The same handler fronts a single-node Server and a
+// cluster Router; routing is the backend's concern.
 type Handler struct {
 	srv  Backend
 	mux  *http.ServeMux
@@ -109,12 +110,12 @@ func NewHandlerOpts(srv Backend, opts HandlerOptions) *Handler {
 	h.handle(protocol.PathRegisterZone, postDoor(dropCtx(srv.RegisterZone)))
 	h.handle(protocol.PathRegisterPolygonZone, postDoor(dropCtx(srv.RegisterPolygonZone)))
 	h.handle(protocol.PathZoneQuery, postDoor(srv.ZoneQueryCtx))
-	h.handle(protocol.PathSubmitPoA, postDoor(srv.SubmitPoACtx))
-	h.handle(protocol.PathSubmitBatchPoA, postDoor(srv.SubmitBatchPoACtx))
+	h.handle(protocol.PathSubmitPoA, envelopeDoor(srv.SubmitPoACtx))
+	h.handle(protocol.PathSubmitBatchPoA, envelopeDoor(srv.SubmitBatchPoACtx))
 	h.handle(protocol.PathStartSession, postDoor(dropCtx(srv.StartSession)))
-	h.handle(protocol.PathSubmitMACPoA, postDoor(srv.SubmitMACPoACtx))
-	h.handle(protocol.PathSubmitSealedPoA, postDoor(srv.SubmitSealedPoACtx))
-	h.handle(protocol.PathSubmitCommitPoA, postDoor(srv.SubmitCommitPoACtx))
+	h.handle(protocol.PathSubmitMACPoA, envelopeDoor(srv.SubmitMACPoACtx))
+	h.handle(protocol.PathSubmitSealedPoA, envelopeDoor(srv.SubmitSealedPoACtx))
+	h.handle(protocol.PathSubmitCommitPoA, envelopeDoor(srv.SubmitCommitPoACtx))
 	h.handle(protocol.PathReveal, postDoor(srv.RevealCtx))
 	h.handle(protocol.PathAccuse, postDoor(func(ctx context.Context, req protocol.AccusationRequest) (protocol.SubmitPoAResponse, error) {
 		return srv.HandleAccusationCtx(ctx, req.DroneID, req.ZoneID, req.At)
@@ -311,9 +312,9 @@ func statusFor(err error) int {
 }
 
 // maxRequestBytes bounds the body of a client-facing POST door. The
-// largest legitimate body — a 600-sample full PoA, encrypted and base64'd
-// into JSON — is about 270 KB; the wire door caps its frames at 1 MiB of
-// raw bytes, which base64 would carry in 1.4 MiB.
+// largest legitimate body — a 600-sample rsa2048 full PoA, sent raw on an
+// envelope door — is about 170 KB; the wire door caps its frames at
+// 1 MiB.
 const maxRequestBytes = 4 << 20
 
 // postDoor turns a typed backend method into a client-facing door: POST
@@ -327,19 +328,45 @@ func postDoor[Req, Resp any](fn func(context.Context, Req) (Resp, error)) http.H
 	})
 }
 
-// handleJSON decodes the request, runs fn under the request context and
-// encodes the response.
+// envelopeDoor is postDoor for the five envelope doors: the body is the
+// raw ciphertext, the drone (and MAC session) IDs are query parameters
+// (protocol.ParseEnvelope), and nothing in the body is decoded here.
+func envelopeDoor[Req protocol.EnvelopeRequest](fn func(context.Context, Req) (protocol.SubmitPoAResponse, error)) http.HandlerFunc {
+	return post(func(w http.ResponseWriter, r *http.Request) {
+		body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxRequestBytes)+bytes.MinRead))
+		if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes)); err != nil {
+			writeBodyError(w, err)
+			return
+		}
+		respond(w, r, fn, protocol.FromEnvelope[Req](protocol.ParseEnvelope(r.URL.Query(), body.Bytes())))
+	})
+}
+
+// handleJSON decodes a JSON request, runs fn under the request context
+// and encodes the response.
 func handleJSON[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(context.Context, Req) (Resp, error)) {
 	var req Req
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed JSON: " + err.Error()})
+		writeBodyError(w, err)
 		return
 	}
+	respond(w, r, fn, req)
+}
+
+// writeBodyError answers a request whose body could not be read: 413
+// past the door's bound, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request: " + err.Error()})
+}
+
+// respond runs fn on a decoded request under the request context and
+// encodes its JSON response or error.
+func respond[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(context.Context, Req) (Resp, error), req Req) {
 	resp, err := fn(r.Context(), req)
 	if err != nil {
 		var over *protocol.OverloadedError

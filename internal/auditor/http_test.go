@@ -22,14 +22,15 @@ func httpFixture(t *testing.T) (*httptest.Server, *Server, string, droneKeys) {
 	return hs, srv, droneID, keys
 }
 
-// postJSON is a minimal test client.
+// postJSON is a minimal test client. Envelope-door requests travel as
+// the drone's client sends them: raw ciphertext, IDs in the query.
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
-	data, err := json.Marshal(body)
+	data, contentType, query, err := protocol.EncodeHTTPRequest(new(bytes.Buffer), body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	resp, err := http.Post(url+query, contentType, bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +177,14 @@ func TestHTTPFullCycle(t *testing.T) {
 // maxRequestBytes and answers 413 instead of decoding an unbounded body.
 func TestHTTPOversizedBodyIs413(t *testing.T) {
 	hs, _, droneID, _ := httpFixture(t)
-	huge := protocol.SubmitPoARequest{DroneID: droneID, EncryptedPoA: make([]byte, maxRequestBytes)}
+	huge := protocol.SubmitPoARequest{DroneID: droneID, EncryptedPoA: make([]byte, maxRequestBytes+1)}
 	resp := postJSON(t, hs.URL+protocol.PathSubmitPoA, huge)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status = %d, want 413", resp.StatusCode)
 	}
 	// The bound sits far above a legitimate body: a 300 KB ciphertext
-	// (more than a 600-sample full PoA) reaches the pipeline and is judged.
+	// (more than a 600-sample rsa2048 full PoA) reaches the pipeline and is
+	// judged.
 	legit := protocol.SubmitPoARequest{DroneID: droneID, EncryptedPoA: make([]byte, 300<<10)}
 	resp = postJSON(t, hs.URL+protocol.PathSubmitPoA, legit)
 	if resp.StatusCode != http.StatusOK {

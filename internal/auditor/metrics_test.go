@@ -3,7 +3,6 @@ package auditor
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -306,12 +305,12 @@ func retentionFixture(t *testing.T, clock obs.Clock, reg *obs.Registry, retentio
 
 // postJSONNoFatal is postJSON without t.Fatal, safe in goroutines.
 func postJSONNoFatal(t *testing.T, url string, body any) *http.Response {
-	data, err := json.Marshal(body)
+	data, contentType, query, err := protocol.EncodeHTTPRequest(new(bytes.Buffer), body)
 	if err != nil {
 		t.Error(err)
 		return nil
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	resp, err := http.Post(url+query, contentType, bytes.NewReader(data))
 	if err != nil {
 		t.Error(err)
 		return nil

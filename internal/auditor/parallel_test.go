@@ -1,6 +1,8 @@
 package auditor
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -113,35 +115,51 @@ func TestParallelFirstFailureIndexIsLowest(t *testing.T) {
 	}
 }
 
-// TestReplayRaceAcceptsExactlyOne hammers the server with concurrent
-// submissions of the same ciphertext: the atomic digest claim must let
-// exactly one through and reject the rest as replays, no matter how the
-// goroutines interleave.
-func TestReplayRaceAcceptsExactlyOne(t *testing.T) {
-	srv, id, keys := newFixtureConfig(t, Config{
-		Workers: 4,
-		Clock:   obs.ClockFunc(func() time.Time { return t0 }),
-	})
-	p := signedTrace(t, keys, urbana, 90, 10, 10, time.Second)
-	ct := encryptFor(t, srv, p)
-
-	const attempts = 16
-	responses := make([]protocol.SubmitPoAResponse, attempts)
-	var wg sync.WaitGroup
-	for i := 0; i < attempts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := srv.SubmitPoA(protocol.SubmitPoARequest{DroneID: id, EncryptedPoA: ct})
-			if err != nil {
-				t.Errorf("submission %d: %v", i, err)
-				return
-			}
-			responses[i] = resp
-		}(i)
+// replayDoors are the three doors that take a plaintext trace — full,
+// batch and MAC — each as a fresh server with one registered drone and a
+// submit function for one fixed compliant ciphertext.
+func replayDoors(workers int) map[string]func(*testing.T) (*Server, func() (protocol.SubmitPoAResponse, error)) {
+	fixture := func(t *testing.T) (*Server, string, droneKeys, poa.PoA) {
+		srv, id, keys := newFixtureConfig(t, Config{
+			Workers: workers,
+			Clock:   obs.ClockFunc(func() time.Time { return t0 }),
+		})
+		return srv, id, keys, signedTrace(t, keys, urbana, 90, 10, 10, time.Second)
 	}
-	wg.Wait()
+	return map[string]func(*testing.T) (*Server, func() (protocol.SubmitPoAResponse, error)){
+		"submit": func(t *testing.T) (*Server, func() (protocol.SubmitPoAResponse, error)) {
+			srv, id, _, p := fixture(t)
+			ct := encryptFor(t, srv, p)
+			return srv, func() (protocol.SubmitPoAResponse, error) {
+				return srv.SubmitPoA(protocol.SubmitPoARequest{DroneID: id, EncryptedPoA: ct})
+			}
+		},
+		"batch": func(t *testing.T) (*Server, func() (protocol.SubmitPoAResponse, error)) {
+			srv, id, keys, p := fixture(t)
+			ct := batchEnvelope(t, srv, keys, p)
+			return srv, func() (protocol.SubmitPoAResponse, error) {
+				return srv.SubmitBatchPoA(protocol.SubmitBatchPoARequest{DroneID: id, EncryptedBatch: ct})
+			}
+		},
+		"mac": func(t *testing.T) (*Server, func() (protocol.SubmitPoAResponse, error)) {
+			srv, id, _, p := fixture(t)
+			key := []byte("0123456789abcdef0123456789abcdef")
+			sess, err := srv.StartSession(protocol.StartSessionRequest{DroneID: id, WrappedKey: encryptBytes(t, srv, key)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct := macEnvelope(t, srv, key, p)
+			return srv, func() (protocol.SubmitPoAResponse, error) {
+				return srv.SubmitMACPoA(protocol.SubmitMACPoARequest{DroneID: id, SessionID: sess.SessionID, EncryptedPoA: ct})
+			}
+		},
+	}
+}
 
+// checkOneAccepted asserts that of responses exactly one is compliant,
+// every other one was rejected as a replay, and one trace is retained.
+func checkOneAccepted(t *testing.T, srv *Server, responses []protocol.SubmitPoAResponse) {
+	t.Helper()
 	compliant := 0
 	for _, resp := range responses {
 		switch resp.Verdict {
@@ -158,6 +176,55 @@ func TestReplayRaceAcceptsExactlyOne(t *testing.T) {
 	}
 	if srv.RetainedCount() != 1 {
 		t.Errorf("retained = %d, want 1", srv.RetainedCount())
+	}
+}
+
+// TestReplayRaceAcceptsExactlyOne hammers each door with concurrent
+// submissions of the same ciphertext: the atomic digest claim must let
+// exactly one through and reject the rest as replays, no matter how the
+// goroutines interleave.
+func TestReplayRaceAcceptsExactlyOne(t *testing.T) {
+	for door, build := range replayDoors(4) {
+		t.Run(door, func(t *testing.T) {
+			srv, submit := build(t)
+			const attempts = 16
+			responses := make([]protocol.SubmitPoAResponse, attempts)
+			var wg sync.WaitGroup
+			for i := 0; i < attempts; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, err := submit()
+					if err != nil {
+						t.Errorf("submission %d: %v", i, err)
+						return
+					}
+					responses[i] = resp
+				}(i)
+			}
+			wg.Wait()
+			checkOneAccepted(t, srv, responses)
+		})
+	}
+}
+
+// TestReplayAcceptedOncePerDoor: the batch and MAC doors claim the replay
+// digest like the full door, so one ciphertext submitted three times in a
+// row is one compliant verdict and one retained trace.
+func TestReplayAcceptedOncePerDoor(t *testing.T) {
+	for door, build := range replayDoors(1) {
+		t.Run(door, func(t *testing.T) {
+			srv, submit := build(t)
+			var responses []protocol.SubmitPoAResponse
+			for i := 0; i < 3; i++ {
+				resp, err := submit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				responses = append(responses, resp)
+			}
+			checkOneAccepted(t, srv, responses)
+		})
 	}
 }
 
@@ -322,5 +389,42 @@ func TestFailedClaimIsReleased(t *testing.T) {
 	}
 	if n := srv.seen.len(); n != 0 {
 		t.Errorf("digest set holds %d entries after failed submissions, want 0", n)
+	}
+}
+
+// TestReplayOfReencodedPoARejected: the replay digest covers the proof,
+// not one spelling of it. After a PoA is accepted, the same signed samples
+// re-spelled — as JSON, indented or not, or as the binary body with a
+// trailing byte or a non-minimal count — never earn a second compliant
+// verdict or a second retained trace.
+func TestReplayOfReencodedPoARejected(t *testing.T) {
+	srv, id, keys := newFixture(t)
+	p := signedTrace(t, keys, urbana, 90, 10, 10, time.Second)
+	body, err := poa.EncodePoA(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, _ := json.Marshal(p)
+	indented, _ := json.MarshalIndent(p, "", "  ")
+	nonMinimal := append([]byte("ADP1"), 0x80|byte(len(p.Samples)), 0x00)
+	nonMinimal = append(nonMinimal, body[5:]...)
+
+	responses := []protocol.SubmitPoAResponse{submitVerdict(t, srv, id, p)}
+	for _, spelling := range [][]byte{indented, compact, append(bytes.Clone(body), 0), nonMinimal} {
+		resp, err := srv.SubmitPoA(protocol.SubmitPoARequest{DroneID: id, EncryptedPoA: encryptBytes(t, srv, spelling)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		responses = append(responses, resp)
+	}
+	compliant := 0
+	for _, resp := range responses {
+		if resp.Verdict == protocol.VerdictCompliant {
+			compliant++
+		}
+	}
+	if compliant != 1 || srv.RetainedCount() != 1 {
+		t.Fatalf("%d compliant verdicts and %d retained traces for one proof in %d spellings, want 1 and 1: %+v",
+			compliant, srv.RetainedCount(), len(responses), responses)
 	}
 }

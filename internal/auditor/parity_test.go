@@ -42,7 +42,7 @@ func batchEnvelope(t *testing.T, srv *Server, keys droneKeys, p poa.PoA) []byte 
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(poa.BatchPoA{Samples: samples, Sig: sig})
+	data, err := poa.EncodeBatchPoA(poa.BatchPoA{Samples: samples, Sig: sig})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func macEnvelope(t *testing.T, srv *Server, key []byte, p poa.PoA) []byte {
 	for _, ss := range p.Samples {
 		mp.Append(poa.SignedSample{Sample: ss.Sample, Sig: sigcrypto.MAC(key, ss.Sample.Marshal())})
 	}
-	data, err := json.Marshal(mp)
+	data, err := poa.EncodePoA(mp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func TestRotationBatchEnvelopeWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.Marshal(poa.BatchPoA{Samples: samples, Sig: sig, KeyEpoch: epoch})
+		data, err := poa.EncodeBatchPoA(poa.BatchPoA{Samples: samples, Sig: sig, KeyEpoch: epoch})
 		if err != nil {
 			t.Fatal(err)
 		}

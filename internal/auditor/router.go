@@ -458,20 +458,21 @@ func routeDroneVia[Resp any](ctx context.Context, r *Router, droneID string,
 // tracer returns the shared tracer (nil when tracing is disabled).
 func (r *Router) tracer() *otrace.Tracer { return r.cfg.Server.Tracer }
 
-// clusterPost performs one node-to-node POST, decoding the peer's JSON
-// reply. Error replies come back as remoteError so the originating door
-// reports the peer's status code unchanged.
+// clusterPost performs one node-to-node POST, encoded as the drone's own
+// client encodes it (protocol.EncodeHTTPRequest), and decodes the peer's
+// JSON reply. Error replies come back as remoteError so the originating
+// door reports the peer's status code unchanged.
 func clusterPost[Resp any](ctx context.Context, client *http.Client, addr, path string, req any, forwarded bool) (Resp, error) {
 	var zero Resp
-	body, err := json.Marshal(req)
+	body, contentType, query, err := protocol.EncodeHTTPRequest(new(bytes.Buffer), req)
 	if err != nil {
 		return zero, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+path, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+path+query, bytes.NewReader(body))
 	if err != nil {
 		return zero, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", contentType)
 	// Propagate the active trace across the hop: the receiving door calls
 	// StartRemote with this header, so forwarded work — submissions,
 	// gossip-triggered handoffs — stays one contiguous trace.

@@ -82,7 +82,7 @@ func (s *Server) buildPipeline() {
 		DoorSubmit: {mode: poa.DisclosureFull,
 			stages: slices.Concat(stages{decrypt, decodePoA, replayClaim, sigSamples}, alibi, stages{commit})},
 		DoorBatch: {mode: poa.DisclosureFull,
-			stages: slices.Concat(stages{decrypt, st(StageDecode, s.stageDecodeBatch), st(StageSignature, s.stageSignatureBatch)}, alibi)},
+			stages: slices.Concat(stages{decrypt, st(StageDecode, s.stageDecodeBatch), replayClaim, st(StageSignature, s.stageSignatureBatch)}, alibi, stages{commit})},
 		// Sealed submissions retain without judging (every check the server
 		// can run without positions still runs); commit submissions are
 		// judged from the signed predicates alone.
@@ -94,7 +94,7 @@ func (s *Server) buildPipeline() {
 				st(StageSignature, s.stageSignatureRoot), st(StageStructure, s.stageCommitStructure),
 				st(StagePredicates, s.stagePredicates), retainDisc, commit}},
 	}
-	s.seqMAC = slices.Concat(stages{decrypt, decodePoA, st(StageSignature, s.stageSignatureMAC)}, alibi)
+	s.seqMAC = slices.Concat(stages{decrypt, decodePoA, replayClaim, st(StageSignature, s.stageSignatureMAC)}, alibi, stages{commit})
 	s.seqStreamSig = stages{sigSamples}
 	s.seqStreamPair = stages{sigSamples, chronology, speed, sufficiency}
 	s.seqStreamClose = stages{zones3D, retain}
@@ -115,11 +115,11 @@ func (s *Server) stageDecrypt(_ context.Context, sub *pipeline.Submission) error
 	return nil
 }
 
-// stageDecodePoA parses the per-sample-signed envelope (regular and MAC
+// stageDecodePoA parses the per-sample-signed proof body (regular and MAC
 // modes) and extracts the bare alibi trace.
 func (s *Server) stageDecodePoA(_ context.Context, sub *pipeline.Submission) error {
-	var p poa.PoA
-	if err := json.Unmarshal(sub.Plaintext, &p); err != nil {
+	p, err := poa.DecodePoA(sub.Plaintext)
+	if err != nil {
 		return pipeline.Violationf("malformed PoA: %v", err)
 	}
 	sub.PoA = p
@@ -127,11 +127,11 @@ func (s *Server) stageDecodePoA(_ context.Context, sub *pipeline.Submission) err
 	return nil
 }
 
-// stageDecodeBatch parses the batch envelope (§VII-A1b): bare samples
+// stageDecodeBatch parses the batch proof body (§VII-A1b): bare samples
 // plus one signature over the canonical batch encoding.
 func (s *Server) stageDecodeBatch(_ context.Context, sub *pipeline.Submission) error {
-	var batch poa.BatchPoA
-	if err := json.Unmarshal(sub.Plaintext, &batch); err != nil {
+	batch, err := poa.DecodeBatchPoA(sub.Plaintext)
+	if err != nil {
 		return pipeline.Violationf("malformed batch PoA: %v", err)
 	}
 	sub.Samples = batch.Samples
@@ -143,9 +143,11 @@ func (s *Server) stageDecodeBatch(_ context.Context, sub *pipeline.Submission) e
 // stageReplayClaim atomically claims the plaintext digest before
 // verification — claim-check-set as one step — so two concurrent
 // submissions of the same bytes cannot both pass the check and both be
-// accepted; the loser of the claim race is rejected here. The entry point
-// releases a claim whose submission does not commit, keeping failed
-// submissions resubmittable.
+// accepted; the loser of the claim race is rejected here. The full, MAC
+// and batch bodies have exactly one byte form (poa.DecodePoA is strict),
+// so the digest names the proof, not one of its spellings. The entry
+// point releases a claim whose submission does not commit, keeping
+// failed submissions resubmittable.
 func (s *Server) stageReplayClaim(_ context.Context, sub *pipeline.Submission) error {
 	sub.Digest = sha256.Sum256(sub.Plaintext)
 	sub.DigestSeen = s.cfg.Clock.Now()

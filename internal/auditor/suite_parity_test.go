@@ -2,7 +2,6 @@ package auditor
 
 import (
 	"crypto/rsa"
-	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
@@ -105,7 +104,7 @@ func suiteBatchEnvelope(t *testing.T, srv *Server, key sigcrypto.PrivateKey, p p
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(poa.BatchPoA{Samples: samples, Sig: sig})
+	data, err := poa.EncodeBatchPoA(poa.BatchPoA{Samples: samples, Sig: sig})
 	if err != nil {
 		t.Fatal(err)
 	}

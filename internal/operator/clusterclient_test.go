@@ -47,12 +47,7 @@ func newFakeNode(t *testing.T, name string) *fakeNode {
 	})
 	mux.HandleFunc(protocol.PathSubmitPoA, func(w http.ResponseWriter, r *http.Request) {
 		n.submits.Add(1)
-		var req protocol.SubmitPoARequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		n.onSubmit(w, req.DroneID)
+		n.onSubmit(w, r.URL.Query().Get(protocol.QueryDrone))
 	})
 	n.srv = httptest.NewServer(mux)
 	t.Cleanup(n.srv.Close)

@@ -261,17 +261,19 @@ func drainClose(body io.ReadCloser) {
 	_ = body.Close()
 }
 
-// postJSON sends req to path and decodes the response into resp.
+// postJSON sends req to path — an envelope door's ciphertext raw, any
+// other request as JSON (protocol.EncodeHTTPRequest) — and decodes the
+// JSON response into resp.
 func (c *HTTPAuditor) postJSON(path string, req, resp any) error {
 	ebuf := encodeBufPool.Get().(*bytes.Buffer)
 	ebuf.Reset()
 	defer encodeBufPool.Put(ebuf)
-	if err := json.NewEncoder(ebuf).Encode(req); err != nil {
+	body, contentType, query, err := protocol.EncodeHTTPRequest(ebuf, req)
+	if err != nil {
 		return fmt.Errorf("marshal request: %w", err)
 	}
-	body := ebuf.Bytes()
 	httpResp, err := c.do(path, func(ctx context.Context) (*http.Response, error) {
-		hr, err := newRequest(ctx, http.MethodPost, c.base+path, "application/json", bytes.NewReader(body))
+		hr, err := newRequest(ctx, http.MethodPost, c.base+path+query, contentType, bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}

@@ -233,8 +233,10 @@ func closeStream(d *Drone, p *Proof, _ []geo.GeoCircle) (err error) {
 	return nil
 }
 
-func encodePoA(p *Proof) ([]byte, error)    { return json.Marshal(p.Run.PoA) }
-func encodeBatch(p *Proof) ([]byte, error)  { return json.Marshal(p.Batch) }
+// encodePoA and encodeBatch are the canonical binary proof bodies
+// (poa.EncodePoA): the samples at signed precision plus raw signatures.
+func encodePoA(p *Proof) ([]byte, error)    { return poa.EncodePoA(p.Run.PoA) }
+func encodeBatch(p *Proof) ([]byte, error)  { return poa.EncodeBatchPoA(p.Batch) }
 func encodeSealed(p *Proof) ([]byte, error) { return json.Marshal(p.Sealed) }
 
 // encodeCommit is the compact binary envelope — root, timestamps,

@@ -1,8 +1,10 @@
 // Package protocol defines the wire messages exchanged between the Drone
 // Operator and the Auditor for the four AliDrone protocol tasks (paper
 // §IV-B): drone registration, zone registration, zone query/response and
-// Proof-of-Alibi submission. Messages are JSON-encoded; signatures cover
-// canonical byte strings defined here so both sides agree exactly.
+// Proof-of-Alibi submission. Messages are JSON-encoded, except the
+// envelope doors' ciphertexts, which travel raw (see Envelope).
+// Signatures cover canonical byte strings defined here so both sides
+// agree exactly.
 package protocol
 
 import (
@@ -98,7 +100,7 @@ type ZoneQueryResponse struct {
 // submits the PoA, encrypted under the Auditor's public encryption key.
 type SubmitPoARequest struct {
 	DroneID      string `json:"droneId"`
-	EncryptedPoA []byte `json:"encryptedPoA"` // sigcrypto.Seal over the JSON PoA
+	EncryptedPoA []byte `json:"encryptedPoA"` // sigcrypto.Seal over poa.EncodePoA
 }
 
 // Verdict is the Auditor's conclusion about a submitted PoA.

@@ -66,6 +66,14 @@ go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s
 echo ">> go test ./internal/poa -fuzz FuzzDecodeMerkleProof -fuzztime 10s"
 go test ./internal/poa -run '^$' -fuzz FuzzDecodeMerkleProof -fuzztime 10s
 
+# The proof bodies are what every full, MAC and batch submission decrypts
+# to; an accepted body must re-encode to itself (one proof, one digest).
+echo ">> go test ./internal/poa -fuzz FuzzDecodePoA -fuzztime 10s"
+go test ./internal/poa -run '^$' -fuzz 'FuzzDecodePoA$' -fuzztime 10s
+
+echo ">> go test ./internal/poa -fuzz FuzzDecodeBatchPoA -fuzztime 10s"
+go test ./internal/poa -run '^$' -fuzz FuzzDecodeBatchPoA -fuzztime 10s
+
 echo ">> go test ./internal/privacy -fuzz FuzzDecodeCommitEnvelope -fuzztime 10s"
 go test ./internal/privacy -run '^$' -fuzz FuzzDecodeCommitEnvelope -fuzztime 10s
 

@@ -5,22 +5,27 @@
 // Usage:
 //
 //	alidrone-auditor -listen :8470 [-retention 48h] [-mode exact|conservative]
-//	                 [-state-dir /var/lib/alidrone] [-compact-every 4096] [-fsync=true]
-//	                 [-state /var/lib/alidrone/state.rec] [-save-every 1m]
-//	                 [-metrics=false] [-workers 0] [-nonce-ttl 1h]
+//	                 [-state-dir /var/lib/alidrone] [-compact-every 4096] [-save-every 1m]
+//	                 [-metrics=false] [-workers 0] [-nonce-ttl 1h] [-shards 1]
+//	                 [-node-id a -peers b=host:port -advertise host:port]
 //
-// With -state-dir, the server persists through the write-ahead-log
-// storage engine: every committed mutation is durable before the request
-// returns, and restart recovery replays the WAL tail over the latest
-// compacted snapshot — the same typed records in the same checksummed
-// framing, so the log, the snapshot and a cluster handoff share one
-// schema and one decoder (see DESIGN.md "Durability architecture"). If
-// the directory is empty and a -state file exists, the file is migrated
-// into the engine on first start.
+// Every auditor is an auditor.Router over -shards local shard Servers;
+// without -node-id it is a standalone node that serves no cluster doors.
 //
-// With only -state, the server runs in the legacy whole-file mode:
-// restore at startup, write the snapshot stream to the file periodically
-// and on shutdown. Mutations between checkpoints are lost on a crash.
+// With -state-dir, each shard persists through the write-ahead-log
+// storage engine in <dir>/shard-<i>: every committed mutation is durable
+// (fsynced) before the request returns, and restart recovery replays the
+// WAL tail over the latest compacted snapshot — the same typed records in
+// the same checksummed framing, so the log, the snapshot and a cluster
+// handoff share one schema and one decoder (see DESIGN.md "Durability
+// architecture"). Without -state-dir the shards live in memory. A
+// -state-dir holding WAL or snapshot files at its root (a layout from
+// before shard directories) is refused until they move into shard-0/.
+// -save-every is the interval of the retention sweep.
+//
+// On SIGINT or SIGTERM the auditor drains: it stops accepting requests,
+// lets in-flight ones finish, stops housekeeping, writes a final
+// snapshot and closes its stores.
 //
 // Unless -metrics=false, the server exposes Prometheus-style counters on
 // GET /metrics, a liveness probe on GET /healthz and a readiness probe
@@ -32,12 +37,11 @@
 // (pretty-printed by the alidrone-status command).
 //
 // Cluster mode: -node-id turns the binary into one node of a sharded
-// auditor cluster. -shards sets the local shard count (each shard is a
-// full Server with its own WAL directory under -state-dir/shard-<i>),
-// -peers lists seed nodes as id=host:port[+wirehost:port], and
-// -advertise is the address peers and routing clients reach this node
-// at. Mis-routed submissions are forwarded to the owning node exactly
-// once (see DESIGN.md "Sharded cluster").
+// auditor cluster. -peers lists seed nodes as
+// id=host:port[+wirehost:port], and -advertise is the address peers and
+// routing clients reach this node at. Mis-routed submissions are
+// forwarded to the owning node exactly once (see DESIGN.md "Sharded
+// cluster").
 //
 // Tracing: every request continues the submitter's trace when it carries
 // a W3C traceparent header; -trace-sample additionally samples traces
@@ -72,7 +76,6 @@ import (
 	otrace "repro/internal/obs/trace"
 	"repro/internal/poa"
 	"repro/internal/sigcrypto"
-	"repro/internal/storage"
 )
 
 // options collects the CLI configuration run() executes.
@@ -81,11 +84,9 @@ type options struct {
 	wireAddr     string
 	retention    time.Duration
 	mode         string
-	statePath    string // legacy monolithic state file
 	stateDir     string // WAL + snapshot storage engine directory
 	saveEvery    time.Duration
 	compactEvery int
-	fsync        bool
 	metrics      bool
 	sloWindow    time.Duration
 	workers      int
@@ -99,7 +100,7 @@ type options struct {
 	debugAddr    string
 	slowMS       int
 
-	// Cluster mode (enabled by -node-id).
+	// Cluster mode (enabled by -node-id; -shards applies to any node).
 	nodeID    string
 	peers     string
 	shards    int
@@ -112,11 +113,9 @@ func main() {
 	flag.StringVar(&o.wireAddr, "wire-addr", "", "address to serve the binary wire transport on, e.g. :8471 (empty = disabled)")
 	flag.DurationVar(&o.retention, "retention", 48*time.Hour, "how long verified PoAs are kept for accusations")
 	flag.StringVar(&o.mode, "mode", "exact", "sufficiency test: exact or conservative")
-	flag.StringVar(&o.stateDir, "state-dir", "", "storage-engine directory: WAL + snapshot persistence (empty = no engine)")
+	flag.StringVar(&o.stateDir, "state-dir", "", "storage-engine directory: WAL + snapshot persistence under <dir>/shard-<i> (empty = in memory)")
 	flag.IntVar(&o.compactEvery, "compact-every", 0, "WAL records between snapshot compactions (0 = default, negative = never)")
-	flag.BoolVar(&o.fsync, "fsync", true, "fsync the WAL on every commit (-fsync=false trades durability for throughput)")
-	flag.StringVar(&o.statePath, "state", "", "legacy state file; with -state-dir it is the migration source")
-	flag.DurationVar(&o.saveEvery, "save-every", time.Minute, "retention sweep interval (and checkpoint interval in legacy -state mode)")
+	flag.DurationVar(&o.saveEvery, "save-every", time.Minute, "retention sweep interval")
 	flag.BoolVar(&o.metrics, "metrics", true, "serve GET /metrics and per-stage instrumentation")
 	flag.DurationVar(&o.sloWindow, "slo-window", 5*time.Minute, "sliding window for the SLO latency/shed summary (0 = disabled; requires -metrics)")
 	flag.IntVar(&o.workers, "workers", 0, "verification worker pool size (0 = GOMAXPROCS, 1 = sequential pipeline)")
@@ -129,19 +128,24 @@ func main() {
 	flag.IntVar(&o.traceBuffer, "trace-buffer", otrace.DefaultRingSize, "finished spans kept in the in-memory ring served at /debug/traces")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "separate listener for /debug/traces and /debug/pprof/* (empty = disabled)")
 	flag.IntVar(&o.slowMS, "slow-ms", 0, "log requests slower than this many milliseconds with their trace ID (0 = disabled)")
-	flag.StringVar(&o.nodeID, "node-id", "", "cluster node identity; enables cluster mode (one Server = one shard behind a router)")
-	flag.StringVar(&o.peers, "peers", "", "comma-separated seed peers, id=host:port[+wirehost:port] (cluster mode)")
-	flag.IntVar(&o.shards, "shards", 1, "local shard Servers per node (cluster mode)")
+	flag.StringVar(&o.nodeID, "node-id", "", "cluster node identity; enables cluster mode (empty = a standalone node with no cluster doors)")
+	flag.StringVar(&o.peers, "peers", "", "comma-separated seed peers, id=host:port[+wirehost:port] (requires -node-id)")
+	flag.IntVar(&o.shards, "shards", 1, "local shard Servers per node")
 	flag.StringVar(&o.advertise, "advertise", "", "address peers and routing clients reach this node at (default: -listen)")
 	flag.Parse()
 
-	if err := run(o); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, o)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "alidrone-auditor:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options) error {
+// run serves the auditor until ctx is cancelled, then drains and
+// checkpoints it.
+func run(ctx context.Context, o options) error {
 	var testMode poa.TestMode
 	switch o.mode {
 	case "exact":
@@ -198,9 +202,9 @@ func run(o options) error {
 		cfg.Metrics = obs.NewRegistry(nil)
 		cfg.Metrics.AddCollector(obs.CollectRuntime)
 		if o.sloWindow > 0 {
-			// One tracker for the whole process: in cluster mode the router
-			// hands the same instance to every shard, so the SLO summary
-			// (and its /metrics gauges) covers the node, not one shard.
+			// One tracker for the whole process: the router hands the same
+			// instance to every shard, so the SLO summary (and its
+			// /metrics gauges) covers the node, not one shard.
 			cfg.SLO = obs.NewSLO(obs.SLOOptions{Window: o.sloWindow})
 			cfg.SLO.Register(cfg.Metrics, auditor.MetricSLOPrefix)
 		}
@@ -208,175 +212,141 @@ func run(o options) error {
 	collector := otrace.NewRingCollector(o.traceBuffer)
 	cfg.Tracer = otrace.New(otrace.Options{Sample: o.traceSample, Sink: collector})
 
-	// Backend selection: with -node-id the binary is one cluster node —
-	// N shard Servers behind a Router that owns routing, gossip and
-	// handoff. Without it, the classic single-Server auditor.
-	var (
-		backend auditor.Backend
-		srv     *auditor.Server // shard 0 in cluster mode
-		store   storage.Store
-		router  *auditor.Router
-		err     error
-	)
-	// In cluster mode every log line this process emits names its node,
-	// so interleaved fleet logs stay attributable.
+	// One front end for one node or many: a Router over -shards local
+	// shard Servers. Without -node-id it is a standalone node — no peers,
+	// no cluster-internal doors; with it, one node of a sharded cluster
+	// that owns routing, gossip and handoff. In cluster mode every log
+	// line this process emits names its node, so interleaved fleet logs
+	// stay attributable.
 	hlogger := logger
 	if o.nodeID != "" {
 		hlogger = logger.With("node", o.nodeID)
 	}
-	if o.nodeID != "" {
-		if o.statePath != "" {
-			return errors.New("cluster mode persists per shard via -state-dir; -state is not supported")
-		}
-		seeds, perr := cluster.ParsePeers(o.peers)
-		if perr != nil {
-			return fmt.Errorf("-peers: %w", perr)
-		}
-		advertise := o.advertise
-		if advertise == "" {
-			advertise = o.listen
-		}
-		router, err = auditor.NewRouter(auditor.RouterConfig{
-			Self:     cluster.Node{ID: o.nodeID, Addr: advertise, WireAddr: o.wireAddr},
-			Seeds:    seeds,
-			Shards:   o.shards,
-			StateDir: o.stateDir,
-			Server:   cfg,
-			Logger:   logger,
-		})
-		if err != nil {
-			return err
-		}
-		backend = router
-		srv = router.Shard(0)
-	} else {
-		srv, store, err = openServer(cfg, o)
-		if err != nil {
-			return err
-		}
-		backend = srv
+	seeds, err := cluster.ParsePeers(o.peers)
+	if err != nil {
+		return fmt.Errorf("-peers: %w", err)
+	}
+	advertise := o.advertise
+	if advertise == "" {
+		advertise = o.listen
+	}
+	router, err := auditor.NewRouter(auditor.RouterConfig{
+		Self:     cluster.Node{ID: o.nodeID, Addr: advertise, WireAddr: o.wireAddr},
+		Seeds:    seeds,
+		Shards:   o.shards,
+		StateDir: o.stateDir,
+		Server:   cfg,
+		Logger:   logger,
+	})
+	if err != nil {
+		return err
 	}
 
-	// Housekeeping: purge expired PoAs (and, in legacy mode, checkpoint
-	// the state file) until stop. With the storage engine attached the
-	// purge itself is WAL-logged and compaction is automatic, so the
-	// sweeper only sweeps. Cluster mode sweeps every local shard.
-	legacyCheckpoint := ""
-	if store == nil && router == nil {
-		legacyCheckpoint = o.statePath
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	shards := []*auditor.Server{srv}
-	if router != nil {
-		shards = shards[:0]
-		for i := 0; i < router.NumShards(); i++ {
-			shards = append(shards, router.Shard(i))
+	// Shutdown drains in the reverse order of the defers below: stop
+	// taking HTTP requests (letting in-flight ones finish), close the wire
+	// and debug listeners, stop the sweepers and gossip, then write a
+	// final snapshot and close the stores — so no late request ever
+	// reaches a closed WAL.
+	defer func() {
+		if err := router.Checkpoint(); err != nil {
+			log.Printf("final checkpoint failed: %v", err)
 		}
-	}
-	sweepCtx, cancelSweep := context.WithCancel(context.Background())
-	defer cancelSweep()
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for i, sh := range shards {
-			statePath := ""
-			if i == 0 {
-				statePath = legacyCheckpoint
-			}
-			sweeper := &auditor.Sweeper{
-				Server:    sh,
-				StatePath: statePath,
-				Interval:  o.saveEvery,
-				Logf:      log.Printf,
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sweeper.Run(sweepCtx, stop)
-			}()
+		if err := router.Close(); err != nil {
+			log.Printf("store close failed: %v", err)
 		}
-		wg.Wait()
 	}()
 
-	// Gossip: the membership loop that keeps the cluster map converged.
-	if router != nil {
-		go router.Run(sweepCtx)
+	// Housekeeping: purge expired state on every local shard, and run the
+	// membership gossip loop that keeps the cluster map converged (with
+	// one node it has nobody to talk to). The purge is WAL-logged and
+	// compaction is automatic, so the sweepers only sweep.
+	bgCtx, cancelBG := context.WithCancel(context.Background())
+	var bg sync.WaitGroup
+	defer func() {
+		cancelBG()
+		bg.Wait()
+	}()
+	for i := 0; i < router.NumShards(); i++ {
+		sweeper := &auditor.Sweeper{Server: router.Shard(i), Interval: o.saveEvery, Logf: log.Printf}
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			sweeper.Run(bgCtx)
+		}()
 	}
-
-	handler := auditor.NewHandlerOpts(backend, auditor.HandlerOptions{
-		Collector: collector,
-		Logger:    hlogger,
-		Slow:      time.Duration(o.slowMS) * time.Millisecond,
-	})
-	httpSrv := &http.Server{Addr: o.listen, Handler: handler}
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		router.Run(bgCtx)
+	}()
 
 	// The binary wire transport serves the same verification pipeline on
 	// its own listener: persistent connections, batched submissions,
 	// coalesced acks (see DESIGN.md "Wire protocol & transport").
-	var wireSrv *auditor.WireServer
 	if o.wireAddr != "" {
 		lis, err := net.Listen("tcp", o.wireAddr)
 		if err != nil {
 			return fmt.Errorf("wire listener: %w", err)
 		}
-		wireSrv = auditor.NewWireServer(backend.(auditor.WireBackend), auditor.WireOptions{Logger: hlogger})
+		wireSrv := auditor.NewWireServer(router, auditor.WireOptions{Logger: hlogger})
+		defer wireSrv.Close()
 		go func() {
 			if err := wireSrv.Serve(lis); err != nil {
 				log.Printf("wire listener failed: %v", err)
 			}
 		}()
-		log.Printf("binary wire transport on %s", o.wireAddr)
+		log.Printf("binary wire transport on %s", lis.Addr())
 	}
 
-	var debugSrv *http.Server
 	if o.debugAddr != "" {
-		debugSrv = &http.Server{Addr: o.debugAddr, Handler: debugMux(collector)}
+		lis, err := net.Listen("tcp", o.debugAddr)
+		if err != nil {
+			return fmt.Errorf("debug listener: %w", err)
+		}
+		debugSrv := &http.Server{Handler: debugMux(collector)}
+		defer debugSrv.Close()
 		go func() {
-			if err := debugSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+			if err := debugSrv.Serve(lis); !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("debug listener failed: %v", err)
 			}
 		}()
-		log.Printf("debug endpoints on %s (/debug/traces, /debug/pprof/)", o.debugAddr)
+		log.Printf("debug endpoints on %s (/debug/traces, /debug/pprof/)", lis.Addr())
 	}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		close(stop)
-		<-done
-		if wireSrv != nil {
-			_ = wireSrv.Close()
-		}
-		if router != nil {
-			cancelSweep()
-			if err := router.Checkpoint(); err != nil {
-				log.Printf("final cluster checkpoint failed: %v", err)
-			}
-			if err := router.Close(); err != nil {
-				log.Printf("router close failed: %v", err)
-			}
-		} else {
-			shutdown(srv, store, legacyCheckpoint)
-		}
-		if debugSrv != nil {
-			_ = debugSrv.Close()
-		}
-		_ = httpSrv.Close()
-	}()
 
-	if router != nil {
-		log.Printf("alidrone-auditor cluster node %s listening on %s (shards=%d, peers=%q, state-dir=%q)",
-			o.nodeID, o.listen, router.NumShards(), o.peers, o.stateDir)
-	} else {
-		log.Printf("alidrone-auditor listening on %s (mode=%s, retention=%v, state-dir=%q, state=%q, workers=%d, max-inflight=%d)",
-			o.listen, o.mode, o.retention, o.stateDir, o.statePath, srv.Workers(), srv.MaxInflight())
-	}
-	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+	lis, err := net.Listen("tcp", o.listen)
+	if err != nil {
 		return err
 	}
-	return nil
+	httpSrv := &http.Server{Handler: auditor.NewHandlerOpts(router, auditor.HandlerOptions{
+		Collector: collector,
+		Logger:    hlogger,
+		Slow:      time.Duration(o.slowMS) * time.Millisecond,
+	})}
+	defer func() {
+		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		if err := httpSrv.Shutdown(drainCtx); err != nil {
+			log.Printf("http drain: %v", err)
+			_ = httpSrv.Close()
+		}
+	}()
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(lis) }()
+
+	log.Printf("alidrone-auditor listening on %s (node=%q, shards=%d, peers=%q, mode=%s, retention=%v, state-dir=%q, workers=%d, max-inflight=%d)",
+		lis.Addr(), o.nodeID, router.NumShards(), o.peers, o.mode, o.retention, o.stateDir,
+		router.Shard(0).Workers(), router.Shard(0).MaxInflight())
+	select {
+	case <-ctx.Done():
+		return nil
+	case err := <-served:
+		return err
+	}
 }
+
+// drainTimeout bounds how long shutdown waits for in-flight HTTP requests
+// before closing their connections.
+const drainTimeout = 10 * time.Second
 
 // debugMux assembles the -debug-addr surface: the trace ring dump and
 // the pprof profiling handlers, registered explicitly so they stay off
@@ -390,64 +360,4 @@ func debugMux(collector *otrace.RingCollector) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// openServer opens the configured persistence: the storage engine when
-// -state-dir is set (with the legacy -state file as migration source),
-// the legacy whole-file restore when only -state is set, a purely
-// in-memory server otherwise. The returned store is nil outside engine
-// mode.
-func openServer(cfg auditor.Config, o options) (*auditor.Server, storage.Store, error) {
-	if o.stateDir != "" {
-		st, err := storage.OpenFileStore(o.stateDir, storage.Options{NoFsync: !o.fsync, Metrics: cfg.Metrics})
-		if err != nil {
-			return nil, nil, fmt.Errorf("open state dir: %w", err)
-		}
-		srv, err := auditor.OpenServer(cfg, st, o.statePath)
-		if err != nil {
-			_ = st.Close()
-			return nil, nil, fmt.Errorf("recover state: %w", err)
-		}
-		log.Printf("storage engine open in %s", o.stateDir)
-		return srv, st, nil
-	}
-	if o.statePath != "" {
-		if _, err := os.Stat(o.statePath); err == nil {
-			srv, err := auditor.LoadServer(cfg, o.statePath)
-			if err != nil {
-				return nil, nil, fmt.Errorf("restore state: %w", err)
-			}
-			log.Printf("restored state from %s", o.statePath)
-			return srv, nil, nil
-		}
-	}
-	srv, err := auditor.NewServer(cfg)
-	return srv, nil, err
-}
-
-// shutdown flushes state on the way out: a final compacted snapshot and
-// store close in engine mode, a legacy checkpoint otherwise. Errors are
-// logged, not fatal — the process is exiting either way.
-func shutdown(srv *auditor.Server, store storage.Store, legacyCheckpoint string) {
-	if store != nil {
-		if err := srv.Checkpoint(); err != nil {
-			log.Printf("final checkpoint failed: %v", err)
-		}
-		if err := store.Close(); err != nil {
-			log.Printf("store close failed: %v", err)
-		}
-		return
-	}
-	checkpoint(srv, legacyCheckpoint)
-}
-
-// checkpoint writes the legacy state file, logging (not failing) on error
-// — the serving path must not die because the disk hiccuped.
-func checkpoint(srv *auditor.Server, statePath string) {
-	if statePath == "" {
-		return
-	}
-	if err := srv.SaveState(statePath); err != nil {
-		log.Printf("state checkpoint failed: %v", err)
-	}
 }

@@ -11,6 +11,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -730,5 +732,86 @@ func TestClusterJoinerRefusesDivergentKey(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "shared PoA key") {
 		t.Fatalf("NewRouter with unreachable seeds: err = %v, want shared-key refusal", err)
+	}
+}
+
+// TestStandaloneRouter: a Router without a node ID is a lone auditor. It
+// refuses seeds, is ready at once, tags its shards s<i>, and its handler
+// mounts none of the cluster-internal doors — above all not the one that
+// serves the private PoA key or the one that imports state.
+func TestStandaloneRouter(t *testing.T) {
+	cfg := Config{Clock: obs.ClockFunc(func() time.Time { return t0 }), Random: rand.New(rand.NewSource(1))}
+	if _, err := NewRouter(RouterConfig{Seeds: []cluster.Node{{ID: "node-b", Addr: "127.0.0.1:1"}}, Server: cfg}); err == nil {
+		t.Error("standalone node accepted seeds")
+	}
+	r, err := NewRouter(RouterConfig{Shards: 2, Server: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Ready(); err != nil {
+		t.Errorf("standalone node not ready: %v", err)
+	}
+	if got := r.Shard(1).cfg.ShardTag; got != "s1" {
+		t.Errorf("shard 1 tag = %q, want s1", got)
+	}
+	h := NewHandler(r)
+	for _, probe := range []struct{ method, path string }{
+		{http.MethodGet, protocol.PathClusterKey},
+		{http.MethodPost, protocol.PathClusterHandoff},
+		{http.MethodGet, protocol.PathClusterMap},
+		{http.MethodPost, protocol.PathClusterGossip},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(probe.method, probe.path, strings.NewReader("{}")))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s on a standalone node: %d, want 404", probe.method, probe.path, rec.Code)
+		}
+	}
+}
+
+// TestRouterRefusesRootLevelStateDir: a state directory with a lone
+// auditor's WAL and snapshot at its root is refused — not opened beside
+// them with a fresh key — and once the files move into shard-0 as the
+// error says, the node starts with the key they hold.
+func TestRouterRefusesRootLevelStateDir(t *testing.T) {
+	dir := t.TempDir()
+	st, err := storage.OpenFileStore(dir, storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := OpenServer(Config{Random: rand.New(rand.NewSource(1))}, st, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	_, err = NewRouter(RouterConfig{StateDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "shard-0") {
+		t.Fatalf("root-level layout: err = %v, want a refusal naming shard-0", err)
+	}
+	if _, statErr := os.Stat(filepath.Join(dir, "shard-0")); !os.IsNotExist(statErr) {
+		t.Errorf("refused start created shard-0 (stat err %v)", statErr)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "shard-0"), 0o700); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := os.Rename(filepath.Join(dir, e.Name()), filepath.Join(dir, "shard-0", e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewRouter(RouterConfig{StateDir: dir})
+	if err != nil {
+		t.Fatalf("after moving the files into shard-0: %v", err)
+	}
+	defer r.Close()
+	if !r.EncryptionPub().Equal(srv.EncryptionPub()) {
+		t.Error("moved state came back with a different key")
 	}
 }

@@ -30,11 +30,12 @@ var (
 
 // Backend is the verification surface the HTTP transport serves: every
 // protocol endpoint plus the operational introspection the handler
-// mounts next to them. A single-node *Server implements it directly;
-// the cluster *Router implements it by routing each call to the owning
-// shard — local or remote — so the transport layer is identical either
-// way. This interface IS the tentpole refactor: "one Server = one
-// shard", with everything above it backend-agnostic.
+// mounts next to them. A *Server implements it directly (in-process
+// use: tests, examples, the benchmark); the *Router — every auditor the
+// command runs, standalone or clustered — implements it by routing each
+// call to the owning shard, local or remote, so the transport layer is
+// identical either way: "one Server = one shard", with everything above
+// it backend-agnostic.
 type Backend interface {
 	RegisterDroneCtx(ctx context.Context, req protocol.RegisterDroneRequest) (protocol.RegisterDroneResponse, error)
 	RegisterZone(req protocol.RegisterZoneRequest) (protocol.RegisterZoneResponse, error)
@@ -80,8 +81,8 @@ type HandlerOptions struct {
 
 // Handler exposes a Backend over HTTP: raw ciphertext bodies on the
 // envelope doors, JSON everywhere else. Register it on any mux or serve
-// it directly. The same handler fronts a single-node Server and a
-// cluster Router; routing is the backend's concern.
+// it directly. The same handler fronts a Server and a Router; routing is
+// the backend's concern.
 type Handler struct {
 	srv  Backend
 	mux  *http.ServeMux
@@ -133,7 +134,11 @@ func NewHandlerOpts(srv Backend, opts HandlerOptions) *Handler {
 	if opts.Collector != nil {
 		h.mux.Handle(PathDebugTraces, opts.Collector)
 	}
-	if cb, ok := srv.(clusterBackend); ok {
+	// Only a cluster node serves the cluster-internal doors: a standalone
+	// node has no peers to gossip with, and /cluster/key and
+	// /cluster/handoff would hand out its private key and import state
+	// unauthenticated.
+	if cb, ok := srv.(clusterBackend); ok && !cb.standalone() {
 		h.registerClusterRoutes(cb)
 	}
 	return h

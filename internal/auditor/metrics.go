@@ -201,7 +201,7 @@ type verdictObs struct {
 	clock obs.Clock
 	door  map[string]*obs.Histogram
 	shard *obs.Histogram
-	label string // shard label (ShardTag, or "single" standalone)
+	label string // shard label (ShardTag, or "single" outside a Router)
 	slo   *obs.SLO
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"sync"
@@ -261,24 +260,19 @@ func TestSweeperDeterministic(t *testing.T) {
 
 	ticks := make(chan time.Time)
 	swept := make(chan int, 1)
-	statePath := filepath.Join(t.TempDir(), "state.json")
 	sw := &Sweeper{
 		Server:     srv,
-		StatePath:  statePath,
 		Ticks:      ticks,
 		AfterSweep: func(purged int) { swept <- purged },
 	}
-	stop := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	go func() { defer close(done); sw.Run(context.Background(), stop) }()
+	go func() { defer close(done); sw.Run(ctx) }()
 
-	// Tick before expiry: nothing purged, but state checkpointed.
+	// Tick before expiry: nothing purged.
 	ticks <- clock.Now()
 	if purged := <-swept; purged != 0 {
 		t.Errorf("premature purge of %d PoAs", purged)
-	}
-	if _, err := LoadServer(Config{Clock: clock}, statePath); err != nil {
-		t.Errorf("checkpoint unreadable: %v", err)
 	}
 
 	// Advance past the retention window; the next tick purges.
@@ -291,7 +285,7 @@ func TestSweeperDeterministic(t *testing.T) {
 		t.Error("retention store not emptied")
 	}
 
-	close(stop)
+	cancel()
 	<-done
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/sigcrypto"
@@ -88,23 +87,28 @@ func (s *Server) exportRecords(handoff bool) ([]byte, error) {
 }
 
 // restoreServer builds a server from a snapshot stream — the storage
-// engine's latest compaction or a SaveState file — by applying its records
-// in order. The stream must end with the key record; on any error the
-// half-built server is discarded, so a damaged snapshot never yields a
-// partially restored server.
+// engine's latest compaction — by applying its records in order. The
+// stream must end with the key record, which is decoded first and handed
+// to NewServer, so a restore never pays for a key it would throw away. On
+// any error the half-built server is discarded, so a damaged snapshot
+// never yields a partially restored server.
 func restoreServer(cfg Config, data []byte) (*Server, error) {
 	recs, err := storage.DecodeRecords(data)
 	if err != nil {
 		return nil, fmt.Errorf("load state: %w", err)
 	}
-	if n := len(recs); n == 0 || recs[n-1].Kind != recEncKey {
+	n := len(recs)
+	if n == 0 || recs[n-1].Kind != recEncKey {
 		return nil, fmt.Errorf("load state: %w: snapshot does not end with the key record", storage.ErrCorrupt)
+	}
+	if cfg.EncryptionKey, err = decodeEncKey(recs[n-1]); err != nil {
+		return nil, fmt.Errorf("load state: %w", err)
 	}
 	srv, err := NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for i, rec := range recs {
+	for i, rec := range recs[:n-1] {
 		if err := srv.applyRecord(rec); err != nil {
 			return nil, fmt.Errorf("load state: record %d: %w", i, err)
 		}
@@ -116,32 +120,12 @@ func restoreServer(cfg Config, data []byte) (*Server, error) {
 	return srv, nil
 }
 
-// SaveState writes the server's full state to path as one snapshot stream
-// (mode 0600: it holds the private encryption key). Sessions, open streams
-// and challenges are deliberately ephemeral and not persisted. The replace
-// is crash-safe: the temp file and the directory entry are both fsynced
-// before SaveState returns, so a power cut leaves either the old state or
-// the new — never a torn or unlinked file.
-func (s *Server) SaveState(path string) error {
-	data, err := s.exportRecords(false)
-	if err != nil {
-		return err
-	}
-	if err := storage.WriteFileAtomic(path, data, 0o600, true); err != nil {
-		return fmt.Errorf("save state: %w", err)
-	}
-	return nil
-}
-
 // Sweeper is the retention housekeeping loop: it periodically purges
-// expired PoAs from the retention store and (optionally) checkpoints the
-// server state file. Expiry itself is computed against the server's
-// injectable clock, so tests drive the Ticks channel and a fake clock
-// instead of sleeping.
+// expired PoAs, sessions, open streams and disclosure challenges. Expiry
+// itself is computed against the server's injectable clock, so tests
+// drive the Ticks channel and a fake clock instead of sleeping.
 type Sweeper struct {
 	Server *Server
-	// StatePath, when non-empty, is checkpointed after every sweep.
-	StatePath string
 	// Interval is the production tick period (ignored when Ticks set).
 	Interval time.Duration
 	// Ticks overrides the internal time.Ticker; tests send on it to
@@ -154,22 +138,13 @@ type Sweeper struct {
 	AfterSweep func(purged int)
 }
 
-// RunOnce performs a single sweep: purge, checkpoint, notify.
-func (sw *Sweeper) RunOnce() int { return sw.RunOnceCtx(context.Background()) }
-
-// RunOnceCtx is RunOnce under a caller context: the purge's WAL append
-// runs under it, so tearing down the sweeper cancels in-flight
-// housekeeping I/O instead of orphaning it on a background context.
-func (sw *Sweeper) RunOnceCtx(ctx context.Context) int {
+// RunOnce performs a single sweep under ctx: the purge's WAL append runs
+// under it, so tearing down the sweeper cancels in-flight housekeeping
+// I/O instead of orphaning it on a background context.
+func (sw *Sweeper) RunOnce(ctx context.Context) int {
 	purged := sw.Server.PurgeExpiredCtx(ctx)
 	if purged > 0 && sw.Logf != nil {
 		sw.Logf("purged %d expired PoAs", purged)
-	}
-	if sw.StatePath != "" {
-		if err := sw.Server.SaveState(sw.StatePath); err != nil && sw.Logf != nil {
-			// The serving path must not die because the disk hiccuped.
-			sw.Logf("state checkpoint failed: %v", err)
-		}
 	}
 	if sw.AfterSweep != nil {
 		sw.AfterSweep(purged)
@@ -177,8 +152,8 @@ func (sw *Sweeper) RunOnceCtx(ctx context.Context) int {
 	return purged
 }
 
-// Run sweeps on every tick until stop closes or ctx is cancelled.
-func (sw *Sweeper) Run(ctx context.Context, stop <-chan struct{}) {
+// Run sweeps on every tick until ctx is cancelled.
+func (sw *Sweeper) Run(ctx context.Context) {
 	ticks := sw.Ticks
 	if ticks == nil {
 		t := time.NewTicker(sw.Interval)
@@ -188,38 +163,29 @@ func (sw *Sweeper) Run(ctx context.Context, stop <-chan struct{}) {
 	for {
 		select {
 		case <-ticks:
-			sw.RunOnceCtx(ctx)
-		case <-stop:
-			return
+			sw.RunOnce(ctx)
 		case <-ctx.Done():
 			return
 		}
 	}
 }
 
-// LoadServer restores a server from a state file written by SaveState.
-// The config's key size is ignored (the persisted key wins).
-func LoadServer(cfg Config, path string) (*Server, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("load state: %w", err)
-	}
-	return restoreServer(cfg, data)
-}
-
 // OpenServer recovers a server from a storage engine and attaches it, so
 // every subsequent mutation is logged durably. Recovery is snapshot +
 // WAL-tail replay; see internal/storage for the on-disk contract.
 //
-// legacyState, when non-empty, names a pre-WAL monolithic state file
-// (SaveState's output). It is the migration path: if the store is empty
-// but the legacy file exists, the server loads from it and immediately
-// compacts it into the store. The legacy file is left in place untouched.
+// legacyState must be empty: the pre-WAL whole-file state mode it once
+// migrated from is gone, and a non-empty value is an error rather than a
+// path silently ignored. The argument itself goes away with ROADMAP item
+// 2(a), which frees the benchmark adapter that still passes it.
 //
 // A fresh store (no snapshot, no WAL) gets an initial snapshot before
 // OpenServer returns: the just-generated encryption key must be durable
 // before any drone encrypts a PoA to it.
 func OpenServer(cfg Config, st storage.Store, legacyState string) (*Server, error) {
+	if legacyState != "" {
+		return nil, fmt.Errorf("open server: legacy state file %q: the whole-file state mode is gone; recover from a storage engine directory", legacyState)
+	}
 	snapBytes, tail, err := st.Recover()
 	if err != nil {
 		return nil, fmt.Errorf("open server: %w", err)
@@ -229,22 +195,12 @@ func OpenServer(cfg Config, st storage.Store, legacyState string) (*Server, erro
 	}
 
 	var srv *Server
-	switch {
-	case snapBytes != nil:
+	if snapBytes != nil {
 		if srv, err = restoreServer(cfg, snapBytes); err != nil {
 			return nil, fmt.Errorf("open server: %w", err)
 		}
-	case legacyState != "":
-		if _, statErr := os.Stat(legacyState); statErr == nil {
-			if srv, err = LoadServer(cfg, legacyState); err != nil {
-				return nil, fmt.Errorf("open server: migrate %s: %w", legacyState, err)
-			}
-		}
-	}
-	if srv == nil {
-		if srv, err = NewServer(cfg); err != nil {
-			return nil, err
-		}
+	} else if srv, err = NewServer(cfg); err != nil {
+		return nil, err
 	}
 
 	for i, rec := range tail {

@@ -3,7 +3,6 @@ package auditor
 import (
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,58 +16,54 @@ import (
 	"repro/internal/zone"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
+// snapshotStore returns a MemStore whose latest snapshot is srv's state.
+func snapshotStore(t *testing.T, srv *Server) *storage.MemStore {
+	t.Helper()
+	st := storage.NewMemStore()
+	if err := st.Snapshot(func() ([]byte, error) { return srv.exportRecords(false) }); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// failingReader is an entropy source that always errors: a server built
+// over it can generate no key.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, errors.New("no entropy") }
+
+// TestSnapshotRestoreRoundTrip restores a server from a snapshot alone and
+// checks what an export comparison cannot: the restored server answers
+// as the live one would. The old ciphertext decrypts under the restored
+// key and is rejected as a replay, an accusation is answered from the
+// restored retention store, and zone IDs continue the sequence.
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	srv, droneID, keys := newFixture(t)
 	zoneID, err := srv.Zones().Register("alice", geo.GeoCircle{Center: urbana.Offset(0, 5000), R: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.RegisterZone3D("bob", poa.CylinderZone{Center: urbana.Offset(0, 8000), R: 50, AltMax: 120}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Submit a compliant PoA so retention + replay state is non-trivial.
 	p := signedTrace(t, keys, urbana, 90, 10, 30, time.Second)
-	resp, err := srv.SubmitPoA(protocol.SubmitPoARequest{DroneID: droneID, EncryptedPoA: encryptFor(t, srv, p)})
+	ct := encryptFor(t, srv, p)
+	resp, err := srv.SubmitPoA(protocol.SubmitPoARequest{DroneID: droneID, EncryptedPoA: ct})
 	if err != nil || resp.Verdict != protocol.VerdictCompliant {
 		t.Fatalf("submit: %v / %v", err, resp.Verdict)
 	}
 
-	path := filepath.Join(t.TempDir(), "auditor-state.json")
-	if err := srv.SaveState(path); err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := LoadServer(Config{
+	restored, err := OpenServer(Config{
 		Random: rand.New(rand.NewSource(1)),
 		Clock:  obs.ClockFunc(func() time.Time { return t0 }),
-	}, path)
+	}, snapshotStore(t, srv), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The encryption key survives: old ciphertext still decrypts, so a
-	// resubmission is caught as a replay.
-	resp, err = restored.SubmitPoA(protocol.SubmitPoARequest{DroneID: droneID, EncryptedPoA: encryptFor(t, srv, p)})
+	resp, err = restored.SubmitPoA(protocol.SubmitPoARequest{DroneID: droneID, EncryptedPoA: ct})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Verdict != protocol.VerdictViolation {
 		t.Errorf("replay after restore verdict = %v, want violation", resp.Verdict)
 	}
-
-	// Registered drone and zones survive.
-	if restored.RetainedCount() != 1 {
-		t.Errorf("retained after restore = %d, want 1", restored.RetainedCount())
-	}
-	if _, ok := restored.Zones().Get(zoneID); !ok {
-		t.Error("zone lost across restore")
-	}
-	if len(restored.Zones3D()) != 1 {
-		t.Error("3-D zone lost across restore")
-	}
-
-	// Accusations still answerable from the restored retention store.
 	acc, err := restored.HandleAccusation(droneID, zoneID, t0.Add(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +71,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if acc.Verdict != protocol.VerdictCompliant {
 		t.Errorf("accusation after restore = %v", acc.Verdict)
 	}
-
-	// New registrations continue the ID sequences without collisions.
 	id2, err := restored.Zones().Register("carol", geo.GeoCircle{Center: urbana.Offset(90, 5000), R: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +80,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadServerErrors(t *testing.T) {
-	if _, err := LoadServer(Config{}, filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing state file accepted")
+// TestRestoreGeneratesNoKey: a restore takes the key from the snapshot's
+// closing record, so it never draws entropy for a key of its own — with
+// an entropy source that always fails, recovery still succeeds and comes
+// back with the persisted key.
+func TestRestoreGeneratesNoKey(t *testing.T) {
+	srv, _, _ := newFixture(t)
+	restored, err := OpenServer(Config{Random: failingReader{}}, snapshotStore(t, srv), "")
+	if err != nil {
+		t.Fatalf("restore drew entropy: %v", err)
+	}
+	if !restored.EncryptionKey().Equal(srv.EncryptionKey()) {
+		t.Error("restored key differs from the snapshot's")
+	}
+}
+
+// TestOpenServerRefusesLegacyState: the whole-file state mode is gone, so
+// naming a legacy state file is an error — never a path silently ignored
+// while a fresh key is minted.
+func TestOpenServerRefusesLegacyState(t *testing.T) {
+	st := storage.NewMemStore()
+	if srv, err := OpenServer(Config{Random: failingReader{}}, st, "state.rec"); err == nil || srv != nil {
+		t.Fatalf("legacy state accepted (server %v, err %v)", srv != nil, err)
+	}
+	if snap, tail, err := st.Recover(); err != nil || snap != nil || len(tail) != 0 {
+		t.Errorf("refused open wrote to the store: snapshot %d bytes, %d records, err %v", len(snap), len(tail), err)
 	}
 }
 
@@ -107,11 +122,11 @@ func keyRecord(t testing.TB, srv *Server) storage.Record {
 	return recs[len(recs)-1]
 }
 
-// TestLoadServerRejectsCorruptSnapshots feeds damaged snapshot streams to
-// the loader, whole-file damage first and then one malformed payload per
+// TestRestoreServerRejectsCorruptSnapshots feeds damaged snapshot streams
+// to the loader, whole-file damage first and then one malformed payload per
 // record kind: every one must come back as a clean error — no panic, no
 // half-restored server.
-func TestLoadServerRejectsCorruptSnapshots(t *testing.T) {
+func TestRestoreServerRejectsCorruptSnapshots(t *testing.T) {
 	srv, _, _ := newFixture(t)
 	valid, err := srv.exportRecords(false)
 	if err != nil {
@@ -146,7 +161,8 @@ func TestLoadServerRejectsCorruptSnapshots(t *testing.T) {
 		"flipped bit":        flipped,
 		"cut before the key": frames(zoneRec),
 		"key not last":       frames(key, zoneRec),
-		"bad key":            stream(rec(recEncKey, `{"encKey":"AAAA"}`)),
+		"bad key":            frames(rec(recEncKey, `{"encKey":"AAAA"}`)),
+		"key twice":          stream(key),
 		"unknown kind":       stream(rec(200, `{}`)),
 
 		"drone: bad keys":       stream(rec(recDroneRegistered, `{"id":"drone-0001","operatorPub":"!!","teePub":"!!"}`)),

@@ -1,11 +1,13 @@
 package auditor
 
-// Router is the cluster front layer of the tentpole refactor: one
-// auditor process owns N local shard Servers and a membership view of
-// its peers, and every drone-keyed operation is routed — by consistent
-// hash over the drone ID — to the shard that owns it, locally or on a
-// remote node. The transports (HTTP handler, wire server) are backend
-// agnostic: they serve a Router exactly as they serve a bare Server.
+// Router is the auditor's front layer: one auditor process owns N local
+// shard Servers and a membership view of its peers, and every
+// drone-keyed operation is routed — by consistent hash over the drone ID
+// — to the shard that owns it, locally or on a remote node. A lone
+// auditor is a Router without a node ID: one node, no peers, no cluster
+// doors. The transports (HTTP handler, wire server) are backend
+// agnostic: they serve a Router exactly as they serve a bare Server,
+// which in-process callers still use directly.
 //
 // Routing is two-level:
 //
@@ -31,6 +33,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,17 +55,21 @@ var (
 	_ WireBackend = (*Router)(nil)
 )
 
-// RouterConfig parameterises one cluster node.
+// RouterConfig parameterises one auditor node.
 type RouterConfig struct {
 	// Self identifies this node: its ID on the ring and the addresses
-	// peers and clients reach it at.
+	// peers and clients reach it at. An empty ID makes a standalone node:
+	// it takes no seeds and serves none of the cluster-internal doors
+	// (router_http.go).
 	Self cluster.Node
 	// Seeds are the peers contacted at bootstrap (self is implied).
 	Seeds []cluster.Node
 	// Shards is the number of local shard Servers (default 1).
 	Shards int
 	// StateDir, when non-empty, gives every shard a file-backed store at
-	// <StateDir>/shard-<i>. Empty runs all shards in memory.
+	// <StateDir>/shard-<i>. Empty runs all shards in memory. A directory
+	// holding WAL or snapshot files at its root and no shard-0 is refused
+	// (see checkStateLayout).
 	StateDir string
 	// Server is the per-shard configuration template. Its EncryptionKey,
 	// ShardTag and Metrics/Tracer/Clock/Random fields are managed by the
@@ -123,18 +130,27 @@ type Router struct {
 // membership. It does not start the gossip loop — call Run, or drive
 // Gossiper rounds manually in tests.
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	if cfg.Self.ID == "" {
-		return nil, errors.New("auditor: router needs a node ID")
+	standalone := cfg.Self.ID == ""
+	if standalone && len(cfg.Seeds) > 0 {
+		return nil, errors.New("auditor: a node without an ID is standalone and takes no seeds")
+	}
+	if err := checkStateLayout(cfg.StateDir); err != nil {
+		return nil, err
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
+	// Every line a cluster node logs carries its identity, so interleaved
+	// multi-node output (tests, co-located processes) is attributable.
+	logger, scfg := cfg.Logger, cfg.Server
+	if !standalone {
+		logger = logger.With("node", cfg.Self.ID)
+		scfg.Logger = scfg.Logger.With("node", cfg.Self.ID)
+	}
 	r := &Router{
-		cfg:    cfg,
-		client: cfg.HTTPClient,
-		// Every line this node logs carries its identity, so interleaved
-		// multi-node output (tests, co-located processes) is attributable.
-		log:          cfg.Logger.With("node", cfg.Self.ID),
+		cfg:          cfg,
+		client:       cfg.HTTPClient,
+		log:          logger,
 		fwd:          newWireForwarder(),
 		handoffsSeen: make(map[string]uint64),
 	}
@@ -158,8 +174,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	// to cover seeds booting at the same moment, then refuses to start.
 	// A node restarting with shard state skips the fetch: its persisted
 	// key wins over any config or fetched key regardless.
-	scfg := cfg.Server
-	scfg.Logger = scfg.Logger.With("node", cfg.Self.ID)
 	// One SLO tracker shared by every shard: the node-level summary (and
 	// the fleet status endpoint) wants coherent per-door windows, while
 	// the shard= dimension inside the tracker keeps shards tellable
@@ -179,7 +193,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 
 	for i := 0; i < cfg.Shards; i++ {
 		sc := scfg
-		sc.ShardTag = fmt.Sprintf("%s-s%d", cfg.Self.ID, i)
+		sc.ShardTag = fmt.Sprintf("s%d", i)
+		if !standalone {
+			sc.ShardTag = cfg.Self.ID + "-" + sc.ShardTag
+		}
 		var (
 			srv *Server
 			st  storage.Store
@@ -252,6 +269,31 @@ func hasShardState(dir string) bool {
 	}
 	entries, err := os.ReadDir(filepath.Join(dir, "shard-0"))
 	return err == nil && len(entries) > 0
+}
+
+// checkStateLayout refuses a state directory laid out by a standalone
+// auditor from before every auditor ran behind a Router: WAL segments and
+// snapshots at the root and no shard-0. Starting over it would open an
+// empty shard-0 beside the files and mint a new PoA key, silently
+// orphaning every registered drone.
+func checkStateLayout(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shard-0")); err == nil {
+		return nil
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil // absent: a fresh directory, created per shard below
+	}
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "snap-") {
+			return fmt.Errorf("auditor: %s holds a standalone auditor's state at its root (%s); move its wal-* and snap-* files into %s to keep that state and its key",
+				dir, name, filepath.Join(dir, "shard-0"))
+		}
+	}
+	return nil
 }
 
 // fetchClusterKeyRetry cycles the seeds for the cluster encryption key,

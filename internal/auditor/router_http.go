@@ -2,8 +2,8 @@ package auditor
 
 // The cluster-internal HTTP surface: the doors auditor nodes use among
 // themselves. They are registered only when the handler's backend is a
-// cluster node (the Router), so a single-node auditor exposes exactly
-// the surface it always did.
+// Router with a node ID, so a standalone auditor — a bare Server, or a
+// Router without an ID — serves none of them.
 
 import (
 	"bytes"
@@ -24,6 +24,7 @@ import (
 // cluster routes light up.
 type clusterBackend interface {
 	Backend
+	standalone() bool
 	clusterMapJSON() ([]byte, error)
 	gossipExchange(digestJSON []byte) ([]byte, error)
 	clusterRegister(ctx context.Context, req protocol.ClusterRegisterRequest) (protocol.RegisterDroneResponse, error)
@@ -120,6 +121,9 @@ func readBody(r *http.Request) ([]byte, error) {
 }
 
 // ---- Router's clusterBackend implementation ----
+
+// standalone reports a node without an ID: one node, no cluster doors.
+func (r *Router) standalone() bool { return r.cfg.Self.ID == "" }
 
 // clusterMapJSON serialises the current map for /cluster/map.
 func (r *Router) clusterMapJSON() ([]byte, error) {

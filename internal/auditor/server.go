@@ -166,10 +166,10 @@ type Config struct {
 	// node of a cluster) must share one key so a drone's ciphertext
 	// decrypts on whichever shard owns it.
 	EncryptionKey *rsa.PrivateKey
-	// ShardTag, when non-empty, is folded into issued session and stream
-	// IDs ("session-<tag>-0001") so shards of a cluster never issue
-	// colliding IDs. Single-node servers leave it empty and keep the
-	// historical formats.
+	// ShardTag, when non-empty, is folded into issued session, stream and
+	// challenge IDs ("session-<tag>-0001") so shards never issue
+	// colliding IDs. The Router sets it for every shard; a Server used
+	// directly leaves it empty and keeps the untagged formats.
 	ShardTag string
 	// SimVerifyCost, when positive, sleeps that long inside the admission
 	// slot of every submission — a benchmark-only stand-in for a fixed
@@ -372,7 +372,7 @@ func (s *Server) RegisterDroneCtx(ctx context.Context, req protocol.RegisterDron
 // RegisterDroneWithID files a registration under a caller-chosen ID. The
 // cluster routing layer issues drone IDs ring-side — the ID determines
 // the owning node, so it must exist before the record is placed — and
-// then files the record here on the owner. Single-node deployments keep
+// then files the record here on the owner. A Server used directly keeps
 // issuing sequential IDs through RegisterDroneCtx.
 func (s *Server) RegisterDroneWithID(ctx context.Context, id string, req protocol.RegisterDroneRequest) (protocol.RegisterDroneResponse, error) {
 	if id == "" {

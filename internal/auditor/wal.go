@@ -2,6 +2,7 @@ package auditor
 
 import (
 	"context"
+	"crypto/rsa"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -24,9 +25,10 @@ import (
 // A snapshot is the shortest stream of the same records that rebuilds the
 // state (exportRecords), closed by the one kind the log never carries, the
 // PoA key pair; a cluster handoff ships that stream without the key.
-// applyRecord is therefore the only decoder: recovery, LoadServer and
-// handoff import all reach state through it. DESIGN.md §6 tabulates the
-// kinds.
+// applyRecord is therefore the only decoder of state: snapshot restore,
+// WAL-tail replay and handoff import all reach state through it, and only
+// the closing key record is read apart (decodeEncKey). DESIGN.md §6
+// tabulates the kinds.
 //
 // Sessions, open streams and disclosure challenges stay deliberately
 // ephemeral. Replay-digest claims that *fail* verification are released
@@ -294,23 +296,26 @@ func (s *Server) applyRecord(rec storage.Record) error {
 			return fmt.Errorf("disclosure record: %w", err)
 		}
 		s.disclosures.restore(d)
-	case recEncKey:
-		var k walEncKey
-		if err := json.Unmarshal(rec.Data, &k); err != nil {
-			return fmt.Errorf("key record: %w", err)
-		}
-		key, err := sigcrypto.UnmarshalPrivateKey(k.EncKey)
-		if err != nil {
-			return fmt.Errorf("key record: %w", err)
-		}
-		if err := sigcrypto.CheckEnvelopeKey(&key.PublicKey); err != nil {
-			return fmt.Errorf("key record: %w", err)
-		}
-		s.encKey = key
 	default:
 		return fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
 	return nil
+}
+
+// decodeEncKey reads the key record that closes a snapshot. It is not an
+// applyRecord kind: restoreServer reads it before anything else, so the
+// restored server is built around the persisted key instead of generating
+// one of its own.
+func decodeEncKey(rec storage.Record) (*rsa.PrivateKey, error) {
+	var k walEncKey
+	if err := json.Unmarshal(rec.Data, &k); err != nil {
+		return nil, fmt.Errorf("key record: %w", err)
+	}
+	key, err := sigcrypto.UnmarshalPrivateKey(k.EncKey)
+	if err != nil {
+		return nil, fmt.Errorf("key record: %w", err)
+	}
+	return key, nil
 }
 
 // recordDrone names the drone a record belongs to, or "" for the kinds

@@ -86,8 +86,8 @@ func (m *wireMetrics) ackCounter(status byte) *obs.Counter {
 
 // WireBackend is what the binary transport needs from a backend: the
 // operations it carries, connection accounting and the metrics registry.
-// Both the single-node *Server and the cluster *Router satisfy it (the
-// unexported method keeps the set closed to this package).
+// Both *Server and *Router satisfy it (the unexported method keeps the
+// set closed to this package).
 type WireBackend interface {
 	SubmitPoACtx(ctx context.Context, req protocol.SubmitPoARequest) (protocol.SubmitPoAResponse, error)
 	SubmitCommitPoACtx(ctx context.Context, req protocol.SubmitCommitPoARequest) (protocol.SubmitPoAResponse, error)

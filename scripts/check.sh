@@ -120,5 +120,16 @@ if ! awk -v c="${COVER}" 'BEGIN { exit !(c != "" && c + 0 >= 84) }'; then
 	exit 1
 fi
 
+# The auditor command builds one front end (a Router, standalone or a
+# cluster node) and one drain path; its tests boot run on loopback ports,
+# submit, shut down and re-open on disk and in memory. The floor keeps
+# that wiring tested.
+echo ">> coverage floor: cmd/alidrone-auditor >= 60%"
+COVER="$(go test -count=1 -cover ./cmd/alidrone-auditor | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
+if ! awk -v c="${COVER}" 'BEGIN { exit !(c != "" && c + 0 >= 60) }'; then
+	echo "coverage floor failed: cmd/alidrone-auditor at ${COVER:-unknown}% (want >= 60%)" >&2
+	exit 1
+fi
+
 echo "all checks passed"
 ./scripts/loc.sh

@@ -136,8 +136,6 @@ type (
 	SpoofGuardConfig = core.SpoofGuardConfig
 	// PlannerConfig tunes the NFZ-avoiding route planner.
 	PlannerConfig = planner.Config
-	// CylinderZone is a 3-D no-fly region (§VII-B1).
-	CylinderZone = poa.CylinderZone
 	// BatchPoA is the sign-once trace envelope (§VII-A1b).
 	BatchPoA = poa.BatchPoA
 )

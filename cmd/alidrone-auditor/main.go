@@ -39,7 +39,7 @@
 // Cluster mode: -node-id turns the binary into one node of a sharded
 // auditor cluster. -peers lists seed nodes as
 // id=host:port[+wirehost:port], and -advertise is the address peers and
-// routing clients reach this node at. Mis-routed submissions are
+// clients reach this node at. Mis-routed submissions are
 // forwarded to the owning node exactly once (see DESIGN.md "Sharded
 // cluster").
 //
@@ -131,7 +131,7 @@ func main() {
 	flag.StringVar(&o.nodeID, "node-id", "", "cluster node identity; enables cluster mode (empty = a standalone node with no cluster doors)")
 	flag.StringVar(&o.peers, "peers", "", "comma-separated seed peers, id=host:port[+wirehost:port] (requires -node-id)")
 	flag.IntVar(&o.shards, "shards", 1, "local shard Servers per node")
-	flag.StringVar(&o.advertise, "advertise", "", "address peers and routing clients reach this node at (default: -listen)")
+	flag.StringVar(&o.advertise, "advertise", "", "address peers and clients reach this node at (default: -listen)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

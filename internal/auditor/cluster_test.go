@@ -429,7 +429,7 @@ func TestClusterHandoffKillPoint(t *testing.T) {
 
 	// A learns of B and streams its shards over; rB checkpoints before
 	// acknowledging.
-	rA.Membership().Merge(cluster.Digest{From: nodeB, Entries: []cluster.DigestEntry{{Node: nodeB, Heartbeat: 1}}})
+	rA.membership.Merge(cluster.Digest{From: nodeB, Entries: []cluster.DigestEntry{{Node: nodeB, Heartbeat: 1}}})
 	if err := rA.Rebalance(ctx); err != nil {
 		t.Fatalf("rebalance to B: %v", err)
 	}
@@ -599,7 +599,7 @@ func TestClusterHandoffCarriesDisclosures(t *testing.T) {
 	hsB := &httptest.Server{Listener: lisB, Config: &http.Server{Handler: NewHandler(rB)}}
 	hsB.Start()
 	defer hsB.Close()
-	rA.Membership().Merge(cluster.Digest{From: nodeB, Entries: []cluster.DigestEntry{{Node: nodeB, Heartbeat: 1}}})
+	rA.membership.Merge(cluster.Digest{From: nodeB, Entries: []cluster.DigestEntry{{Node: nodeB, Heartbeat: 1}}})
 	if err := rA.Rebalance(ctx); err != nil {
 		t.Fatalf("rebalance to B: %v", err)
 	}
@@ -660,7 +660,7 @@ func TestClusterHandoffOmitsKey(t *testing.T) {
 	}))
 	defer peer.Close()
 	nodeB := cluster.Node{ID: "node-b", Addr: strings.TrimPrefix(peer.URL, "http://")}
-	rA.Membership().Merge(cluster.Digest{From: nodeB, Entries: []cluster.DigestEntry{{Node: nodeB, Heartbeat: 1}}})
+	rA.membership.Merge(cluster.Digest{From: nodeB, Entries: []cluster.DigestEntry{{Node: nodeB, Heartbeat: 1}}})
 	if err := rA.Rebalance(ctx); err != nil {
 		t.Fatal(err)
 	}

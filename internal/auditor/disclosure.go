@@ -40,7 +40,7 @@ func (s *Server) SubmitSealedPoA(req protocol.SubmitSealedPoARequest) (protocol.
 
 // SubmitSealedPoACtx is SubmitSealedPoA under a caller context.
 func (s *Server) SubmitSealedPoACtx(ctx context.Context, req protocol.SubmitSealedPoARequest) (protocol.SubmitPoAResponse, error) {
-	return s.enter(ctx, DoorSealed, req.DroneID, req.EncryptedPoA)
+	return s.enter(ctx, DoorSealed, protocol.Envelope{DroneID: req.DroneID, Ciphertext: req.EncryptedPoA})
 }
 
 // SubmitCommitPoA accepts a commit-mode PoA: the TEE-signed envelope
@@ -53,7 +53,7 @@ func (s *Server) SubmitCommitPoA(req protocol.SubmitCommitPoARequest) (protocol.
 
 // SubmitCommitPoACtx is SubmitCommitPoA under a caller context.
 func (s *Server) SubmitCommitPoACtx(ctx context.Context, req protocol.SubmitCommitPoARequest) (protocol.SubmitPoAResponse, error) {
-	return s.enter(ctx, DoorCommit, req.DroneID, req.EncryptedEnvelope)
+	return s.enter(ctx, DoorCommit, protocol.Envelope{DroneID: req.DroneID, Ciphertext: req.EncryptedEnvelope})
 }
 
 // Reveal settles a selective-disclosure challenge: the operator discloses

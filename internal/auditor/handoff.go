@@ -13,9 +13,9 @@ package auditor
 // before acknowledging. A checkpointed import is durable on the new owner
 // — that checkpoint, not a per-record WAL append, is the durability
 // carrier for moved state (the kill-point recovery test exercises exactly
-// this). The source keeps its copy: a mis-routed request still answers
-// there until clients refresh their map, and the single-hop guard turns
-// any residual disagreement into a 421 rather than a loop.
+// this). The source keeps its copy: a request routed by a map that has not
+// caught up still answers there, and the single-hop guard turns any
+// residual disagreement into a 421 rather than a loop.
 
 import (
 	"context"

@@ -17,7 +17,6 @@ const (
 	PathHealthz = "/healthz"
 	// PathReadyz is the readiness probe: 200 once the backend can serve
 	// verdicts (shards recovered, cluster ring joined), 503 until then.
-	// Operator clients treat a non-ready node as a redial target.
 	PathReadyz = protocol.PathReadyz
 	// PathDebugTraces dumps the span ring buffer as JSONL (when a
 	// collector is mounted — see HandlerOptions and the -debug-addr flag).
@@ -158,7 +157,6 @@ const (
 	StageChronology  = "chronology"
 	StageSpeed       = "speed"
 	StageSufficiency = "sufficiency"
-	StageZones3D     = "zones3d"
 	StageRetain      = "retain"
 	StageCommit      = "commit"
 	StageStructure   = "structure"

@@ -3,7 +3,9 @@ package auditor
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -14,6 +16,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/obs"
+	"repro/internal/poa"
 	"repro/internal/protocol"
 )
 
@@ -228,7 +231,7 @@ func TestRetentionExpiryExactWindow(t *testing.T) {
 	if removed := srv.PurgeExpired(); removed != 0 {
 		t.Fatalf("purged %d one nanosecond before the window closed", removed)
 	}
-	if srv.RetainedCount() != 1 {
+	if srv.Status().RetainedPoAs != 1 {
 		t.Fatal("PoA lost before expiry")
 	}
 
@@ -236,7 +239,7 @@ func TestRetentionExpiryExactWindow(t *testing.T) {
 	if removed := srv.PurgeExpired(); removed != 1 {
 		t.Fatalf("purged %d at exactly the retention window, want 1", removed)
 	}
-	if srv.RetainedCount() != 0 {
+	if srv.Status().RetainedPoAs != 0 {
 		t.Fatal("PoA survived past expiry")
 	}
 	if got := reg.Gauge(MetricRetainedPoAs).Value(); got != 0 {
@@ -281,7 +284,7 @@ func TestSweeperDeterministic(t *testing.T) {
 	if purged := <-swept; purged != 1 {
 		t.Errorf("purged %d, want 1", purged)
 	}
-	if srv.RetainedCount() != 0 {
+	if srv.Status().RetainedPoAs != 0 {
 		t.Error("retention store not emptied")
 	}
 
@@ -319,4 +322,44 @@ func newTestHTTPServer(t *testing.T, srv *Server) string {
 	hs := httptest.NewServer(NewHandler(srv))
 	t.Cleanup(hs.Close)
 	return hs.URL
+}
+
+// TestMACDoorCountsDisclosure: the MAC door is a row of the door table, so
+// an accepted MAC submission counts under the full disclosure mode like
+// every other plaintext door, and its refusals keep their order: unknown
+// drone, disclosure mode, unknown session, another drone's session — all
+// before an admission slot is taken.
+func TestMACDoorCountsDisclosure(t *testing.T) {
+	srv, id, keys := newFixture(t)
+	key := []byte("0123456789abcdef0123456789abcdef")
+	sess, err := srv.StartSession(protocol.StartSessionRequest{DroneID: id, WrappedKey: encryptBytes(t, srv, key)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitID, _ := registerDisclosureDrone(t, srv, rand.New(rand.NewSource(47)), poa.DisclosureCommit)
+	otherID, _ := registerDisclosureDrone(t, srv, rand.New(rand.NewSource(48)), poa.DisclosureFull)
+	ct := macEnvelope(t, srv, key, signedTrace(t, keys, urbana, 90, 10, 5, time.Second))
+
+	for _, tc := range []struct {
+		name string
+		req  protocol.SubmitMACPoARequest
+		want error
+	}{
+		{"unknown drone", protocol.SubmitMACPoARequest{DroneID: "drone-9999", SessionID: "session-9999"}, ErrUnknownDrone},
+		{"commit-mode drone", protocol.SubmitMACPoARequest{DroneID: commitID, SessionID: "session-9999"}, ErrDisclosureMismatch},
+		{"unknown session", protocol.SubmitMACPoARequest{DroneID: id, SessionID: "session-9999"}, ErrUnknownSession},
+		{"another drone's session", protocol.SubmitMACPoARequest{DroneID: otherID, SessionID: sess.SessionID}, ErrUnknownSession},
+	} {
+		if _, err := srv.SubmitMACPoA(tc.req); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+
+	resp, err := srv.SubmitMACPoA(protocol.SubmitMACPoARequest{DroneID: id, SessionID: sess.SessionID, EncryptedPoA: ct})
+	if err != nil || resp.Verdict != protocol.VerdictCompliant {
+		t.Fatalf("MAC submission: %v / %+v", err, resp)
+	}
+	if got := srv.Metrics().Counter(obs.L(MetricDisclosureTotal, "mode", poa.DisclosureFull)).Value(); got != 1 {
+		t.Errorf("full disclosure count = %d, want 1", got)
+	}
 }

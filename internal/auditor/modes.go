@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/auditor/pipeline"
 	"repro/internal/poa"
 	"repro/internal/protocol"
 	"repro/internal/sigcrypto"
@@ -28,7 +27,7 @@ func (s *Server) SubmitBatchPoA(req protocol.SubmitBatchPoARequest) (protocol.Su
 
 // SubmitBatchPoACtx is SubmitBatchPoA under a caller context.
 func (s *Server) SubmitBatchPoACtx(ctx context.Context, req protocol.SubmitBatchPoARequest) (protocol.SubmitPoAResponse, error) {
-	return s.enter(ctx, DoorBatch, req.DroneID, req.EncryptedBatch)
+	return s.enter(ctx, DoorBatch, protocol.Envelope{DroneID: req.DroneID, Ciphertext: req.EncryptedBatch})
 }
 
 // StartSession establishes a §VII-A1a symmetric flight session: the server
@@ -64,40 +63,7 @@ func (s *Server) SubmitMACPoA(req protocol.SubmitMACPoARequest) (protocol.Submit
 
 // SubmitMACPoACtx is SubmitMACPoA under a caller context.
 func (s *Server) SubmitMACPoACtx(ctx context.Context, req protocol.SubmitMACPoARequest) (protocol.SubmitPoAResponse, error) {
-	start := s.verdictStart()
-	resp, err := s.submitMACPoA(ctx, req)
-	if err == nil {
-		s.countVerdict(resp)
-		s.observeVerdict(DoorMAC, start)
-	}
-	return resp, err
-}
-
-func (s *Server) submitMACPoA(ctx context.Context, req protocol.SubmitMACPoARequest) (protocol.SubmitPoAResponse, error) {
-	rec, droneKnown := s.drones.get(req.DroneID)
-	sess, sessKnown := s.sessions.get(req.SessionID)
-	if !droneKnown {
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %q", ErrUnknownDrone, req.DroneID)
-	}
-	if err := requireDisclosure(rec, poa.DisclosureFull); err != nil {
-		return protocol.SubmitPoAResponse{}, err
-	}
-	if !sessKnown {
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %q", ErrUnknownSession, req.SessionID)
-	}
-	if sess.DroneID != req.DroneID {
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: session belongs to another drone", ErrUnknownSession)
-	}
-	if err := s.admission.Acquire(ctx, req.DroneID); err != nil {
-		return protocol.SubmitPoAResponse{}, err
-	}
-	defer s.admission.Release()
-	sub := &pipeline.Submission{
-		DroneID:    req.DroneID,
-		Ciphertext: req.EncryptedPoA,
-		MACKey:     sess.Key,
-	}
-	return s.runSubmission(ctx, sub, s.seqMAC)
+	return s.enter(ctx, DoorMAC, protocol.Envelope{DroneID: req.DroneID, SessionID: req.SessionID, Ciphertext: req.EncryptedPoA})
 }
 
 // sessionRecord is one established symmetric flight session.

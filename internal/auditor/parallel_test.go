@@ -174,8 +174,8 @@ func checkOneAccepted(t *testing.T, srv *Server, responses []protocol.SubmitPoAR
 	if compliant != 1 {
 		t.Errorf("accepted %d copies of the same PoA, want exactly 1", compliant)
 	}
-	if srv.RetainedCount() != 1 {
-		t.Errorf("retained = %d, want 1", srv.RetainedCount())
+	if srv.Status().RetainedPoAs != 1 {
+		t.Errorf("retained = %d, want 1", srv.Status().RetainedPoAs)
 	}
 }
 
@@ -287,7 +287,7 @@ func TestConcurrentMixedVerdicts(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := srv.RetainedCount(); got != flights {
+	if got := srv.Status().RetainedPoAs; got != flights {
 		t.Errorf("retained = %d, want %d", got, flights)
 	}
 }
@@ -423,8 +423,8 @@ func TestReplayOfReencodedPoARejected(t *testing.T) {
 			compliant++
 		}
 	}
-	if compliant != 1 || srv.RetainedCount() != 1 {
+	if compliant != 1 || srv.Status().RetainedPoAs != 1 {
 		t.Fatalf("%d compliant verdicts and %d retained traces for one proof in %d spellings, want 1 and 1: %+v",
-			compliant, srv.RetainedCount(), len(responses), responses)
+			compliant, srv.Status().RetainedPoAs, len(responses), responses)
 	}
 }

@@ -56,9 +56,6 @@ func (s *Server) exportRecords(handoff bool) ([]byte, error) {
 	for _, z := range s.zones.All() {
 		emit(recZoneRegistered, z)
 	}
-	for _, z := range s.zones3D.all() {
-		emit(recZone3DRegistered, z)
-	}
 	for _, r := range s.retained.all() {
 		if handoff {
 			r.Seq = 0

@@ -164,11 +164,11 @@ func TestRestoreServerRejectsCorruptSnapshots(t *testing.T) {
 		"bad key":            frames(rec(recEncKey, `{"encKey":"AAAA"}`)),
 		"key twice":          stream(key),
 		"unknown kind":       stream(rec(200, `{}`)),
+		"retired kind 3":     stream(rec(3, `{"ID":"zone3d-0001","Owner":"bob"}`)),
 
 		"drone: bad keys":       stream(rec(recDroneRegistered, `{"id":"drone-0001","operatorPub":"!!","teePub":"!!"}`)),
 		"drone: not json":       stream(rec(recDroneRegistered, `[1,2,3]`)),
 		"zone: bad geometry":    stream(rec(recZoneRegistered, `{"id":"zone-0001","circle":{"center":{"lat":400,"lon":0},"r":-1}}`)),
-		"zone3d: not json":      stream(rec(recZone3DRegistered, `"zone3d-0001"`)),
 		"retained: not json":    stream(rec(recPoARetained, `{"droneId":7}`)),
 		"nonce: not json":       stream(rec(recNonceSeen, `{"seen":"yesterday"}`)),
 		"digest: not hex":       stream(rec(recDigestClaimed, `{"digest":"zz","seen":"2018-06-01T15:00:00Z"}`)),
@@ -236,7 +236,7 @@ func FuzzApplyRecord(f *testing.F) {
 	}{
 		{recDroneRegistered, walDrone{ID: "drone-0002", OperatorPub: pub, TEEPub: pub, Suite: sigcrypto.SuiteRSA1024}},
 		{recZoneRegistered, zone.NFZ{ID: "zone-0001", Circle: geo.GeoCircle{Center: urbana, R: 100}, Owner: "alice"}},
-		{recZone3DRegistered, cylinderRecord{ID: "zone3d-0001", Owner: "bob", Zone: poa.CylinderZone{Center: urbana, R: 50, AltMax: 120}}},
+		{3, map[string]string{"ID": "zone3d-0001", "Owner": "bob"}}, // retired kind: always rejected
 		{recPoARetained, retainedPoA{DroneID: "drone-0001", Samples: []poa.Sample{{Pos: urbana, Time: t0}}, SubmitTime: t0, Seq: 1}},
 		{recPoARetained, retainedPoA{DroneID: "drone-0001", SubmitTime: t0, Seq: ^uint64(0)}},
 		{recNonceSeen, walNonce{Nonce: "n1", Seen: t0}},

@@ -25,7 +25,7 @@ type VerifyItem struct {
 // Within a batch, contiguous same-key runs collapse into single
 // Suite.BatchVerify calls.
 //
-// The result contract matches parallel.FirstError: the reported index is
+// The result contract matches parallel.FirstErrorCtx: the reported index is
 // the lowest failing item of the caller's batch — identical to a
 // sequential loop of Verify — or -1 with a nil error when all verify.
 type VerifyBatcher struct {

@@ -90,17 +90,11 @@ func mutateAll(t *testing.T, srv *Server) (id string, keys droneKeys, query prot
 	}
 
 	// A commit-mode drone with a retained commitment (WAL record kind 9).
-	// This must precede the 3-D zone below: commit predicates cannot rule
-	// out cylindrical regions, so the door rejects once one is registered.
 	cid, ckeys := registerDisclosureDrone(t, srv, rand.New(rand.NewSource(46)), poa.DisclosureCommit)
 	cp := signedTrace(t, ckeys, urbana.Offset(90, 60000), 0, 10, 5, time.Second)
 	cct, _, _ := commitSubmission(t, srv, ckeys, cp)
 	if resp, err := srv.SubmitCommitPoA(protocol.SubmitCommitPoARequest{DroneID: cid, EncryptedEnvelope: cct}); err != nil || resp.Verdict != protocol.VerdictCompliant {
 		t.Fatalf("commit submit: %v / %+v", err, resp)
-	}
-
-	if _, err := srv.RegisterZone3D("carol", poa.CylinderZone{Center: urbana.Offset(180, 3000), R: 80, AltMax: 120}); err != nil {
-		t.Fatal(err)
 	}
 
 	nonce, err := protocol.NewNonce(rand.New(rand.NewSource(5)))
@@ -173,8 +167,8 @@ func TestOpenServerRecoversAllRecordTypes(t *testing.T) {
 	defer st2.Close()
 
 	status := srv2.Status()
-	if status.Drones != 2 || status.Zones != 2 || status.Zones3D != 1 || status.RetainedPoAs != 1 || status.Commitments != 1 {
-		t.Fatalf("recovered status = %+v, want 2 drones / 2 zones / 1 zone3d / 1 retained / 1 commitment", status)
+	if status.Drones != 2 || status.Zones != 2 || status.RetainedPoAs != 1 || status.Commitments != 1 {
+		t.Fatalf("recovered status = %+v, want 2 drones / 2 zones / 1 retained / 1 commitment", status)
 	}
 	// The nonce claim survived: replaying the signed query is rejected.
 	if _, err := srv2.ZoneQuery(query); !errors.Is(err, protocol.ErrBadNonce) {
@@ -283,7 +277,7 @@ func TestRecoveryKillPoints(t *testing.T) {
 
 	// Expected store sizes after replaying the first k records onto the
 	// initial (empty) snapshot.
-	type counts struct{ drones, zones, zones3D, retained, commitments int }
+	type counts struct{ drones, zones, retained, commitments int }
 	expect := make([]counts, len(kinds)+1)
 	for k, kind := range kinds {
 		c := expect[k]
@@ -292,8 +286,6 @@ func TestRecoveryKillPoints(t *testing.T) {
 			c.drones++
 		case recZoneRegistered:
 			c.zones++
-		case recZone3DRegistered:
-			c.zones3D++
 		case recPoARetained:
 			c.retained++
 		case recDisclosureRetained:
@@ -312,8 +304,7 @@ func TestRecoveryKillPoints(t *testing.T) {
 		srv2, st2 := openStoreServer(t, cut, recoveryConfig(clock))
 		defer st2.Close()
 		got := srv2.Status()
-		if got.Drones != want.drones || got.Zones != want.zones ||
-			got.Zones3D != want.zones3D || got.RetainedPoAs != want.retained ||
+		if got.Drones != want.drones || got.Zones != want.zones || got.RetainedPoAs != want.retained ||
 			got.Commitments != want.commitments {
 			t.Errorf("%s: recovered %+v, want %+v", name, got, want)
 		}
@@ -359,8 +350,6 @@ func kindName(k byte) string {
 		return "drone"
 	case recZoneRegistered:
 		return "zone"
-	case recZone3DRegistered:
-		return "zone3d"
 	case recPoARetained:
 		return "retained"
 	case recNonceSeen:
@@ -464,7 +453,7 @@ func TestExpirySchedulesSurviveRestart(t *testing.T) {
 	// so the identical trace is acceptable (and retained) again.
 	clock.Set(t0.Add(2*time.Hour + time.Second))
 	srv.PurgeExpired()
-	if got := srv.RetainedCount(); got != 0 {
+	if got := srv.Status().RetainedPoAs; got != 0 {
 		t.Fatalf("retained after purge = %d, want 0", got)
 	}
 	if resp, err := srv.SubmitPoA(protocol.SubmitPoARequest{DroneID: id, EncryptedPoA: ct}); err != nil || resp.Verdict != protocol.VerdictCompliant {
@@ -478,7 +467,7 @@ func TestExpirySchedulesSurviveRestart(t *testing.T) {
 	// exactly the re-retained PoA is present — not the expired one too.
 	srv, st = openStoreServer(t, dir, cfg)
 	defer st.Close()
-	if got := srv.RetainedCount(); got != 1 {
+	if got := srv.Status().RetainedPoAs; got != 1 {
 		t.Errorf("retained after final recovery = %d, want 1", got)
 	}
 }
@@ -634,7 +623,7 @@ func TestStateEquivalenceAcrossRestorePaths(t *testing.T) {
 		kinds[rec.Kind] = true
 	}
 	for k := recDroneRegistered; k <= recDisclosureRetained; k++ {
-		if k != recPurge && !kinds[k] {
+		if k != recPurge && k != 3 && !kinds[k] { // kind 3 is retired
 			t.Fatalf("the scenario logged no %s record", walKindName(k))
 		}
 	}

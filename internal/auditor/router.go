@@ -345,9 +345,6 @@ func (r *Router) Close() error {
 	return nil
 }
 
-// Membership exposes the cluster membership (tests and the gossip loop).
-func (r *Router) Membership() *cluster.Membership { return r.membership }
-
 // Map returns the current cluster map.
 func (r *Router) Map() *cluster.Map { return r.membership.Map() }
 
@@ -831,7 +828,6 @@ func (r *Router) Status() protocol.StatusResponse {
 	for _, sh := range r.shards {
 		s := sh.Status()
 		st.Drones += s.Drones
-		st.Zones3D += s.Zones3D
 		st.RetainedPoAs += s.RetainedPoAs
 		st.OpenStreams += s.OpenStreams
 		st.Sessions += s.Sessions

@@ -50,9 +50,6 @@ var (
 	// ErrNoPoA is returned when an accusation concerns a drone with no
 	// retained PoA covering the incident time.
 	ErrNoPoA = errors.New("auditor: no retained PoA covers the incident time")
-	// ErrInvalidCylinder is returned when registering a malformed 3-D
-	// zone.
-	ErrInvalidCylinder = errors.New("auditor: invalid cylindrical zone")
 )
 
 // DroneRecord is one registered drone: (id_drone, D+, T+). T+ is a key
@@ -202,7 +199,6 @@ type Server struct {
 	admission      *pipeline.Admission
 	sigBatcher     *pipeline.VerifyBatcher
 	doors          map[string]door
-	seqMAC         []pipeline.Stage
 	seqStreamSig   []pipeline.Stage
 	seqStreamPair  []pipeline.Stage
 	seqStreamClose []pipeline.Stage
@@ -216,7 +212,6 @@ type Server struct {
 	disclosures *seqStore[retainedDisclosure] // retained sealed/commit submissions
 	challenges  *idStore[challengeRecord]     // outstanding selective-disclosure challenges
 	sessions    *idStore[sessionRecord]       // §VII-A1a symmetric flight sessions
-	zones3D     *idStore[cylinderRecord]      // §VII-B1 cylindrical no-fly regions
 	streams     *idStore[*streamState]        // in-flight real-time audits
 
 	// Durability (nil/zero when running purely in memory, e.g. tests).
@@ -283,7 +278,6 @@ func NewServer(cfg Config) (*Server, error) {
 		disclosures: newSeqStore[retainedDisclosure](),
 		challenges:  newIDStore[challengeRecord]("challenge", cfg.ShardTag),
 		sessions:    newIDStore[sessionRecord]("session", cfg.ShardTag),
-		zones3D:     newIDStore[cylinderRecord]("zone3d", ""),
 		streams:     newIDStore[*streamState]("stream", cfg.ShardTag),
 	}
 	if cfg.Metrics != nil {
@@ -330,7 +324,6 @@ func (s *Server) Status() protocol.StatusResponse {
 	return protocol.StatusResponse{
 		Drones:          s.drones.len(),
 		Zones:           s.zones.Len(),
-		Zones3D:         s.zones3D.len(),
 		RetainedPoAs:    s.retained.len(),
 		Commitments:     s.disclosures.len(),
 		OpenStreams:     s.streams.len(),
@@ -549,33 +542,44 @@ func (s *Server) SubmitPoA(req protocol.SubmitPoARequest) (protocol.SubmitPoARes
 // cancelled context aborts verification with the context error — never a
 // violation verdict, since no check actually failed.
 func (s *Server) SubmitPoACtx(ctx context.Context, req protocol.SubmitPoARequest) (protocol.SubmitPoAResponse, error) {
-	return s.enter(ctx, DoorSubmit, req.DroneID, req.EncryptedPoA)
+	return s.enter(ctx, DoorSubmit, protocol.Envelope{DroneID: req.DroneID, Ciphertext: req.EncryptedPoA})
 }
 
 // enter is the body of every ciphertext door (see the door table in
 // stages.go): resolve the drone, enforce its registered disclosure mode,
-// take an admission slot, run the door's stages and account the verdict.
-func (s *Server) enter(ctx context.Context, name, droneID string, ciphertext []byte) (protocol.SubmitPoAResponse, error) {
+// resolve the flight session on a session door, take an admission slot,
+// run the door's stages and account the verdict.
+func (s *Server) enter(ctx context.Context, name string, e protocol.Envelope) (protocol.SubmitPoAResponse, error) {
 	d := s.doors[name]
 	start := s.verdictStart()
-	rec, ok := s.drones.get(droneID)
+	rec, ok := s.drones.get(e.DroneID)
 	if !ok {
-		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %q", ErrUnknownDrone, droneID)
+		return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %q", ErrUnknownDrone, e.DroneID)
 	}
 	if err := requireDisclosure(rec, d.mode); err != nil {
 		return protocol.SubmitPoAResponse{}, err
 	}
-	if err := s.admission.Acquire(ctx, droneID); err != nil {
+	sub := &pipeline.Submission{
+		DroneID:    e.DroneID,
+		Ciphertext: e.Ciphertext,
+		Keys:       s.ring(rec),
+		Suite:      rec.Suite,
+	}
+	if d.session {
+		sess, ok := s.sessions.get(e.SessionID)
+		if !ok {
+			return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: %q", ErrUnknownSession, e.SessionID)
+		}
+		if sess.DroneID != e.DroneID {
+			return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: session belongs to another drone", ErrUnknownSession)
+		}
+		sub.MACKey = sess.Key
+	}
+	if err := s.admission.Acquire(ctx, e.DroneID); err != nil {
 		return protocol.SubmitPoAResponse{}, err
 	}
 	defer s.admission.Release()
 	s.simVerifyWait(ctx)
-	sub := &pipeline.Submission{
-		DroneID:    droneID,
-		Ciphertext: ciphertext,
-		Keys:       s.ring(rec),
-		Suite:      rec.Suite,
-	}
 	resp, err := s.runSubmission(ctx, sub, d.stages)
 	if err != nil {
 		return resp, err
@@ -711,9 +715,6 @@ func (s *Server) PurgeExpiredCtx(ctx context.Context) int {
 	}
 	return removed
 }
-
-// RetainedCount returns the number of PoAs currently retained.
-func (s *Server) RetainedCount() int { return s.retained.len() }
 
 // HandleAccusation resolves a Zone Owner report "(zone, drone, time)": it
 // re-checks every retained sample pair spanning the incident instant

@@ -209,8 +209,8 @@ func TestSubmitPoACompliant(t *testing.T) {
 	if resp.Verdict != protocol.VerdictCompliant {
 		t.Fatalf("verdict = %v (%s)", resp.Verdict, resp.Reason)
 	}
-	if srv.RetainedCount() != 1 {
-		t.Errorf("retained = %d, want 1", srv.RetainedCount())
+	if srv.Status().RetainedPoAs != 1 {
+		t.Errorf("retained = %d, want 1", srv.Status().RetainedPoAs)
 	}
 }
 
@@ -235,7 +235,7 @@ func TestSubmitPoAInsufficient(t *testing.T) {
 	if resp.InsufficientPairs == 0 {
 		t.Error("expected insufficient pairs to be reported")
 	}
-	if srv.RetainedCount() != 0 {
+	if srv.Status().RetainedPoAs != 0 {
 		t.Error("violating PoA should not be retained")
 	}
 }
@@ -359,7 +359,7 @@ func TestRetentionPurge(t *testing.T) {
 	if _, err := srv.SubmitPoA(protocol.SubmitPoARequest{DroneID: reg.DroneID, EncryptedPoA: encryptFor(t, srv, p)}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.RetainedCount() != 1 {
+	if srv.Status().RetainedPoAs != 1 {
 		t.Fatal("PoA not retained")
 	}
 
@@ -373,7 +373,7 @@ func TestRetentionPurge(t *testing.T) {
 	if removed := srv.PurgeExpired(); removed != 1 {
 		t.Errorf("purged %d, want 1", removed)
 	}
-	if srv.RetainedCount() != 0 {
+	if srv.Status().RetainedPoAs != 0 {
 		t.Error("retention store not emptied")
 	}
 }
@@ -425,5 +425,48 @@ func TestAccusationCannotExonerate(t *testing.T) {
 	}
 	if acc.Verdict != protocol.VerdictViolation {
 		t.Errorf("on-trace zone accusation = %v, want violation", acc.Verdict)
+	}
+}
+func TestRegisterPolygonZone(t *testing.T) {
+	srv, _, _ := newFixture(t)
+
+	// A 60x80 m rectangular property: SEC radius 50 m.
+	verts := []geo.LatLon{
+		urbana.Offset(90, 0).Offset(0, 0),
+		urbana.Offset(90, 60),
+		urbana.Offset(90, 60).Offset(0, 80),
+		urbana.Offset(0, 80),
+	}
+	resp, err := srv.RegisterPolygonZone(protocol.RegisterPolygonZoneRequest{
+		Owner: "alice", Vertices: verts, OwnershipProof: "deed",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, ok := srv.Zones().Get(resp.ZoneID)
+	if !ok {
+		t.Fatal("polygon zone not registered")
+	}
+	if z.Circle.R < 48 || z.Circle.R > 52 {
+		t.Errorf("SEC radius = %v, want ~50", z.Circle.R)
+	}
+	// The circle must cover every vertex (small slack: boundary vertices
+	// re-measured with haversine land within centimetres of R).
+	for i, v := range verts {
+		if d := z.Circle.BoundaryDistMeters(v); d > 0.05 {
+			t.Errorf("vertex %d is %.3f m outside the enclosing circle", i, d)
+		}
+	}
+
+	// Validation.
+	if _, err := srv.RegisterPolygonZone(protocol.RegisterPolygonZoneRequest{
+		Owner: "x", Vertices: verts[:2],
+	}); err == nil {
+		t.Error("2-vertex polygon accepted")
+	}
+	if _, err := srv.RegisterPolygonZone(protocol.RegisterPolygonZoneRequest{
+		Owner: "x", Vertices: []geo.LatLon{{Lat: 91}, {Lat: 0}, {Lat: 1}},
+	}); err == nil {
+		t.Error("invalid vertex accepted")
 	}
 }

@@ -41,6 +41,10 @@ type door struct {
 	// (sealed: positions stay hidden): passing them all answers
 	// VerdictRetained, and the proof is judged only under accusation.
 	retainOnly bool
+	// session marks the §VII-A1a symmetric door: the envelope names a
+	// flight session of the same drone, whose HMAC key the signature
+	// stage checks every sample's tag with.
+	session bool
 }
 
 // buildPipeline constructs the runner, the door table and the stream and
@@ -68,21 +72,22 @@ func (s *Server) buildPipeline() {
 		chronology  = st(StageChronology, stageChronology)
 		speed       = st(StageSpeed, s.stageSpeed)
 		sufficiency = st(StageSufficiency, s.stageSufficiency)
-		zones3D     = st(StageZones3D, s.stageZones3D)
 		retain      = st(StageRetain, s.stageRetain)
 		commit      = st(StageCommit, s.stageCommitDigest)
 		retainDisc  = st(StageRetain, s.stageRetainDisclosure)
 	)
 	// The alibi core shared by every full-disclosure envelope: the paper's
 	// §IV-C pipeline (chronology → speed feasibility → sufficiency) plus
-	// the §VII-B1 3-D extension and retention for later accusations.
-	alibi := stages{st(StageMinSamples, stageMinSamples), chronology, speed, sufficiency, zones3D, retain}
+	// retention for later accusations.
+	alibi := stages{st(StageMinSamples, stageMinSamples), chronology, speed, sufficiency, retain}
 
 	s.doors = map[string]door{
 		DoorSubmit: {mode: poa.DisclosureFull,
 			stages: slices.Concat(stages{decrypt, decodePoA, replayClaim, sigSamples}, alibi, stages{commit})},
 		DoorBatch: {mode: poa.DisclosureFull,
 			stages: slices.Concat(stages{decrypt, st(StageDecode, s.stageDecodeBatch), replayClaim, st(StageSignature, s.stageSignatureBatch)}, alibi, stages{commit})},
+		DoorMAC: {mode: poa.DisclosureFull, session: true,
+			stages: slices.Concat(stages{decrypt, decodePoA, replayClaim, st(StageSignature, s.stageSignatureMAC)}, alibi, stages{commit})},
 		// Sealed submissions retain without judging (every check the server
 		// can run without positions still runs); commit submissions are
 		// judged from the signed predicates alone.
@@ -94,10 +99,9 @@ func (s *Server) buildPipeline() {
 				st(StageSignature, s.stageSignatureRoot), st(StageStructure, s.stageCommitStructure),
 				st(StagePredicates, s.stagePredicates), retainDisc, commit}},
 	}
-	s.seqMAC = slices.Concat(stages{decrypt, decodePoA, replayClaim, st(StageSignature, s.stageSignatureMAC)}, alibi, stages{commit})
 	s.seqStreamSig = stages{sigSamples}
 	s.seqStreamPair = stages{sigSamples, chronology, speed, sufficiency}
-	s.seqStreamClose = stages{zones3D, retain}
+	s.seqStreamClose = stages{retain}
 	s.seqAccuse = stages{sufficiency}
 }
 
@@ -235,7 +239,7 @@ func (s *Server) timedSigVerify(suite string, fn func() (int, error)) (int, erro
 
 // stageSignatureMAC checks every sample's HMAC tag under the flight's
 // session key. The checks are independent per sample, so they fan out
-// across the worker pool exactly like the RSA path; FirstError keeps the
+// across the worker pool exactly like the RSA path; FirstErrorCtx keeps the
 // reported index deterministic (the lowest failing sample).
 func (s *Server) stageSignatureMAC(ctx context.Context, sub *pipeline.Submission) error {
 	samples := sub.PoA.Samples
@@ -297,26 +301,6 @@ func (s *Server) stageSufficiency(_ context.Context, sub *pipeline.Submission) e
 	if !rep.Sufficient() {
 		return &pipeline.Violation{
 			Reason:            "insufficient alibi: the drone may have entered a no-fly zone",
-			InsufficientPairs: rep.InsufficientPairs(),
-		}
-	}
-	return nil
-}
-
-// stageZones3D checks the trace against the §VII-B1 cylindrical zones
-// with the travel-ellipsoid test. A no-op when none are registered.
-func (s *Server) stageZones3D(_ context.Context, sub *pipeline.Submission) error {
-	zones := s.Zones3D()
-	if len(zones) == 0 {
-		return nil
-	}
-	rep, err := poa.VerifySufficiency3D(sub.Samples, zones, s.cfg.VMaxMS)
-	if err != nil {
-		return &pipeline.Violation{Reason: err.Error()}
-	}
-	if !rep.Sufficient() {
-		return &pipeline.Violation{
-			Reason:            "insufficient alibi: the drone may have entered a 3-D no-fly region",
 			InsufficientPairs: rep.InsufficientPairs(),
 		}
 	}
@@ -446,11 +430,6 @@ func (s *Server) stageCommitStructure(_ context.Context, sub *pipeline.Submissio
 // an insufficient pair would be on the plaintext path.
 func (s *Server) stagePredicates(_ context.Context, sub *pipeline.Submission) error {
 	env := sub.Envelope
-	if s.zones3D.len() > 0 {
-		// Predicates are zone-relative over circular zones; a commitment
-		// proves nothing about cylindrical regions (see DESIGN.md §13).
-		return &pipeline.Violation{Reason: "commit-mode PoA cannot rule out 3-D no-fly regions"}
-	}
 	insufficient := 0
 	for _, z := range zone.Circles(s.zones.QueryRect(env.Area)) {
 		pred, ok := findPredicate(env.Predicates, z)

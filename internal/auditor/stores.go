@@ -29,7 +29,7 @@ import (
 // first two are persisted, the other three are swept by age.
 type idStore[T any] struct {
 	mu     sync.RWMutex
-	prefix string // "drone", "zone3d", "session-<shard tag>", ...
+	prefix string // "drone", "session-<shard tag>", ...
 	m      map[string]issued[T]
 	next   int
 }

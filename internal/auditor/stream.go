@@ -99,8 +99,8 @@ func (s *Server) StreamSampleCtx(ctx context.Context, req protocol.StreamSampleR
 }
 
 // CloseStream finalises the flight: a violated stream stays a violation;
-// a clean stream with at least two samples runs the closing stages (3-D
-// zones, retention) and is kept like a submitted PoA.
+// a clean stream with at least two samples runs the closing stage
+// (retention) and is kept like a submitted PoA.
 func (s *Server) CloseStream(req protocol.CloseStreamRequest) (protocol.SubmitPoAResponse, error) {
 	return s.CloseStreamCtx(context.Background(), req)
 }

@@ -18,7 +18,7 @@ import (
 // emits exactly one typed record at its commit point:
 //
 //	drone registered, zone registered (circular or polygon-enclosed),
-//	3-D zone registered, PoA retained, zone-query nonce claimed,
+//	PoA retained, zone-query nonce claimed,
 //	accepted-PoA replay digest claimed, retention purge, TEE key rotated,
 //	sealed/commit disclosure retained.
 //
@@ -40,10 +40,13 @@ import (
 // retained records carry a monotonic sequence number; purges are
 // cutoff-driven). That tolerance is what lets the storage engine capture
 // snapshots concurrently with new appends — see internal/storage.
+//
+// Kind 3 (zone3d-registered, the §VII-B1 cylinders) is retired: no binary
+// ever wrote it, it is never reused, and applyRecord rejects it as an
+// unknown kind.
 const (
 	recDroneRegistered    byte = 1
 	recZoneRegistered     byte = 2
-	recZone3DRegistered   byte = 3
 	recPoARetained        byte = 4
 	recNonceSeen          byte = 5
 	recDigestClaimed      byte = 6
@@ -113,7 +116,6 @@ type walEncKey struct {
 var recordKindNames = [...]string{
 	recDroneRegistered:    "drone-registered",
 	recZoneRegistered:     "zone-registered",
-	recZone3DRegistered:   "zone3d-registered",
 	recPoARetained:        "poa-retained",
 	recNonceSeen:          "nonce-seen",
 	recDigestClaimed:      "digest-claimed",
@@ -232,12 +234,6 @@ func (s *Server) applyRecord(rec storage.Record) error {
 		if err := s.zones.Restore(z); err != nil {
 			return fmt.Errorf("zone record: %w", err)
 		}
-	case recZone3DRegistered:
-		var z cylinderRecord
-		if err := json.Unmarshal(rec.Data, &z); err != nil {
-			return fmt.Errorf("zone3d record: %w", err)
-		}
-		s.zones3D.put(s.cfg.Clock.Now(), z.ID, z)
 	case recPoARetained:
 		var r retainedPoA
 		if err := json.Unmarshal(rec.Data, &r); err != nil {

@@ -303,8 +303,8 @@ func (ws *WireServer) handshake(wc *wireConn) bool {
 		wc.reject("expected hello")
 		return false
 	case !wire.SupportedVersion(version):
-		// Version negotiation: the refusal names the error so a newer
-		// client can downgrade and redial.
+		// Version negotiation: the refusal names the error, which the
+		// dialer surfaces as wire.ErrUnknownVersion.
 		wc.reject(wire.ErrUnknownVersion.Error())
 		return false
 	}

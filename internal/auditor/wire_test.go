@@ -87,7 +87,7 @@ func TestWireRetiredFramesRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		br := bufio.NewReader(raw)
-		frames := wire.AppendFrame(wire.EncodeHello(nil), wire.Version1, []byte{typ, 0, 0, 0, 0})
+		frames := wire.AppendFrame(wire.EncodeHelloV(nil, wire.Version1), wire.Version1, []byte{typ, 0, 0, 0, 0})
 		if _, err := raw.Write(frames); err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestWireTornFrameReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(raw)
-	if _, err := raw.Write(wire.EncodeHello(nil)); err != nil {
+	if _, err := raw.Write(wire.EncodeHelloV(nil, wire.Version1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := wire.ReadFrame(br, wire.MaxMessageBytes); err != nil {
@@ -254,7 +254,7 @@ func TestWireBadCRCGetsErrorFrame(t *testing.T) {
 	}
 	defer raw.Close()
 	br := bufio.NewReader(raw)
-	if _, err := raw.Write(wire.EncodeHello(nil)); err != nil {
+	if _, err := raw.Write(wire.EncodeHelloV(nil, wire.Version1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := wire.ReadFrame(br, wire.MaxMessageBytes); err != nil {

@@ -111,7 +111,7 @@ func TestMembershipDigestMergeLearnsNodes(t *testing.T) {
 	ma, mb, _ := newMembershipPair(t)
 	// A third node c gossips with a; b learns of c transitively.
 	mc := NewMembership(MembershipConfig{Self: Node{ID: "c", Addr: "hc:1"},
-		Seeds: []Node{ma.Self()}, Clock: &fakeClock{now: time.Unix(1000, 0)}})
+		Seeds: []Node{{ID: "a", Addr: "ha:1"}}, Clock: &fakeClock{now: time.Unix(1000, 0)}})
 	mc.Tick()
 	ma.Merge(mc.Digest())
 	mb.Merge(ma.Digest())

@@ -130,9 +130,6 @@ func NewMembership(cfg MembershipConfig) *Membership {
 	return m
 }
 
-// Self returns this node's identity.
-func (m *Membership) Self() Node { return m.cfg.Self }
-
 // Tick advances the local heartbeat and runs failure detection over the
 // peers. The gossiper calls it once per round; tests call it directly
 // under a fake clock.

@@ -68,20 +68,6 @@ func (r *Ring) Owner(key string) string {
 	return r.points[i].node
 }
 
-// Nodes returns the distinct node IDs on the ring, sorted.
-func (r *Ring) Nodes() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range r.points {
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // hash64 is FNV-1a over the key with a murmur-style finalizer:
 // dependency-free and stable across processes and architectures (every
 // node and every client must place a drone identically). The finalizer

@@ -8,9 +8,11 @@ import (
 	"repro/internal/geo"
 	"repro/internal/gps"
 	"repro/internal/poa"
+	"repro/internal/sampling"
 	"repro/internal/sigcrypto"
 	"repro/internal/tee"
 	"repro/internal/trace"
+	"repro/internal/zone"
 )
 
 var (
@@ -27,6 +29,22 @@ func straightLine(t *testing.T, dur time.Duration) *trace.Route {
 	return r
 }
 
+// flyAdaptive runs Algorithm 1 over the platform's path against zones,
+// signing every sample in the platform's TEE.
+func flyAdaptive(t *testing.T, p *Platform, zones []geo.GeoCircle, until time.Time) *sampling.RunResult {
+	t.Helper()
+	a := &sampling.Adaptive{
+		Env:    sampling.NewTEEEnv(p.Device(), p.Clock(), p.Receiver()),
+		Index:  zone.NewIndex(zones, 0),
+		VMaxMS: geo.MaxDroneSpeedMPS,
+	}
+	res, err := a.Run(until)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestNewPlatformDefaults(t *testing.T) {
 	p, err := NewPlatform(PlatformConfig{Path: straightLine(t, time.Minute), Seed: 1})
 	if err != nil {
@@ -35,8 +53,8 @@ func TestNewPlatformDefaults(t *testing.T) {
 	if p.Receiver().RateHz() != 5 {
 		t.Errorf("default GPS rate = %v, want 5", p.Receiver().RateHz())
 	}
-	if p.Device().Vault().KeyBits() != sigcrypto.KeySize1024 {
-		t.Errorf("default key bits = %d", p.Device().Vault().KeyBits())
+	if got := p.Device().Vault().SuiteID(); got != sigcrypto.SuiteRSA1024 {
+		t.Errorf("default suite = %s, want %s", got, sigcrypto.SuiteRSA1024)
 	}
 	if !p.Clock().Now().Equal(t0) {
 		t.Errorf("clock starts at %v", p.Clock().Now())
@@ -59,16 +77,13 @@ func TestPlatformFlyAdaptive(t *testing.T) {
 		t.Fatal(err)
 	}
 	z := geo.GeoCircle{Center: urbana.Offset(90, 600).Offset(0, 60), R: 20}
-	res, err := p.FlyAdaptive([]geo.GeoCircle{z}, route.End())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := flyAdaptive(t, p, []geo.GeoCircle{z}, route.End())
 	if res.PoA.Len() < 3 {
 		t.Fatalf("adaptive PoA has %d samples", res.PoA.Len())
 	}
 	// Every signature verifies under the platform's own T+.
 	for i, ss := range res.PoA.Samples {
-		if err := sigcrypto.Verify(p.Device().Vault().PublicKey(), ss.Sample.Marshal(), ss.Sig); err != nil {
+		if err := p.Device().Vault().SuiteKey().Verify(ss.Sample.Marshal(), ss.Sig); err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}
 	}
@@ -88,7 +103,8 @@ func TestPlatformFlyFixedRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.FlyFixedRate(2, route.End())
+	f := &sampling.FixedRate{Env: sampling.NewTEEEnv(p.Device(), p.Clock(), p.Receiver()), RateHz: 2}
+	res, err := f.Run(route.End())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +124,7 @@ func TestPlatformDeterministicSampling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.FlyAdaptive([]geo.GeoCircle{z}, route.End())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats.Times
+		return flyAdaptive(t, p, []geo.GeoCircle{z}, route.End()).Stats.Times
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -188,10 +200,7 @@ func TestSpoofGuardCleanFlightUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	z := geo.GeoCircle{Center: urbana.Offset(0, 2000), R: 100}
-	res, err := p.FlyAdaptive([]geo.GeoCircle{z}, route.End())
-	if err != nil {
-		t.Fatalf("clean flight with guard failed: %v", err)
-	}
+	res := flyAdaptive(t, p, []geo.GeoCircle{z}, route.End())
 	if res.PoA.Len() < 1 {
 		t.Error("no samples on clean guarded flight")
 	}

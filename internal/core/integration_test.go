@@ -45,10 +45,7 @@ func TestClosedLoopPlannedFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.FlyAdaptive([]geo.GeoCircle{z}, flown.End())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := flyAdaptive(t, p, []geo.GeoCircle{z}, flown.End())
 
 	rep, err := poa.VerifySufficiency(res.PoA.Alibi(), []geo.GeoCircle{z}, geo.MaxDroneSpeedMPS, poa.Exact)
 	if err != nil {

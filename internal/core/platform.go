@@ -2,8 +2,7 @@
 // deployable unit: the AliDrone drone platform. A Platform is the
 // manufactured drone hardware — TrustZone device with its vaulted TEE
 // keypair, GPS receiver, secure GPS driver and the GPS Sampler trusted
-// application — plus the normal-world sampling environment the Adapter
-// runs in. Everything above (the operator client, the experiments, the
+// application. Everything above (the operator client, the experiments, the
 // attack worlds) builds on a Platform instead of wiring the substrates by
 // hand.
 package core
@@ -12,14 +11,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
-	"repro/internal/geo"
 	"repro/internal/gps"
-	"repro/internal/sampling"
 	"repro/internal/sigcrypto"
 	"repro/internal/tee"
-	"repro/internal/zone"
 )
 
 // PlatformConfig describes one drone platform build.
@@ -105,25 +100,3 @@ func (p *Platform) Clock() *tee.SimClock { return p.clock }
 
 // Receiver returns the GPS receiver.
 func (p *Platform) Receiver() *gps.Receiver { return p.rx }
-
-// Env builds the sampling environment the Adapter uses.
-func (p *Platform) Env() sampling.Env {
-	return sampling.NewTEEEnv(p.dev, p.clock, p.rx)
-}
-
-// FlyAdaptive runs Algorithm 1 over the platform's path against the given
-// zones until the end instant.
-func (p *Platform) FlyAdaptive(zones []geo.GeoCircle, until time.Time) (*sampling.RunResult, error) {
-	a := &sampling.Adaptive{
-		Env:    p.Env(),
-		Index:  zone.NewIndex(zones, 0),
-		VMaxMS: geo.MaxDroneSpeedMPS,
-	}
-	return a.Run(until)
-}
-
-// FlyFixedRate runs the fix-rate baseline over the platform's path.
-func (p *Platform) FlyFixedRate(rateHz float64, until time.Time) (*sampling.RunResult, error) {
-	f := &sampling.FixedRate{Env: p.Env(), RateHz: rateHz}
-	return f.Run(until)
-}

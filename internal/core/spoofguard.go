@@ -81,18 +81,6 @@ func (g *SpoofGuard) GetGPS(now time.Time) (gps.Fix, error) {
 	return fix, nil
 }
 
-// GetGPS3D implements tee.GPSSource.
-func (g *SpoofGuard) GetGPS3D(now time.Time) (gps.Fix, error) {
-	fix, err := g.inner.GetGPS3D(now)
-	if err != nil {
-		return gps.Fix{}, err
-	}
-	if err := g.check(fix, now); err != nil {
-		return gps.Fix{}, err
-	}
-	return fix, nil
-}
-
 // check runs the plausibility rules and updates the guard's memory of the
 // last accepted fix.
 func (g *SpoofGuard) check(fix gps.Fix, fallbackNow time.Time) error {

@@ -66,6 +66,3 @@ func (c *Controller) Command(b *Body, waypoints []geo.Point) geo.Point {
 	err := want.Sub(b.Vel)
 	return err.Scale(c.GainPerSec)
 }
-
-// TargetIndex returns the waypoint currently being pursued.
-func (c *Controller) TargetIndex() int { return c.target }

@@ -22,11 +22,6 @@ func (c Circle) BoundaryDist(p Point) float64 {
 	return c.Center.Dist(p) - c.R
 }
 
-// IntersectsCircle reports whether two disks overlap.
-func (c Circle) IntersectsCircle(o Circle) bool {
-	return c.Center.Dist(o.Center) <= c.R+o.R
-}
-
 // GeoCircle is a circular zone in geographic coordinates, as registered by a
 // Zone Owner.
 type GeoCircle struct {

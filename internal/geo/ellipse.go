@@ -86,26 +86,6 @@ func (e TravelEllipse) DisjointFromDiskConservative(c Circle) bool {
 	return d1+d2 > e.SumLimit
 }
 
-// SemiMajor returns the semi-major axis length a = SumLimit/2, or 0 for an
-// empty ellipse.
-func (e TravelEllipse) SemiMajor() float64 {
-	if e.Empty() {
-		return 0
-	}
-	return e.SumLimit / 2
-}
-
-// SemiMinor returns the semi-minor axis length b = sqrt(a^2 - c^2) where c
-// is half the inter-focal distance, or 0 for an empty ellipse.
-func (e TravelEllipse) SemiMinor() float64 {
-	if e.Empty() {
-		return 0
-	}
-	a := e.SumLimit / 2
-	f := e.F1.Dist(e.F2) / 2
-	return math.Sqrt(math.Max(0, a*a-f*f))
-}
-
 // segmentDistToPoint returns the distance from point p to the segment [a,b].
 func segmentDistToPoint(a, b, p Point) float64 {
 	ab := b.Sub(a)

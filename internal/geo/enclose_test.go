@@ -109,40 +109,3 @@ func TestPolygonEnclosingCircle(t *testing.T) {
 		t.Error("degenerate polygon should return an error")
 	}
 }
-
-func TestPolygonContains(t *testing.T) {
-	square := Polygon{Vertices: []Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 10, Y: 10}, {X: 0, Y: 10}}}
-	tests := []struct {
-		name string
-		p    Point
-		want bool
-	}{
-		{"center", Point{X: 5, Y: 5}, true},
-		{"on edge", Point{X: 0, Y: 5}, true},
-		{"vertex", Point{X: 0, Y: 0}, true},
-		{"outside right", Point{X: 11, Y: 5}, false},
-		{"outside diagonal", Point{X: -1, Y: -1}, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := square.Contains(tt.p); got != tt.want {
-				t.Errorf("Contains(%v) = %v, want %v", tt.p, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestPolygonCentroid(t *testing.T) {
-	square := Polygon{Vertices: []Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 10, Y: 10}, {X: 0, Y: 10}}}
-	c := square.Centroid()
-	if !almostEqual(c.X, 5, 1e-9) || !almostEqual(c.Y, 5, 1e-9) {
-		t.Errorf("square centroid = %+v, want (5,5)", c)
-	}
-
-	// Collinear (zero-area) polygon falls back to vertex mean.
-	line := Polygon{Vertices: []Point{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 4, Y: 0}}}
-	c = line.Centroid()
-	if !almostEqual(c.X, 2, 1e-9) || !almostEqual(c.Y, 0, 1e-9) {
-		t.Errorf("degenerate centroid = %+v, want (2,0)", c)
-	}
-}

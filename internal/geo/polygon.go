@@ -17,55 +17,6 @@ type Polygon struct {
 // Valid reports whether the polygon has at least three vertices.
 func (pg Polygon) Valid() bool { return len(pg.Vertices) >= 3 }
 
-// Contains reports whether p lies strictly inside or on the boundary of the
-// polygon, by ray casting with an on-edge check.
-func (pg Polygon) Contains(p Point) bool {
-	n := len(pg.Vertices)
-	if n < 3 {
-		return false
-	}
-	inside := false
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		a, b := pg.Vertices[j], pg.Vertices[i]
-		if segmentDistToPoint(a, b, p) < 1e-9 {
-			return true
-		}
-		if (a.Y > p.Y) != (b.Y > p.Y) {
-			xCross := a.X + (p.Y-a.Y)/(b.Y-a.Y)*(b.X-a.X)
-			if p.X < xCross {
-				inside = !inside
-			}
-		}
-	}
-	return inside
-}
-
-// Centroid returns the area centroid of the polygon (or the vertex mean for
-// degenerate, zero-area inputs).
-func (pg Polygon) Centroid() Point {
-	n := len(pg.Vertices)
-	if n == 0 {
-		return Point{}
-	}
-	var areaSum, cx, cy float64
-	for i, j := 0, n-1; i < n; j, i = i, i+1 {
-		a, b := pg.Vertices[j], pg.Vertices[i]
-		cross := a.X*b.Y - b.X*a.Y
-		areaSum += cross
-		cx += (a.X + b.X) * cross
-		cy += (a.Y + b.Y) * cross
-	}
-	if areaSum == 0 {
-		var sx, sy float64
-		for _, v := range pg.Vertices {
-			sx += v.X
-			sy += v.Y
-		}
-		return Point{X: sx / float64(n), Y: sy / float64(n)}
-	}
-	return Point{X: cx / (3 * areaSum), Y: cy / (3 * areaSum)}
-}
-
 // EnclosingCircle returns the smallest circle covering every vertex, which
 // (for a convex or star-shaped no-fly area) covers the whole polygon. This
 // is the registration-time conversion from §VII-B2.

@@ -45,13 +45,18 @@ func NewProjection(origin LatLon) *Projection {
 	return &Projection{origin: origin, cosLat: cos}
 }
 
-// Origin returns the projection origin.
-func (pr *Projection) Origin() LatLon { return pr.origin }
-
-// ToLocal converts a geographic coordinate to local plane metres.
+// ToLocal converts a geographic coordinate to local plane metres. The
+// longitude difference is taken the short way round, in (−180°, 180°], so
+// points on either side of the antimeridian land next to each other.
 func (pr *Projection) ToLocal(p LatLon) Point {
 	dLat := (p.Lat - pr.origin.Lat) * math.Pi / 180
-	dLon := (p.Lon - pr.origin.Lon) * math.Pi / 180
+	dLonDeg := p.Lon - pr.origin.Lon
+	if dLonDeg > 180 {
+		dLonDeg -= 360
+	} else if dLonDeg <= -180 {
+		dLonDeg += 360
+	}
+	dLon := dLonDeg * math.Pi / 180
 	return Point{
 		X: EarthRadiusMeters * dLon * pr.cosLat,
 		Y: EarthRadiusMeters * dLat,

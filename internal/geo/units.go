@@ -40,10 +40,6 @@ func MetersToMiles(m float64) float64 { return m / MetersPerMile }
 // second.
 func MPHToMetersPerSecond(mph float64) float64 { return mph * MetersPerMile / 3600 }
 
-// MetersPerSecondToMPH converts a speed in metres per second to miles per
-// hour.
-func MetersPerSecondToMPH(ms float64) float64 { return ms * 3600 / MetersPerMile }
-
 // KnotsToMetersPerSecond converts a speed in knots (used by NMEA $GPRMC
 // sentences) to metres per second.
 func KnotsToMetersPerSecond(kn float64) float64 { return kn * MetersPerNauticalMile / 3600 }

@@ -49,10 +49,6 @@ func TestConversionRoundTrips(t *testing.T) {
 			x := clamp(raw)
 			return almostEqual(MetersToMiles(MilesToMeters(x)), x, 1e-6*math.Abs(x)+1e-9)
 		}},
-		{"mph", func(raw float64) bool {
-			x := clamp(raw)
-			return almostEqual(MetersPerSecondToMPH(MPHToMetersPerSecond(x)), x, 1e-6*math.Abs(x)+1e-9)
-		}},
 		{"knots", func(raw float64) bool {
 			x := clamp(raw)
 			return almostEqual(MetersPerSecondToKnots(KnotsToMetersPerSecond(x)), x, 1e-6*math.Abs(x)+1e-9)

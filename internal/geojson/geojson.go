@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/geo"
-	"repro/internal/poa"
 	"repro/internal/trace"
 	"repro/internal/zone"
 )
@@ -81,26 +80,6 @@ func (fc *FeatureCollection) AddRoute(name string, r *trace.Route) {
 			"durationSeconds": r.Duration().Seconds(),
 		},
 	})
-}
-
-// AddSamples appends PoA sample positions as point features, one per
-// sample, carrying the timestamp.
-func (fc *FeatureCollection) AddSamples(name string, samples []poa.Sample) {
-	for i, s := range samples {
-		fc.Features = append(fc.Features, Feature{
-			Type: "Feature",
-			Geometry: map[string]any{
-				"type":        "Point",
-				"coordinates": coord(s.Pos),
-			},
-			Properties: map[string]any{
-				"kind":  "poa-sample",
-				"trace": name,
-				"index": i,
-				"time":  s.Time,
-			},
-		})
-	}
 }
 
 // FromScenario builds the standard visualisation of a field-study

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/poa"
 	"repro/internal/trace"
 	"repro/internal/zone"
 )
@@ -71,24 +70,6 @@ func TestFromScenarioEncodes(t *testing.T) {
 	}
 	if back["type"] != "FeatureCollection" {
 		t.Errorf("top-level type = %v", back["type"])
-	}
-}
-
-func TestAddSamples(t *testing.T) {
-	fc := NewCollection()
-	samples := []poa.Sample{
-		{Pos: geo.LatLon{Lat: 40, Lon: -88}, Time: t0},
-		{Pos: geo.LatLon{Lat: 40.001, Lon: -88}, Time: t0.Add(time.Second)},
-	}
-	fc.AddSamples("flight-1", samples)
-	if len(fc.Features) != 2 {
-		t.Fatalf("features = %d", len(fc.Features))
-	}
-	if fc.Features[0].Geometry["type"] != "Point" {
-		t.Error("sample geometry should be Point")
-	}
-	if fc.Features[1].Properties["index"] != 1 {
-		t.Errorf("index property = %v", fc.Features[1].Properties["index"])
 	}
 }
 

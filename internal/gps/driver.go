@@ -62,7 +62,3 @@ func (d *Driver) GetGPS3D(now time.Time) (Fix, error) {
 	fix.AltMeters = gga.AltMeters
 	return fix, nil
 }
-
-// Receiver exposes the underlying hardware for rate queries (the Adapter
-// needs the update rate R for the adaptive sampling conditions).
-func (d *Driver) Receiver() *Receiver { return d.rx }

@@ -30,7 +30,6 @@ const (
 	LevelDebug Level = iota
 	LevelInfo
 	LevelWarn
-	LevelError
 )
 
 // String renders the level the way it appears in the level= field.
@@ -42,26 +41,9 @@ func (l Level) String() string {
 		return "info"
 	case LevelWarn:
 		return "warn"
-	case LevelError:
-		return "error"
 	default:
 		return fmt.Sprintf("level(%d)", int8(l))
 	}
-}
-
-// ParseLevel decodes a level name (as printed by String).
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(s) {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return 0, fmt.Errorf("olog: unknown level %q", s)
 }
 
 // Logger writes logfmt lines at or above a minimum level. Safe for
@@ -108,9 +90,6 @@ func (l *Logger) Info(ctx context.Context, msg string, kv ...any) { l.log(ctx, L
 
 // Warn logs at warn level.
 func (l *Logger) Warn(ctx context.Context, msg string, kv ...any) { l.log(ctx, LevelWarn, msg, kv) }
-
-// Error logs at error level.
-func (l *Logger) Error(ctx context.Context, msg string, kv ...any) { l.log(ctx, LevelError, msg, kv) }
 
 func (l *Logger) log(ctx context.Context, lvl Level, msg string, kv []any) {
 	if !l.Enabled(lvl) {

@@ -37,12 +37,11 @@ func TestLevelFiltering(t *testing.T) {
 		t.Fatalf("below-min levels wrote %q", buf.String())
 	}
 	l.Warn(ctx, "w")
-	l.Error(ctx, "e")
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 || !strings.Contains(lines[0], "level=warn") || !strings.Contains(lines[1], "level=error") {
+	if len(lines) != 1 || !strings.Contains(lines[0], "level=warn") {
 		t.Errorf("lines = %q", lines)
 	}
-	if !l.Enabled(LevelError) || l.Enabled(LevelInfo) {
+	if !l.Enabled(LevelWarn) || l.Enabled(LevelInfo) {
 		t.Error("Enabled disagrees with the minimum level")
 	}
 }
@@ -89,27 +88,13 @@ func TestQuoting(t *testing.T) {
 	}
 }
 
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, "warning": LevelWarn, "error": LevelError,
-	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel accepted an unknown level")
-	}
-}
-
 func TestNilLogger(t *testing.T) {
 	var l *Logger
 	ctx := context.Background()
 	// Must not panic, including through With.
 	l.Info(ctx, "x")
-	l.With("k", "v").Error(ctx, "y")
-	if l.Enabled(LevelError) {
+	l.With("k", "v").Warn(ctx, "y")
+	if l.Enabled(LevelWarn) {
 		t.Error("nil logger reports enabled")
 	}
 }

@@ -112,9 +112,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

@@ -128,14 +128,6 @@ func NewSLO(opts SLOOptions) *SLO {
 	return s
 }
 
-// Window returns the configured window length (0 for a nil tracker).
-func (s *SLO) Window() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.window
-}
-
 // epoch maps now onto a slot interval index.
 func (s *SLO) epoch() int64 {
 	return s.clock.Now().UnixNano() / int64(s.slotDur)

@@ -122,9 +122,6 @@ func TestSLONilSafe(t *testing.T) {
 	if sum := s.Summary(); sum.Admitted != 0 || sum.Doors != nil {
 		t.Fatalf("nil summary not zero: %+v", sum)
 	}
-	if s.Window() != 0 {
-		t.Fatal("nil window not zero")
-	}
 }
 
 func TestSLORegisterExposition(t *testing.T) {

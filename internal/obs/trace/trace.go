@@ -162,9 +162,6 @@ type SpanRecord struct {
 	Error   string    `json:"error,omitempty"`
 }
 
-// Duration is the span's elapsed time.
-func (r SpanRecord) Duration() time.Duration { return r.End.Sub(r.Start) }
-
 // Collector receives finished spans. Collect must be safe for
 // concurrent use; it is called synchronously from Span.End.
 type Collector interface {

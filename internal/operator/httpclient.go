@@ -120,9 +120,13 @@ func (c *HTTPAuditor) setSleep(fn func(time.Duration)) { c.sleep = fn }
 // retryableStatus reports whether a status indicates the request likely
 // never reached the Auditor's handler. 429 qualifies: the admission
 // controller shed the request before any verification stage judged it.
+// So does 421: a cluster node's single-hop guard refuses a forward that
+// reached a non-owner before any stage runs, and a retry lands once the
+// nodes' gossip agrees on the owner.
 func retryableStatus(code int) bool {
 	return code == http.StatusBadGateway || code == http.StatusServiceUnavailable ||
-		code == http.StatusGatewayTimeout || code == http.StatusTooManyRequests
+		code == http.StatusGatewayTimeout || code == http.StatusTooManyRequests ||
+		code == http.StatusMisdirectedRequest
 }
 
 // retryAfter extracts the server's Retry-After hint (integral seconds) from
@@ -235,9 +239,7 @@ func newRequest(ctx context.Context, method, url, contentType string, body io.Re
 var encodeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // StatusError is a non-200 response from the auditor: the status code
-// plus the server's error body. Routing clients inspect Code — 421
-// Misdirected Request means the node no longer owns the drone and the
-// caller's cluster map is stale.
+// plus the server's error body.
 type StatusError struct {
 	Path string // endpoint the call hit
 	Code int    // HTTP status
@@ -259,6 +261,29 @@ func (e *StatusError) Error() string {
 func drainClose(body io.ReadCloser) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(body, 256<<10))
 	_ = body.Close()
+}
+
+// FetchClusterStatus GETs one node's fleet-wide status snapshot
+// (/cluster/status): the serving node aggregates every ring member's
+// fragment, so any reachable node answers for the whole fleet. client
+// defaults to http.DefaultClient.
+func FetchClusterStatus(client *http.Client, base string) (protocol.ClusterStatusResponse, error) {
+	if client == nil {
+		client = http.DefaultClient
+	}
+	var st protocol.ClusterStatusResponse
+	resp, err := client.Get(base + protocol.PathClusterStatus)
+	if err != nil {
+		return st, err
+	}
+	defer drainClose(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return st, &StatusError{Path: protocol.PathClusterStatus, Code: resp.StatusCode}
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return st, fmt.Errorf("cluster status from %s: %w", base, err)
+	}
+	return st, nil
 }
 
 // postJSON sends req to path — an envelope door's ciphertext raw, any

@@ -1,6 +1,7 @@
 package operator
 
 import (
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -64,6 +65,32 @@ func TestClientRetriesGatewayErrors(t *testing.T) {
 	}
 	if got := reg.Histogram(obs.L(MetricClientRequestSeconds, "path", path), obs.DurationBuckets).Count(); got != 1 {
 		t.Errorf("latency observations = %d, want 1", got)
+	}
+}
+
+// TestClientRetriesMisdirected: a cluster node's single-hop guard answers
+// 421 before any stage judges the request, so the client retries it under
+// its policy; the retry lands once the nodes agree on the owner.
+func TestClientRetriesMisdirected(t *testing.T) {
+	fh := &flakyHandler{fails: 1, status: http.StatusMisdirectedRequest,
+		ok: func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write([]byte(`{"verdict":"compliant"}`))
+		}}
+	hs := httptest.NewServer(fh)
+	defer hs.Close()
+
+	reg := obs.NewRegistry(nil)
+	c := NewHTTPAuditor(hs.URL, nil)
+	c.SetRetryPolicy(RetryPolicy{Max: 3, Backoff: time.Millisecond})
+	c.SetMetrics(reg)
+	c.setSleep(func(time.Duration) {})
+	resp, err := c.SubmitPoA(protocol.SubmitPoARequest{DroneID: "drone-1", EncryptedPoA: []byte{1}})
+	if err != nil || resp.Verdict != protocol.VerdictCompliant {
+		t.Fatalf("submit after a 421: %v / %+v", err, resp)
+	}
+	if got := reg.Counter(obs.L(MetricClientRetriesTotal, "path", protocol.PathSubmitPoA)).Value(); got != 1 {
+		t.Errorf("retries = %d, want 1", got)
 	}
 }
 
@@ -133,5 +160,19 @@ func TestClientReusesConnectionAcrossRetries(t *testing.T) {
 	}
 	if got := atomic.LoadInt32(&conns); got != 1 {
 		t.Errorf("server saw %d connections across 3 attempts, want 1 (keep-alive reuse)", got)
+	}
+}
+
+func TestStatusErrorShape(t *testing.T) {
+	err := error(&StatusError{Path: "/v1/submit", Code: 421, Msg: "misrouted"})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusMisdirectedRequest {
+		t.Fatal("StatusError lost its code through errors.As")
+	}
+	if want := "auditor /v1/submit: misrouted (HTTP 421)"; err.Error() != want {
+		t.Errorf("Error() = %q, want %q", err.Error(), want)
+	}
+	if want := "auditor /v1/submit: HTTP 500"; (&StatusError{Path: "/v1/submit", Code: 500}).Error() != want {
+		t.Errorf("bodyless Error() mismatch")
 	}
 }

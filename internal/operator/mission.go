@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/gps"
-	"repro/internal/planner"
 	"repro/internal/protocol"
 	"repro/internal/sampling"
 	"repro/internal/trace"
@@ -142,27 +141,4 @@ func RouteBounds(r *trace.Route, marginMeters float64) geo.Rect {
 	}
 	rect := geo.Rect{MinLat: minLat, MinLon: minLon, MaxLat: maxLat, MaxLon: maxLon}
 	return rect.Expand(marginMeters)
-}
-
-// PlanCompliantRoute is the full pre-flight pipeline: query the zones over
-// the corridor from start to goal, plan a route that avoids them, and
-// return the flyable trajectory. speedMS sets the cruise speed.
-func (d *Drone) PlanCompliantRoute(start, goal geo.LatLon, departure time.Time, speedMS float64, cfg planner.Config) (*trace.Route, []zone.NFZ, error) {
-	if d.id == "" {
-		return nil, nil, ErrNotRegistered
-	}
-	corridor := geo.NewRect(start, goal).Expand(cfg.MarginMeters + 2000)
-	zones, err := d.QueryZones(corridor)
-	if err != nil {
-		return nil, nil, err
-	}
-	waypoints, err := planner.PlanRoute(start, goal, zone.Circles(zones), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	route, err := planner.ToRoute(waypoints, speedMS, departure)
-	if err != nil {
-		return nil, nil, err
-	}
-	return route, zones, nil
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/auditor"
 	"repro/internal/geo"
 	"repro/internal/gps"
-	"repro/internal/planner"
 	"repro/internal/poa"
 	"repro/internal/protocol"
 	"repro/internal/sampling"
@@ -387,39 +386,4 @@ func sealedSecrets(samples []poa.Sample) (*DisclosureSecrets, error) {
 		return nil, err
 	}
 	return d.secrets, nil
-}
-
-func TestPlanCompliantRoute(t *testing.T) {
-	s := newInProcessStack(t)
-	goal := urbana.Offset(90, 3000)
-	// A zone dead on the straight line.
-	if _, err := s.srv.Zones().Register("alice", geo.GeoCircle{Center: urbana.Offset(90, 1500), R: 300}); err != nil {
-		t.Fatal(err)
-	}
-	route, err := trace.ConstantSpeedLine(urbana, 90, 10, t0, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = s.withReceiver(t, route, 5)
-	if err := s.drone.Register(); err != nil {
-		t.Fatal(err)
-	}
-
-	planned, zones, err := s.drone.PlanCompliantRoute(urbana, goal, t0, 15, planner.Config{ClearanceMeters: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(zones) != 1 {
-		t.Errorf("corridor zones = %d, want 1", len(zones))
-	}
-	// The planned route detours: longer than straight, avoids the zone.
-	if planned.LengthMeters() <= geo.HaversineMeters(urbana, goal) {
-		t.Error("planned route not longer than blocked straight line")
-	}
-	z := zones[0].Circle
-	for dt := time.Duration(0); dt <= planned.Duration(); dt += time.Second {
-		if z.ContainsLatLon(planned.Position(t0.Add(dt)).Pos) {
-			t.Fatalf("planned route enters the zone at %v", dt)
-		}
-	}
 }

@@ -60,8 +60,8 @@ func TestBatchModeEndToEnd(t *testing.T) {
 		t.Fatalf("verdict = %v (%s)", resp.Verdict, resp.Reason)
 	}
 	// The verified trace is retained for accusations like any other.
-	if s.srv.RetainedCount() != 1 {
-		t.Errorf("retained = %d, want 1", s.srv.RetainedCount())
+	if s.srv.Status().RetainedPoAs != 1 {
+		t.Errorf("retained = %d, want 1", s.srv.Status().RetainedPoAs)
 	}
 }
 

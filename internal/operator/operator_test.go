@@ -253,33 +253,13 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Errorf("loaded = %+v", got)
 	}
 
-	ids, err := st.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 || ids[0] != "flight-001" {
-		t.Errorf("List = %v", ids)
-	}
-
-	pending, err := st.Pending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pending) != 1 {
-		t.Fatalf("pending = %d", len(pending))
-	}
-
-	// Mark submitted and save again: no longer pending.
+	// Mark submitted and save again: the record is overwritten in place.
 	rec.Submitted = true
 	if err := st.Save(rec); err != nil {
 		t.Fatal(err)
 	}
-	pending, err = st.Pending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pending) != 0 {
-		t.Errorf("pending after submit = %d", len(pending))
+	if got, err := st.Load("flight-001"); err != nil || !got.Submitted {
+		t.Errorf("reloaded = %+v, %v; want submitted", got, err)
 	}
 
 	if _, err := st.Load("missing"); !errors.Is(err, ErrNoSuchFlight) {

@@ -79,40 +79,3 @@ func (s *Store) Load(flightID string) (FlightRecord, error) {
 	}
 	return rec, nil
 }
-
-// List returns the IDs of all stored flights, sorted by filename.
-func (s *Store) List() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("list store: %w", err)
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if filepath.Ext(name) == ".json" {
-			out = append(out, name[:len(name)-len(".json")])
-		}
-	}
-	return out, nil
-}
-
-// Pending returns flights not yet submitted to the Auditor.
-func (s *Store) Pending() ([]FlightRecord, error) {
-	ids, err := s.List()
-	if err != nil {
-		return nil, err
-	}
-	var out []FlightRecord
-	for _, id := range ids {
-		rec, err := s.Load(id)
-		if err != nil {
-			return nil, err
-		}
-		if !rec.Submitted {
-			out = append(out, rec)
-		}
-	}
-	return out, nil
-}

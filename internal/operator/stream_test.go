@@ -38,8 +38,8 @@ func TestStreamingCleanFlight(t *testing.T) {
 		t.Errorf("final verdict = %v (%s)", res.Final.Verdict, res.Final.Reason)
 	}
 	// The streamed trace is retained for accusations.
-	if s.srv.RetainedCount() != 1 {
-		t.Errorf("retained = %d, want 1", s.srv.RetainedCount())
+	if s.srv.Status().RetainedPoAs != 1 {
+		t.Errorf("retained = %d, want 1", s.srv.Status().RetainedPoAs)
 	}
 }
 

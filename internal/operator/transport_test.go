@@ -3,6 +3,7 @@ package operator
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/obs"
 	otrace "repro/internal/obs/trace"
 	"repro/internal/protocol"
+	"repro/internal/sigcrypto"
 	"repro/internal/trace"
 )
 
@@ -50,50 +52,76 @@ func wireTransport(t *testing.T) transport {
 	return transport{wa, h.srv}
 }
 
-// clusterTransport is the routing client over a one-node cluster.
-func clusterTransport(t *testing.T) transport {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+// clusterTransport is the HTTP client talking to node 0 of a two-node
+// cluster: the drones whose IDs the ring places on node 1 reach it through
+// node 0's single-hop forward. reg is node 0's metrics registry.
+func clusterTransport(t *testing.T) (transport, *obs.Registry) {
+	key, err := sigcrypto.GenerateKeyPair(rand.New(rand.NewSource(62)), sigcrypto.KeySize1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := auditor.NewRouter(auditor.RouterConfig{
-		Self:   cluster.Node{ID: "solo", Addr: lis.Addr().String()},
-		Server: auditor.Config{Random: rand.New(rand.NewSource(61))},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var (
+		nodes []cluster.Node
+		lis   []net.Listener
+	)
+	for i := 0; i < 2; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lis = append(lis, l)
+		nodes = append(nodes, cluster.Node{ID: fmt.Sprintf("node-%d", i), Addr: l.Addr().String()})
 	}
-	hs := &httptest.Server{Listener: lis, Config: &http.Server{Handler: auditor.NewHandler(r)}}
-	hs.Start()
-	t.Cleanup(func() {
-		hs.Close()
-		r.Close()
-	})
-	c := NewClusterAuditor([]string{hs.URL}, hs.Client())
-	c.SetRetryPolicy(RetryPolicy{})
-	return transport{c, r.Shard(0)}
+	var routers []*auditor.Router
+	for i := range nodes {
+		r, err := auditor.NewRouter(auditor.RouterConfig{
+			Self:  nodes[i],
+			Seeds: nodes,
+			Server: auditor.Config{
+				Random:        rand.New(rand.NewSource(61 + int64(i))),
+				Metrics:       obs.NewRegistry(nil),
+				EncryptionKey: key,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := &httptest.Server{Listener: lis[i], Config: &http.Server{Handler: auditor.NewHandler(r)}}
+		hs.Start()
+		t.Cleanup(func() {
+			hs.Close()
+			r.Close()
+		})
+		routers = append(routers, r)
+	}
+	c := NewHTTPAuditor("http://"+nodes[0].Addr, nil)
+	c.SetRetryPolicy(RetryPolicy{Max: 2, Backoff: 10 * time.Millisecond})
+	return transport{c, routers[0].Shard(0)}, routers[0].Metrics()
 }
 
 // TestMissionModesOverTransports flies every mode through each client the
 // drone ships with: HTTP, HTTP with submissions on the binary wire, and
-// the cluster-routing client over a one-node cluster. A transport that
-// lacks a mode's door is refused before any call; every other mission
-// rotates the TEE key first where its mode rotates, reaches the verdict
-// it reaches in process, and leaves one drone.proof trace with a tee.sign
-// child for every mode but streaming.
+// HTTP against one node of a two-node cluster, which forwards the calls of
+// the drones the other node owns. Every mission rotates the TEE key first
+// where its mode rotates, reaches the verdict it reaches in process, and
+// leaves one drone.proof trace with a tee.sign child for every mode but
+// streaming.
 func TestMissionModesOverTransports(t *testing.T) {
 	route, err := trace.ConstantSpeedLine(urbana, 90, 10, t0, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var clusterReg *obs.Registry
 	for _, tc := range []struct {
-		name       string
-		dial       func(*testing.T) transport
-		disclosure bool // the transport carries the sealed, commit and reveal doors
+		name string
+		dial func(*testing.T) transport
 	}{
-		{"http", httpTransport, true},
-		{"wire", wireTransport, true},
-		{"cluster", clusterTransport, false},
+		{"http", httpTransport},
+		{"wire", wireTransport},
+		{"cluster", func(t *testing.T) (tr transport) {
+			tr, clusterReg = clusterTransport(t)
+			return tr
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.dial(t)
@@ -114,12 +142,6 @@ func TestMissionModesOverTransports(t *testing.T) {
 				}
 				cfg := MissionConfig{FlightSpec: FlightSpec{Mode: m, FixedRateHz: 2}, RotateEvery: time.Second}
 				rep, err := s.drone.RunMission(rx, route, cfg)
-				if m.Disclosure() != "" && !tc.disclosure {
-					if !errors.Is(err, ErrDoorUnsupported) {
-						t.Errorf("%v: err = %v, want ErrDoorUnsupported", m, err)
-					}
-					continue
-				}
 				if err != nil {
 					t.Fatalf("%v: %v", m, err)
 				}
@@ -143,16 +165,25 @@ func TestMissionModesOverTransports(t *testing.T) {
 					revealOverHTTP(t, s, tr.api, rep.Zones[0].ID)
 				}
 			}
-			if c, ok := tr.api.(*ClusterAuditor); ok {
-				st, err := c.ClusterStatus()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(st.Nodes) != 1 || c.MapVersion() == 0 {
-					t.Errorf("cluster status = %+v (map v%d), want one node", st, c.MapVersion())
-				}
-			}
 		})
+	}
+	if got := clusterReg.Counter(obs.L(auditor.MetricClusterForwardsTotal, "dir", "out")).Value(); got == 0 {
+		t.Error("the cluster row forwarded nothing: every drone landed on the node the client talks to")
+	}
+}
+
+// TestFetchClusterStatus: any node of a cluster answers for the fleet; a
+// standalone auditor serves no /cluster/* door.
+func TestFetchClusterStatus(t *testing.T) {
+	tr, _ := clusterTransport(t)
+	st, err := FetchClusterStatus(nil, tr.api.(*HTTPAuditor).base)
+	if err != nil || len(st.Nodes) != 2 {
+		t.Errorf("cluster status = %+v, %v; want two nodes", st, err)
+	}
+	_, err = FetchClusterStatus(nil, httpTransport(t).api.(*HTTPAuditor).base)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
+		t.Errorf("standalone cluster status err = %v, want HTTP 404", err)
 	}
 }
 

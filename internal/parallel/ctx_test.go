@@ -82,24 +82,3 @@ func TestFirstErrorCtxPreCancelled(t *testing.T) {
 		}
 	}
 }
-
-func TestFirstErrorCtxBackgroundMatchesFirstError(t *testing.T) {
-	fail := errors.New("fail")
-	for _, p := range []*Pool{nil, NewPool(4)} {
-		i1, err1 := p.FirstError(200, func(i int) error {
-			if i%37 == 36 {
-				return fail
-			}
-			return nil
-		})
-		i2, err2 := p.FirstErrorCtx(context.Background(), 200, func(i int) error {
-			if i%37 == 36 {
-				return fail
-			}
-			return nil
-		})
-		if i1 != i2 || !errors.Is(err1, fail) || !errors.Is(err2, fail) {
-			t.Errorf("pool size %d: FirstError = (%d, %v), FirstErrorCtx = (%d, %v)", p.Size(), i1, err1, i2, err2)
-		}
-	}
-}

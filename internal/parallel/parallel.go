@@ -7,7 +7,7 @@
 // Determinism is a design requirement, not an accident: a Pool with one
 // worker (or a nil Pool) produces byte-identical results to the
 // historical sequential loop, and a Pool with many workers produces the
-// *same* results faster. FirstError returns the lowest failing index —
+// *same* results faster. FirstErrorCtx returns the lowest failing index —
 // exactly what a sequential scan would report.
 package parallel
 
@@ -72,7 +72,7 @@ func (p *Pool) release() {
 	<-p.sem
 }
 
-// FirstError runs check(0) … check(n-1) and returns the lowest index
+// FirstErrorCtx runs check(0) … check(n-1) and returns the lowest index
 // whose check failed together with its error, or (-1, nil) when every
 // check passes — the exact contract of a sequential early-return loop.
 //
@@ -83,16 +83,13 @@ func (p *Pool) release() {
 // Indices below f are always fully checked, which is what makes the
 // reported index deterministic: it is the global minimum failing index,
 // not merely the first one observed.
-func (p *Pool) FirstError(n int, check func(int) error) (int, error) {
-	return p.FirstErrorCtx(context.Background(), n, check)
-}
-
-// FirstErrorCtx is FirstError with cooperative cancellation: when ctx is
-// done, workers stop claiming new indices and the call returns
-// (-1, ctx.Err()) — unless a genuine check failure was already recorded,
-// in which case the lowest failure seen wins so a found forgery is never
-// masked by the caller going away. A context that can never be cancelled
-// (context.Background()) adds no per-index overhead.
+//
+// Cancellation is cooperative: when ctx is done, workers stop claiming
+// new indices and the call returns (-1, ctx.Err()) — unless a genuine
+// check failure was already recorded, in which case the lowest failure
+// seen wins so a found forgery is never masked by the caller going away.
+// A context that can never be cancelled (context.Background()) adds no
+// per-index overhead.
 func (p *Pool) FirstErrorCtx(ctx context.Context, n int, check func(int) error) (int, error) {
 	if n <= 0 {
 		return -1, nil

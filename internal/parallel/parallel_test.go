@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -44,7 +45,7 @@ func TestFirstErrorLowestIndex(t *testing.T) {
 		return nil
 	}
 	for _, p := range []*Pool{nil, NewPool(1), NewPool(4), NewPool(16)} {
-		idx, err := p.FirstError(200, check)
+		idx, err := p.FirstErrorCtx(context.Background(), 200, check)
 		if idx != 3 || err == nil || err.Error() != "bad index 3" {
 			t.Errorf("pool size %d: FirstError = (%d, %v), want (3, bad index 3)", p.Size(), idx, err)
 		}
@@ -54,7 +55,7 @@ func TestFirstErrorLowestIndex(t *testing.T) {
 func TestFirstErrorAllPass(t *testing.T) {
 	for _, p := range []*Pool{nil, NewPool(4)} {
 		var calls atomic.Int64
-		idx, err := p.FirstError(50, func(int) error { calls.Add(1); return nil })
+		idx, err := p.FirstErrorCtx(context.Background(), 50, func(int) error { calls.Add(1); return nil })
 		if idx != -1 || err != nil {
 			t.Errorf("pool size %d: FirstError = (%d, %v), want (-1, nil)", p.Size(), idx, err)
 		}
@@ -65,7 +66,7 @@ func TestFirstErrorAllPass(t *testing.T) {
 }
 
 func TestFirstErrorEmpty(t *testing.T) {
-	if idx, err := NewPool(4).FirstError(0, func(int) error { return errors.New("never") }); idx != -1 || err != nil {
+	if idx, err := NewPool(4).FirstErrorCtx(context.Background(), 0, func(int) error { return errors.New("never") }); idx != -1 || err != nil {
 		t.Errorf("FirstError(0) = (%d, %v)", idx, err)
 	}
 }
@@ -75,7 +76,7 @@ func TestFirstErrorEmpty(t *testing.T) {
 func TestFirstErrorCancels(t *testing.T) {
 	p := NewPool(4)
 	var calls atomic.Int64
-	idx, err := p.FirstError(100000, func(i int) error {
+	idx, err := p.FirstErrorCtx(context.Background(), 100000, func(i int) error {
 		calls.Add(1)
 		if i == 0 {
 			return errors.New("immediate")
@@ -107,7 +108,7 @@ func TestOnBusyBalanced(t *testing.T) {
 			}
 		}
 	}
-	if _, err := p.FirstError(50, func(int) error { return nil }); err != nil {
+	if _, err := p.FirstErrorCtx(context.Background(), 50, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if busy.Load() != 0 {

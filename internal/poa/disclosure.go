@@ -20,11 +20,6 @@ const (
 	DisclosureCommit = "commit"
 )
 
-// Disclosures lists every supported mode.
-func Disclosures() []string {
-	return []string{DisclosureFull, DisclosureSealed, DisclosureCommit}
-}
-
 // NormalizeDisclosure maps the empty string to DisclosureFull (drones
 // predating the negotiation always flew the plaintext protocol) and
 // rejects unknown modes.
@@ -38,17 +33,3 @@ func NormalizeDisclosure(mode string) (string, error) {
 		return "", fmt.Errorf("poa: unknown disclosure mode %q", mode)
 	}
 }
-
-// Disclosure is a Proof-of-Alibi payload under some disclosure mode: the
-// plaintext PoA, a sealed PoA, or a commit envelope.
-type Disclosure interface {
-	// DisclosureMode names the mode the payload belongs to.
-	DisclosureMode() string
-	// Len returns the number of samples the payload covers.
-	Len() int
-}
-
-// DisclosureMode implements Disclosure for the plaintext PoA.
-func (p PoA) DisclosureMode() string { return DisclosureFull }
-
-var _ Disclosure = PoA{}

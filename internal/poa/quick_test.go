@@ -57,9 +57,11 @@ func TestQuickCanonClose(t *testing.T) {
 	}
 }
 
-// TestQuickSufficiencyMonotoneInTime: if a pair is insufficient for a gap,
-// it stays insufficient for any longer gap (larger travel budget can only
-// reach more area). Equivalently, sufficiency is monotone downward in dt.
+// TestQuickSufficiencyMonotoneInTime: if a flyable pair is insufficient
+// for a gap, it stays insufficient for any longer gap (larger travel budget
+// can only reach more area). Equivalently, sufficiency is monotone downward
+// in dt. A pair too far apart for its gap has no travel range and is
+// insufficient by rule, whatever a longer gap would allow.
 func TestQuickSufficiencyMonotoneInTime(t *testing.T) {
 	ref := geo.LatLon{Lat: 40.1106, Lon: -88.2073}
 	fn := func(seed int64) bool {
@@ -72,6 +74,9 @@ func TestQuickSufficiencyMonotoneInTime(t *testing.T) {
 
 		short := Sample{Pos: pos2, Time: base.Add(shortGap)}
 		long := Sample{Pos: pos2, Time: base.Add(longGap)}
+		if geo.HaversineMeters(s1.Pos, pos2) > vmax*shortGap.Seconds() {
+			return true
+		}
 		for _, mode := range []TestMode{Conservative, Exact} {
 			if !PairSufficient(s1, short, z, vmax, mode) && PairSufficient(s1, long, z, vmax, mode) {
 				return false
@@ -181,11 +186,11 @@ func planarPair(s1, s2 Sample, vmaxMS float64) (*geo.Projection, geo.TravelEllip
 
 // pairSufficientByMinimisation is the Exact test as it was defined before
 // the planar lower bound went first: the focal sum is minimised over the
-// zone disk for every (pair, zone). VerifySufficiency and PairSufficient
-// must keep returning exactly this.
+// zone disk for every (pair, zone), and an empty ellipse proves nothing.
+// VerifySufficiency and PairSufficient must keep returning exactly this.
 func pairSufficientByMinimisation(s1, s2 Sample, z geo.GeoCircle, vmaxMS float64) bool {
 	pr, e := planarPair(s1, s2, vmaxMS)
-	return !(!e.Empty() && e.MinFocalSumOnDisk(z.ToLocal(pr)) <= e.SumLimit)
+	return !e.Empty() && e.MinFocalSumOnDisk(z.ToLocal(pr)) > e.SumLimit
 }
 
 // TestQuickExactMatchesNestedMinimisation is the licence for calling the
@@ -193,10 +198,9 @@ func pairSufficientByMinimisation(s1, s2 Sample, z geo.GeoCircle, vmaxMS float64
 // traces and zone fields the Report's Insufficiencies — order, PairIndex,
 // ZoneIndex — equal the nested minimise-everything scan, at mid latitude,
 // at 69.5° N (where a degree of longitude is a third of one of latitude)
-// and across the ±180° meridian (where the projection does not unwrap
-// longitude, so a crossing pair looks speed-infeasible; it must look so to
-// both). Every trace carries a speed-infeasible pair and a pair 1 ns
-// apart; exact zero and negative gaps, which VerifySufficiency rejects as
+// and across the ±180° meridian (where the projection takes the longitude
+// difference the short way round). Every trace carries a speed-infeasible
+// pair, insufficient against every zone, and a pair 1 ns apart; exact zero and negative gaps, which VerifySufficiency rejects as
 // unchronological, go through PairSufficient.
 func TestQuickExactMatchesNestedMinimisation(t *testing.T) {
 	var insufficient, boundCleared, minimisationCleared int

@@ -36,9 +36,9 @@ func (m TestMode) String() string {
 // proves the drone could not have entered zone z during [t1, t2], i.e.
 // whether the possible-travel-range ellipse is disjoint from z.
 //
-// A non-positive or zero time gap makes the ellipse degenerate; callers
-// should have validated chronology first — such pairs are treated as
-// insufficient only if a sample actually lies in the zone.
+// A pair the drone could not have flown at vmax — an empty travel ellipse,
+// including any move within a zero time gap — is never evidence of alibi:
+// it is insufficient against every zone, in both modes.
 func PairSufficient(s1, s2 Sample, z geo.GeoCircle, vmaxMS float64, mode TestMode) bool {
 	t := newPairTest(s1, s2, vmaxMS, mode)
 	return t.sufficient(z)
@@ -52,6 +52,7 @@ func PairSufficient(s1, s2 Sample, z geo.GeoCircle, vmaxMS float64, mode TestMod
 type pairTest struct {
 	p1, p2 geo.LatLon
 	limit  float64 // vmax·Δt, metres
+	empty  bool    // the pair is farther apart than limit: no travel range
 
 	// Exact mode only: the plane anchored at p1 and the ellipse on it.
 	pr *geo.Projection
@@ -64,12 +65,18 @@ func newPairTest(s1, s2 Sample, vmaxMS float64, mode TestMode) pairTest {
 	if mode == Exact {
 		t.pr = geo.NewProjection(s1.Pos)
 		t.e = geo.NewTravelEllipse(t.pr.ToLocal(s1.Pos), t.pr.ToLocal(s2.Pos), dt, vmaxMS)
+		t.empty = t.e.Empty()
+	} else {
+		t.empty = geo.HaversineMeters(s1.Pos, s2.Pos) > t.limit
 	}
 	return t
 }
 
 // sufficient reports whether the pair's travel range is disjoint from z.
 func (t *pairTest) sufficient(z geo.GeoCircle) bool {
+	if t.empty {
+		return false
+	}
 	if t.pr != nil {
 		return !t.e.IntersectsDisk(z.ToLocal(t.pr))
 	}
@@ -130,8 +137,10 @@ func VerifySufficiency(samples []Sample, zones []geo.GeoCircle, vmaxMS float64, 
 //
 //	min_j (d_{i,j} + d_{i+1,j}) < vmax * (t_{i+1} - t_i)
 //
-// where d_{i,j} is the distance from sample i to the boundary of zone j.
-// It returns the cumulative count after each pair (len = len(samples)-1).
+// where d_{i,j} is the distance from sample i to the boundary of zone j,
+// and — the verifier's rule for an empty travel ellipse — when the pair is
+// farther apart than vmax allows. It returns the cumulative count after
+// each pair (len = len(samples)-1).
 func CountInsufficient(samples []Sample, zones []geo.GeoCircle, vmaxMS float64) []int {
 	if len(samples) < 2 {
 		return nil
@@ -150,7 +159,8 @@ func CountInsufficient(samples []Sample, zones []geo.GeoCircle, vmaxMS float64) 
 				minSum, found = sum, true
 			}
 		}
-		if found && minSum < vmaxMS*dt {
+		limit := vmaxMS * dt
+		if found && (minSum < limit || geo.HaversineMeters(samples[i].Pos, samples[i+1].Pos) > limit) {
 			total++
 		}
 		counts = append(counts, total)

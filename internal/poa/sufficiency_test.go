@@ -61,6 +61,39 @@ func TestPairSufficientSampleInsideZone(t *testing.T) {
 	}
 }
 
+// TestPairAcrossAntimeridian: a pair 10 s apart on either side of ±180°
+// crosses a 20 m zone centred on the antimeridian. Neither mode may call it
+// sufficient — the exact test once projected the pair 40,000 km apart, saw
+// an empty ellipse and accepted it against every zone.
+func TestPairAcrossAntimeridian(t *testing.T) {
+	s1 := Sample{Pos: geo.LatLon{Lat: 0, Lon: 179.9995}, Time: base}
+	s2 := Sample{Pos: geo.LatLon{Lat: 0, Lon: -179.9995}, Time: base.Add(10 * time.Second)}
+	z := geo.GeoCircle{Center: geo.LatLon{Lat: 0, Lon: 180}, R: 20}
+	if err := SpeedFeasible([]Sample{s1, s2}, vmax); err != nil {
+		t.Fatalf("the pair is ~111 m apart in 10 s: %v", err)
+	}
+	for _, mode := range []TestMode{Conservative, Exact} {
+		if PairSufficient(s1, s2, z, vmax, mode) {
+			t.Errorf("%v: a pair crossing the zone at the antimeridian is sufficient", mode)
+		}
+	}
+}
+
+// TestEmptyEllipseNeverSufficient: a pair the drone could not have flown
+// at vmax has no travel range; it proves nothing, even against a zone far
+// from both samples.
+func TestEmptyEllipseNeverSufficient(t *testing.T) {
+	ref := geo.LatLon{Lat: 40.1106, Lon: -88.2073}
+	s1 := Sample{Pos: ref, Time: base}
+	s2 := Sample{Pos: ref.Offset(90, 10000), Time: base.Add(time.Second)}
+	z := zoneAt(ref, 0, 50000, 100)
+	for _, mode := range []TestMode{Conservative, Exact} {
+		if PairSufficient(s1, s2, z, vmax, mode) {
+			t.Errorf("%v: a speed-infeasible pair is sufficient", mode)
+		}
+	}
+}
+
 // TestConservativeSoundness: whenever the conservative test accepts
 // (sufficient), the exact test must accept as well.
 func TestConservativeSoundness(t *testing.T) {

@@ -68,13 +68,8 @@ type CommitEnvelope struct {
 	Sig        []byte          `json:"sig"`
 }
 
-// DisclosureMode implements poa.Disclosure.
-func (e CommitEnvelope) DisclosureMode() string { return poa.DisclosureCommit }
-
-// Len implements poa.Disclosure: the number of committed samples.
+// Len returns the number of committed samples.
 func (e CommitEnvelope) Len() int { return len(e.Times) }
-
-var _ poa.Disclosure = CommitEnvelope{}
 
 // commitDomainTag version-tags the signed encoding, mirroring the "ADS1"
 // tag on canonical samples.

@@ -55,13 +55,8 @@ type SealedPoA struct {
 	Entries []SealedSample `json:"entries"`
 }
 
-// DisclosureMode implements poa.Disclosure.
-func (sp SealedPoA) DisclosureMode() string { return poa.DisclosureSealed }
-
-// Len implements poa.Disclosure: the number of sealed entries.
+// Len returns the number of sealed entries.
 func (sp SealedPoA) Len() int { return len(sp.Entries) }
-
-var _ poa.Disclosure = SealedPoA{}
 
 // KeyRing is the operator-retained set of one-time keys, one per entry.
 type KeyRing struct {

@@ -57,7 +57,6 @@ const (
 type StatusResponse struct {
 	Drones       int `json:"drones"`
 	Zones        int `json:"zones"`
-	Zones3D      int `json:"zones3d"`
 	RetainedPoAs int `json:"retainedPoAs"`
 	// Commitments counts retained sealed/commit disclosures awaiting
 	// possible accusation.

@@ -1,11 +1,11 @@
 package protocol
 
 // Cluster-layer wire surface: the endpoints auditor nodes use among
-// themselves (forwarding, gossip, state handoff) and that routing
-// clients use to learn the ring (/cluster/map). The payload of the map
-// and gossip exchanges is owned by internal/cluster; this file only
-// names the doors and the cross-node envelopes so operator clients and
-// the auditor agree without importing each other.
+// themselves (forwarding, gossip, state handoff) and that operators read
+// (/cluster/map, /cluster/status). The payload of the map and gossip
+// exchanges is owned by internal/cluster; this file only names the doors
+// and the cross-node envelopes so operator clients and the auditor agree
+// without importing each other.
 
 import (
 	"encoding/json"
@@ -15,8 +15,8 @@ import (
 
 // Cluster endpoint paths.
 const (
-	// PathClusterMap serves the versioned cluster map (GET): the
-	// client-side routing contract.
+	// PathClusterMap serves the versioned cluster map (GET) for
+	// operators.
 	PathClusterMap = "/cluster/map"
 	// PathClusterGossip accepts one membership digest (POST) and answers
 	// with the receiver's digest — the HTTP fallback for peers without a
@@ -51,10 +51,8 @@ const (
 )
 
 // PathReadyz is the readiness probe (GET): 200 once a node has recovered
-// its shards and joined the ring, 503 with a reason otherwise. Routing
-// clients treat a non-ready node as a redial target, not a routing
-// destination. Distinct from /healthz, which only proves the process is
-// alive.
+// its shards and joined the ring, 503 with a reason otherwise. Distinct
+// from /healthz, which only proves the process is alive.
 const PathReadyz = "/readyz"
 
 // ForwardedHeader marks a request as already forwarded once between
@@ -67,8 +65,8 @@ const ForwardedHeader = "X-Alidrone-Forwarded"
 // ErrMisrouted is the sentinel for the single-hop guard: the receiving
 // node does not own the drone and the request was already forwarded (or
 // arrived on a cluster-internal door that never forwards). The HTTP
-// transport maps it to 421 Misdirected Request; clients refresh their
-// cluster map and retry.
+// transport maps it to 421 Misdirected Request, which clients retry
+// under their retry policy.
 var ErrMisrouted = errors.New("protocol: request misrouted past its owning node")
 
 // MisroutedError carries the routing disagreement's details.

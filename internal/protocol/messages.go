@@ -8,7 +8,6 @@
 package protocol
 
 import (
-	"context"
 	"crypto/rsa"
 	"encoding/hex"
 	"errors"
@@ -16,8 +15,6 @@ import (
 	"io"
 
 	"repro/internal/geo"
-	"repro/internal/parallel"
-	"repro/internal/poa"
 	"repro/internal/sigcrypto"
 	"repro/internal/zone"
 )
@@ -176,33 +173,4 @@ func VerifyZoneQuery(req ZoneQueryRequest, operatorPub *rsa.PublicKey) error {
 		return ErrBadSignature
 	}
 	return nil
-}
-
-// VerifyPoASignatures checks every per-sample TEE signature in a PoA
-// against the registered TEE verification key T+. It returns the index of
-// the first bad sample, or -1 with a nil error when all verify.
-func VerifyPoASignatures(p poa.PoA, teePub *rsa.PublicKey) (int, error) {
-	return VerifyPoASignaturesPool(p, teePub, nil)
-}
-
-// VerifyPoASignaturesPool is VerifyPoASignatures fanned across a worker
-// pool. RSA verification dominates the auditor's per-submission cost
-// (paper §V, Table II), and the per-sample checks are independent, so
-// they parallelise embarrassingly; pool.FirstError guarantees the
-// reported index is still the lowest failing sample — identical to the
-// sequential scan — and cancels the tail once a forgery is found. A nil
-// pool runs the historical sequential loop.
-func VerifyPoASignaturesPool(p poa.PoA, teePub *rsa.PublicKey, pool *parallel.Pool) (int, error) {
-	return VerifyPoASignaturesPoolCtx(context.Background(), p, teePub, pool)
-}
-
-// VerifyPoASignaturesPoolCtx is VerifyPoASignaturesPool with cooperative
-// cancellation: when ctx is done, remaining samples are skipped and the
-// context error is returned. A forged sample found before cancellation
-// still wins (parallel.FirstErrorCtx semantics), so verdicts never
-// regress under cancellation.
-func VerifyPoASignaturesPoolCtx(ctx context.Context, p poa.PoA, teePub *rsa.PublicKey, pool *parallel.Pool) (int, error) {
-	// Epochs are ignored, matching the pre-rotation behaviour of these
-	// helpers: every sample verifies against the one supplied key.
-	return VerifyPoASamplesRingCtx(ctx, p, anyEpochKey{pub: sigcrypto.WrapRSA(teePub)}, pool)
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/poa"
 	"repro/internal/sigcrypto"
 )
 
@@ -94,45 +93,5 @@ func TestZoneQueryBadNonceFormats(t *testing.T) {
 		if err := VerifyZoneQuery(req, &key.PublicKey); !errors.Is(err, ErrBadNonce) {
 			t.Errorf("VerifyZoneQuery(%q) err = %v, want ErrBadNonce", nonce, err)
 		}
-	}
-}
-
-func TestVerifyPoASignatures(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	teeKey, err := sigcrypto.GenerateKeyPair(rng, sigcrypto.KeySize1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var p poa.PoA
-	for i := 0; i < 5; i++ {
-		s := poa.Sample{
-			Pos:  geo.LatLon{Lat: 40.1 + float64(i)*0.001, Lon: -88.2},
-			Time: t0.Add(time.Duration(i) * time.Second),
-		}.Canon()
-		sig, err := sigcrypto.Sign(teeKey, s.Marshal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Append(poa.SignedSample{Sample: s, Sig: sig})
-	}
-
-	if idx, err := VerifyPoASignatures(p, &teeKey.PublicKey); err != nil || idx != -1 {
-		t.Fatalf("clean PoA: idx=%d err=%v", idx, err)
-	}
-
-	// Corrupt sample 3.
-	p.Samples[3].Sample.AltMeters = 1
-	idx, err := VerifyPoASignatures(p, &teeKey.PublicKey)
-	if !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("err = %v, want ErrBadSignature", err)
-	}
-	if idx != 3 {
-		t.Errorf("bad index = %d, want 3", idx)
-	}
-
-	// Empty PoA trivially verifies.
-	if idx, err := VerifyPoASignatures(poa.PoA{}, &teeKey.PublicKey); err != nil || idx != -1 {
-		t.Errorf("empty PoA: idx=%d err=%v", idx, err)
 	}
 }

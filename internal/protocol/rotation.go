@@ -1,12 +1,8 @@
 package protocol
 
 import (
-	"context"
 	"errors"
-	"fmt"
 
-	"repro/internal/parallel"
-	"repro/internal/poa"
 	"repro/internal/sigcrypto"
 )
 
@@ -47,51 +43,6 @@ type RotationAPI interface {
 // (the Auditor keys it off its injectable clock).
 type KeyRing interface {
 	KeyFor(epoch int) (sigcrypto.PublicKey, error)
-}
-
-// StaticKey is a single-key ring for drones that have never rotated: it
-// serves epoch zero and reports ErrUnknownEpoch for everything else.
-type StaticKey struct {
-	Pub sigcrypto.PublicKey
-}
-
-// KeyFor implements KeyRing.
-func (k StaticKey) KeyFor(epoch int) (sigcrypto.PublicKey, error) {
-	if epoch != 0 {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownEpoch, epoch)
-	}
-	return k.Pub, nil
-}
-
-// anyEpochKey ignores the epoch entirely — the pre-rotation behaviour the
-// legacy *rsa.PublicKey verify helpers preserve.
-type anyEpochKey struct {
-	pub sigcrypto.PublicKey
-}
-
-func (k anyEpochKey) KeyFor(int) (sigcrypto.PublicKey, error) { return k.pub, nil }
-
-// VerifyPoASamplesRingCtx checks every per-sample TEE signature in a PoA,
-// resolving the verification key per sample through the ring so traces
-// that span a key rotation verify correctly. It returns the index of the
-// first bad sample, or -1 with a nil error when all verify; pool and ctx
-// behave as in VerifyPoASignaturesPoolCtx.
-func VerifyPoASamplesRingCtx(ctx context.Context, p poa.PoA, ring KeyRing, pool *parallel.Pool) (int, error) {
-	idx, err := pool.FirstErrorCtx(ctx, len(p.Samples), func(i int) error {
-		ss := p.Samples[i]
-		key, err := ring.KeyFor(ss.KeyEpoch)
-		if err != nil {
-			return fmt.Errorf("sample %d: %w", i, err)
-		}
-		if err := key.Verify(ss.Sample.Marshal(), ss.Sig); err != nil {
-			return fmt.Errorf("sample %d: %w", i, ErrBadSignature)
-		}
-		return nil
-	})
-	if err != nil {
-		return idx, err
-	}
-	return -1, nil
 }
 
 // IsVerdictError reports whether a signature-verification error is a

@@ -40,7 +40,7 @@ func TestBatchEnvBuffersWithoutSigning(t *testing.T) {
 	if len(batch.Samples) != res.PoA.Len() {
 		t.Errorf("sealed %d samples, recorded %d", len(batch.Samples), res.PoA.Len())
 	}
-	if err := sigcrypto.Verify(dev.Vault().PublicKey(), poa.MarshalBatch(batch.Samples), batch.Sig); err != nil {
+	if err := dev.Vault().SuiteKey().Verify(poa.MarshalBatch(batch.Samples), batch.Sig); err != nil {
 		t.Errorf("batch signature invalid: %v", err)
 	}
 	if st := dev.Snapshot(); st.Signs != 1 {

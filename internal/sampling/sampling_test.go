@@ -127,7 +127,7 @@ func TestFixedRateSignaturesVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ss := range res.PoA.Samples {
-		if err := sigcrypto.Verify(dev.Vault().PublicKey(), ss.Sample.Marshal(), ss.Sig); err != nil {
+		if err := dev.Vault().SuiteKey().Verify(ss.Sample.Marshal(), ss.Sig); err != nil {
 			t.Fatalf("sample %d signature invalid: %v", i, err)
 		}
 	}

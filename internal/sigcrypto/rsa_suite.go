@@ -58,16 +58,6 @@ type rsaPublicKey struct {
 // Its suite ID follows the modulus size.
 func WrapRSA(pub *rsa.PublicKey) PublicKey { return rsaPublicKey{pub: pub} }
 
-// RSAKey unwraps a suite public key back to *rsa.PublicKey. ok is false
-// for non-RSA suites.
-func RSAKey(pub PublicKey) (*rsa.PublicKey, bool) {
-	k, ok := pub.(rsaPublicKey)
-	if !ok {
-		return nil, false
-	}
-	return k.pub, true
-}
-
 func (k rsaPublicKey) SuiteID() string { return RSASuiteID(k.pub.N.BitLen()) }
 
 func (k rsaPublicKey) Verify(msg, sig []byte) error { return Verify(k.pub, msg, sig) }
@@ -89,16 +79,6 @@ type rsaPrivateKey struct {
 // WrapRSAPrivate adapts an existing RSA signing key to the suite
 // interface.
 func WrapRSAPrivate(key *rsa.PrivateKey) PrivateKey { return rsaPrivateKey{key: key} }
-
-// RSAPrivateKey unwraps a suite private key back to *rsa.PrivateKey. ok is
-// false for non-RSA suites.
-func RSAPrivateKey(key PrivateKey) (*rsa.PrivateKey, bool) {
-	k, ok := key.(rsaPrivateKey)
-	if !ok {
-		return nil, false
-	}
-	return k.key, true
-}
 
 func (k rsaPrivateKey) SuiteID() string { return RSASuiteID(k.key.N.BitLen()) }
 

@@ -28,8 +28,6 @@ const (
 	// signs its canonical encoding with T-, and returns sample || sig.
 	// This is the paper's GetGPSAuth interface.
 	CmdGetGPSAuth uint32 = iota + 1
-	// CmdGetGPSAuth3D is GetGPSAuth with altitude (paper §VII-B1).
-	CmdGetGPSAuth3D
 	// CmdGetPublicKey returns the marshalled verification key T+.
 	CmdGetPublicKey
 	// CmdBufferSample reads the latest fix into the secure in-memory
@@ -78,7 +76,6 @@ const sessionKeyBytes = 32
 // serve implausible fixes.
 type GPSSource interface {
 	GetGPS(now time.Time) (gps.Fix, error)
-	GetGPS3D(now time.Time) (gps.Fix, error)
 }
 
 var _ GPSSource = (*gps.Driver)(nil)
@@ -117,9 +114,7 @@ func (ta *GPSSamplerTA) UUID() UUID { return GPSSamplerUUID }
 func (ta *GPSSamplerTA) Invoke(cmd uint32, req []byte) ([]byte, error) {
 	switch cmd {
 	case CmdGetGPSAuth:
-		return ta.getGPSAuth(false)
-	case CmdGetGPSAuth3D:
-		return ta.getGPSAuth(true)
+		return ta.getGPSAuth()
 	case CmdGetPublicKey:
 		pub, err := ta.dev.Vault().SuiteKey().Marshal()
 		if err != nil {
@@ -145,17 +140,8 @@ func (ta *GPSSamplerTA) Invoke(cmd uint32, req []byte) ([]byte, error) {
 
 // readSample pulls the latest fix from the secure driver and converts it to
 // a canonical PoA sample.
-func (ta *GPSSamplerTA) readSample(with3D bool) (poa.Sample, error) {
-	now := ta.dev.Clock().Now()
-	var (
-		fix gps.Fix
-		err error
-	)
-	if with3D {
-		fix, err = ta.driver.GetGPS3D(now)
-	} else {
-		fix, err = ta.driver.GetGPS(now)
-	}
+func (ta *GPSSamplerTA) readSample() (poa.Sample, error) {
+	fix, err := ta.driver.GetGPS(ta.dev.Clock().Now())
 	if err != nil {
 		return poa.Sample{}, fmt.Errorf("secure gps read: %w", err)
 	}
@@ -163,8 +149,8 @@ func (ta *GPSSamplerTA) readSample(with3D bool) (poa.Sample, error) {
 	return s.Canon(), nil
 }
 
-func (ta *GPSSamplerTA) getGPSAuth(with3D bool) ([]byte, error) {
-	s, err := ta.readSample(with3D)
+func (ta *GPSSamplerTA) getGPSAuth() ([]byte, error) {
+	s, err := ta.readSample()
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +189,7 @@ func (ta *GPSSamplerTA) rotateKey(req []byte) ([]byte, error) {
 }
 
 func (ta *GPSSamplerTA) bufferSample() ([]byte, error) {
-	s, err := ta.readSample(false)
+	s, err := ta.readSample()
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +292,7 @@ func (ta *GPSSamplerTA) getGPSMAC() ([]byte, error) {
 	if ta.sessionKey == nil {
 		return nil, ErrNoSessionKey
 	}
-	s, err := ta.readSample(false)
+	s, err := ta.readSample()
 	if err != nil {
 		return nil, err
 	}

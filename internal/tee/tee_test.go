@@ -42,28 +42,9 @@ func testStack(t *testing.T) (*Device, *GPSSamplerTA, *SimClock, *gps.Receiver) 
 	return dev, ta, clock, rx
 }
 
-func TestUUIDStringParseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100; i++ {
-		u, err := NewRandomUUID(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParseUUID(u.String())
-		if err != nil {
-			t.Fatalf("ParseUUID(%q): %v", u.String(), err)
-		}
-		if back != u {
-			t.Fatalf("round trip %v -> %v", u, back)
-		}
-	}
-}
-
-func TestParseUUIDErrors(t *testing.T) {
-	for _, s := range []string{"", "not-a-uuid", "a11d2018-0086-4f0a-9001", "zzzzzzzz-0086-4f0a-9001-475053534d41"} {
-		if _, err := ParseUUID(s); !errors.Is(err, ErrBadUUID) {
-			t.Errorf("ParseUUID(%q) err = %v, want ErrBadUUID", s, err)
-		}
+func TestUUIDString(t *testing.T) {
+	if got, want := GPSSamplerUUID.String(), "a11d2018-0086-4f0a-9001-47505353414d"; got != want {
+		t.Errorf("GPSSamplerUUID = %s, want %s", got, want)
 	}
 }
 
@@ -117,7 +98,7 @@ func TestGetGPSAuthProducesVerifiableSample(t *testing.T) {
 	}
 
 	// The signature must verify under T+ over the canonical encoding.
-	if err := sigcrypto.Verify(dev.Vault().PublicKey(), ss.Sample.Marshal(), ss.Sig); err != nil {
+	if err := dev.Vault().SuiteKey().Verify(ss.Sample.Marshal(), ss.Sig); err != nil {
 		t.Errorf("signature does not verify: %v", err)
 	}
 
@@ -129,48 +110,8 @@ func TestGetGPSAuthProducesVerifiableSample(t *testing.T) {
 	// Tampering with the sample must break verification.
 	bad := ss.Sample
 	bad.Pos.Lat += 0.0001
-	if err := sigcrypto.Verify(dev.Vault().PublicKey(), bad.Marshal(), ss.Sig); err == nil {
+	if err := dev.Vault().SuiteKey().Verify(bad.Marshal(), ss.Sig); err == nil {
 		t.Error("tampered sample verified")
-	}
-}
-
-func TestGetGPSAuth3DCarriesAltitude(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	wps := []trace.Waypoint{
-		{Pos: geo.LatLon{Lat: 40.1106, Lon: -88.2073}, AltMeters: 120, Time: t0},
-		{Pos: geo.LatLon{Lat: 40.1206, Lon: -88.2073}, AltMeters: 120, Time: t0.Add(time.Minute)},
-	}
-	route, err := trace.NewRoute(wps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rx, err := gps.NewReceiver(route, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vault, err := ManufactureVault(rng, sigcrypto.KeySize1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := NewSimClock(t0.Add(10 * time.Second))
-	dev := NewDevice(clock, vault)
-	if _, err := NewGPSSampler(dev, gps.NewDriver(rx), rng); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := dev.Invoke(GPSSamplerUUID, CmdGetGPSAuth3D, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := DecodeAuthSample(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Sample.AltMeters < 119 || ss.Sample.AltMeters > 121 {
-		t.Errorf("altitude = %v, want ~120", ss.Sample.AltMeters)
-	}
-	if err := sigcrypto.Verify(dev.Vault().PublicKey(), ss.Sample.Marshal(), ss.Sig); err != nil {
-		t.Errorf("3-D signature does not verify: %v", err)
 	}
 }
 
@@ -184,7 +125,7 @@ func TestGetPublicKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub.N.Cmp(dev.Vault().PublicKey().N) != 0 {
+	if !sigcrypto.WrapRSA(pub).Equal(dev.Vault().SuiteKey()) {
 		t.Error("exported public key mismatch")
 	}
 }
@@ -248,7 +189,7 @@ func TestBatchModeSealTrace(t *testing.T) {
 	if len(batch.Samples) != n {
 		t.Fatalf("batch has %d samples, want %d", len(batch.Samples), n)
 	}
-	if err := sigcrypto.Verify(dev.Vault().PublicKey(), poa.MarshalBatch(batch.Samples), batch.Sig); err != nil {
+	if err := dev.Vault().SuiteKey().Verify(poa.MarshalBatch(batch.Samples), batch.Sig); err != nil {
 		t.Errorf("batch signature does not verify: %v", err)
 	}
 	// Exactly one signature for the whole trace (the point of §VII-A1b).

@@ -1,13 +1,6 @@
 package tee
 
-import (
-	"errors"
-	"fmt"
-	"io"
-)
-
-// ErrBadUUID is returned when parsing a malformed UUID string.
-var ErrBadUUID = errors.New("tee: bad UUID")
+import "fmt"
 
 // UUID identifies a Trusted Application, following the OP-TEE convention of
 // addressing TAs by a 128-bit identifier.
@@ -16,61 +9,4 @@ type UUID [16]byte
 // String renders the UUID in canonical 8-4-4-4-12 form.
 func (u UUID) String() string {
 	return fmt.Sprintf("%x-%x-%x-%x-%x", u[0:4], u[4:6], u[6:8], u[8:10], u[10:16])
-}
-
-// ParseUUID parses the canonical 8-4-4-4-12 form.
-func ParseUUID(s string) (UUID, error) {
-	var u UUID
-	n, err := fmt.Sscanf(s, "%08x-%04x-%04x-%04x-%012x",
-		scan4(&u, 0), scan2(&u, 4), scan2(&u, 6), scan2(&u, 8), scan6(&u, 10))
-	if err != nil || n != 5 {
-		return UUID{}, fmt.Errorf("%w: %q", ErrBadUUID, s)
-	}
-	return u, nil
-}
-
-// NewRandomUUID draws a version-4-style UUID from the given entropy source.
-func NewRandomUUID(random io.Reader) (UUID, error) {
-	var u UUID
-	if _, err := io.ReadFull(random, u[:]); err != nil {
-		return UUID{}, fmt.Errorf("tee: random uuid: %w", err)
-	}
-	u[6] = (u[6] & 0x0f) | 0x40
-	u[8] = (u[8] & 0x3f) | 0x80
-	return u, nil
-}
-
-// scanN helpers adapt fixed-width hex groups onto the UUID array via
-// intermediate integers (Sscanf cannot scan into byte slices directly).
-
-type hexGroup struct {
-	dst   *UUID
-	off   int
-	width int
-}
-
-func scan4(u *UUID, off int) *hexGroup { return &hexGroup{dst: u, off: off, width: 4} }
-func scan2(u *UUID, off int) *hexGroup { return &hexGroup{dst: u, off: off, width: 2} }
-func scan6(u *UUID, off int) *hexGroup { return &hexGroup{dst: u, off: off, width: 6} }
-
-// Scan implements fmt.Scanner for a fixed-width big-endian hex group.
-func (g *hexGroup) Scan(state fmt.ScanState, verb rune) error {
-	tok, err := state.Token(false, func(r rune) bool {
-		return (r >= '0' && r <= '9') || (r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F')
-	})
-	if err != nil {
-		return err
-	}
-	if len(tok) != g.width*2 {
-		return fmt.Errorf("hex group width %d, want %d", len(tok), g.width*2)
-	}
-	var v uint64
-	if _, err := fmt.Sscanf(string(tok), "%x", &v); err != nil {
-		return err
-	}
-	for i := g.width - 1; i >= 0; i-- {
-		g.dst[g.off+i] = byte(v)
-		v >>= 8
-	}
-	return nil
 }

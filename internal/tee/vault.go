@@ -1,7 +1,6 @@
 package tee
 
 import (
-	"crypto/rsa"
 	"fmt"
 	"io"
 	"sync"
@@ -58,15 +57,6 @@ func ManufactureSuiteVault(random io.Reader, suiteID string) (*KeyVault, error) 
 	return &KeyVault{random: random, suite: suite, signKey: key}, nil
 }
 
-// PublicKey returns the verification key T+ as an RSA key, which the
-// manufacturer discloses to the device owner for registration with the
-// Auditor. It returns nil for non-RSA vaults; suite-agnostic callers use
-// SuiteKey.
-func (v *KeyVault) PublicKey() *rsa.PublicKey {
-	pub, _ := sigcrypto.RSAKey(v.SuiteKey())
-	return pub
-}
-
 // SuiteKey returns the current verification key under the suite interface.
 func (v *KeyVault) SuiteKey() sigcrypto.PublicKey {
 	v.mu.Lock()
@@ -87,22 +77,6 @@ func (v *KeyVault) Epoch() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.epoch
-}
-
-// KeyBits returns the modulus size of an RSA sign key (Table II sweeps
-// this) and the curve size, 256, for ed25519.
-func (v *KeyVault) KeyBits() int {
-	key, ok := sigcrypto.RSAPrivateKey(v.currentKey())
-	if !ok {
-		return 256
-	}
-	return key.N.BitLen()
-}
-
-func (v *KeyVault) currentKey() sigcrypto.PrivateKey {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.signKey
 }
 
 // sign computes the TEE signature over msg and reports the key epoch it was

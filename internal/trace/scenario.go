@@ -149,23 +149,3 @@ func houseZone(cfg ResidentialConfig, alongM, lateralM float64) geo.GeoCircle {
 	}
 	return geo.GeoCircle{Center: onRoad.Offset(lateralBearing, lateralM), R: cfg.ZoneRadius}
 }
-
-// RandomRoute generates an n-waypoint random walk inside a box around
-// start, for property tests and fuzz workloads. Consecutive waypoints are
-// reachable at the given speed.
-func RandomRoute(rng *rand.Rand, start geo.LatLon, n int, speedMS float64, t0 time.Time) (*Route, error) {
-	if n < 2 {
-		return nil, ErrTooFewWaypoints
-	}
-	wps := make([]Waypoint, n)
-	pos := start
-	at := t0
-	wps[0] = Waypoint{Pos: pos, Time: at}
-	for i := 1; i < n; i++ {
-		hop := 20 + rng.Float64()*200
-		pos = pos.Offset(rng.Float64()*360, hop)
-		at = at.Add(time.Duration(hop / speedMS * float64(time.Second)))
-		wps[i] = Waypoint{Pos: pos, Time: at}
-	}
-	return NewRoute(wps)
-}

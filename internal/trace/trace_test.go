@@ -3,7 +3,6 @@ package trace
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -254,29 +253,5 @@ func TestResidentialScenarioBadConfig(t *testing.T) {
 	cfg.LengthM = -1
 	if _, err := NewResidentialScenario(cfg); err == nil {
 		t.Error("negative length should error")
-	}
-}
-
-func TestRandomRoute(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	r, err := RandomRoute(rng, geo.LatLon{Lat: 40.1, Lon: -88.2}, 50, 20, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Waypoints()) != 50 {
-		t.Errorf("waypoints = %d", len(r.Waypoints()))
-	}
-	// Every hop must be achievable at the configured speed.
-	wps := r.Waypoints()
-	for i := 1; i < len(wps); i++ {
-		d := geo.HaversineMeters(wps[i-1].Pos, wps[i].Pos)
-		dt := wps[i].Time.Sub(wps[i-1].Time).Seconds()
-		if d > 20*dt*1.01 {
-			t.Fatalf("hop %d too fast: %v m in %v s", i, d, dt)
-		}
-	}
-
-	if _, err := RandomRoute(rng, geo.LatLon{}, 1, 20, t0); !errors.Is(err, ErrTooFewWaypoints) {
-		t.Errorf("err = %v", err)
 	}
 }

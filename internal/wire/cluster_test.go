@@ -23,11 +23,11 @@ func decodeOne(t *testing.T, frame []byte) (byte, []byte) {
 
 func TestForwardRoundTrip(t *testing.T) {
 	in := Forward{Seq: 77, DroneID: "drone-00deadbeef", Ciphertext: []byte("opaque ct")}
-	typ, body := decodeOne(t, EncodeForward(nil, in))
+	typ, body := decodeOne(t, EncodeForwardV(nil, Version1, in))
 	if typ != TypeForward {
 		t.Fatalf("type = %#x, want TypeForward", typ)
 	}
-	out, err := DecodeForward(body)
+	out, err := DecodeForwardV(Version1, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestForwardV2RoundTrip(t *testing.T) {
 	}
 	// A Version1 decode of a V2 body must reject the trailing traceparent
 	// bytes, never silently misparse them.
-	if _, err := DecodeForward(body); err == nil {
+	if _, err := DecodeForwardV(Version1, body); err == nil {
 		t.Error("v1 decoder accepted a v2 forward body")
 	}
 	// A V2 frame with an empty traceparent still round-trips.
@@ -86,8 +86,8 @@ func TestForwardV1LayoutUnchanged(t *testing.T) {
 	// The compatibility encoder must keep emitting the exact Version1
 	// layout (Submit-identical) even though the struct grew a field.
 	in := Forward{Seq: 5, DroneID: "d", Ciphertext: []byte("x"), TraceParent: "dropped-at-v1"}
-	_, body := decodeOne(t, EncodeForward(nil, in))
-	out, err := DecodeForward(body)
+	_, body := decodeOne(t, EncodeForwardV(nil, Version1, in))
+	out, err := DecodeForwardV(Version1, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +105,14 @@ func TestForwardDecodeRejectsGarbage(t *testing.T) {
 		{1, 2, 3},                           // short seq
 		append(make([]byte, 8), 0xff, 0xff), // str16 length runs past body
 	} {
-		if _, err := DecodeForward(body); err == nil {
-			t.Errorf("DecodeForward(%v): want error", body)
+		if _, err := DecodeForwardV(Version1, body); err == nil {
+			t.Errorf("DecodeForwardV(Version1, %v): want error", body)
 		}
 	}
 	// Trailing bytes after a valid forward are a framing error.
-	full := EncodeForward(nil, Forward{Seq: 1, DroneID: "d", Ciphertext: []byte("x")})
+	full := EncodeForwardV(nil, Version1, Forward{Seq: 1, DroneID: "d", Ciphertext: []byte("x")})
 	_, body := decodeOne(t, full)
-	if _, err := DecodeForward(append(body, 0)); err == nil {
+	if _, err := DecodeForwardV(Version1, append(body, 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }

@@ -36,24 +36,16 @@ type Conn struct {
 }
 
 // Dial connects to a wire listener and performs the Hello/HelloAck
-// handshake, proposing LatestVersion and redialing at Version1 when the
-// peer refuses it. timeout bounds each connect and each handshake.
+// handshake, proposing LatestVersion; a peer may accept an older version
+// this build still speaks. timeout bounds the connect and the handshake.
 func Dial(addr string, timeout time.Duration) (*Conn, error) {
-	c, err := dialVersion(addr, LatestVersion, timeout)
-	if errors.Is(err, ErrUnknownVersion) {
-		c, err = dialVersion(addr, Version1, timeout)
-	}
-	return c, err
-}
-
-func dialVersion(addr string, version byte, timeout time.Duration) (*Conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire dial %s: %w", addr, err)
 	}
 	_ = nc.SetDeadline(time.Now().Add(timeout)) // a refused deadline only loses the handshake bound
 	br := bufio.NewReaderSize(nc, 64<<10)
-	accepted, err := handshake(nc, br, version)
+	accepted, err := handshake(nc, br, LatestVersion)
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("wire handshake with %s: %w", addr, err)

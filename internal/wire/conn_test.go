@@ -13,6 +13,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -287,31 +288,23 @@ func TestDialDowngradesToVersion1(t *testing.T) {
 			t.Errorf("negotiated version %d, want Version1", c.Version())
 		}
 	})
-	t.Run("refuse then redial", func(t *testing.T) {
-		var mu sync.Mutex
-		var proposed []byte
+	t.Run("refusal fails the dial", func(t *testing.T) {
+		var hellos atomic.Int32
 		addr := servePeer(t, func(nc net.Conn, br *bufio.Reader) {
-			version, _, err := ReadFrame(br, MaxMessageBytes)
-			if err != nil {
+			if _, _, err := ReadFrame(br, MaxMessageBytes); err != nil {
 				return
 			}
-			mu.Lock()
-			proposed = append(proposed, version)
-			mu.Unlock()
-			if version != Version1 {
-				_, _ = nc.Write(EncodeError(nil, WireError{Message: ErrUnknownVersion.Error()}))
-				return
-			}
-			_, _ = nc.Write(EncodeHelloAck(nil, HelloAck{Version: Version1}))
-			readSubmit(br)
+			hellos.Add(1)
+			_, _ = nc.Write(EncodeError(nil, WireError{Message: ErrUnknownVersion.Error()}))
 		})
-		if c := dialTest(t, addr); c.Version() != Version1 {
-			t.Errorf("negotiated version %d, want Version1", c.Version())
+		if c, err := Dial(addr, 5*time.Second); !errors.Is(err, ErrUnknownVersion) {
+			if c != nil {
+				c.Close()
+			}
+			t.Fatalf("dial a peer refusing LatestVersion: %v, want ErrUnknownVersion", err)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if !bytes.Equal(proposed, []byte{LatestVersion, Version1}) {
-			t.Errorf("hello versions seen %v, want [%d %d]", proposed, LatestVersion, Version1)
+		if n := hellos.Load(); n != 1 {
+			t.Errorf("peer saw %d hellos, want 1 (no redial)", n)
 		}
 	})
 	t.Run("peer acks a newer version than proposed", func(t *testing.T) {

@@ -39,7 +39,7 @@ func fuzzSeeds() [][]byte {
 		seeds = append(seeds, b)
 	}
 
-	add(EncodeHello(nil), nil)
+	add(EncodeHelloV(nil, Version1), nil)
 	add(EncodeHelloAck(nil, HelloAck{Version: Version1}), nil)
 	add(EncodeSubmit(nil, Submit{Seq: 42, DroneID: "drone-00000001", Ciphertext: []byte("ct")}), nil)
 	add(EncodeAcks(nil, []Ack{
@@ -51,7 +51,7 @@ func fuzzSeeds() [][]byte {
 	add(retiredFrames["register-v3"], nil)
 	add(retiredFrames["register-ack"], nil)
 	add(EncodeError(nil, WireError{Message: "unsupported version"}), nil)
-	add(EncodeForward(nil, Forward{Seq: 9, DroneID: "drone-cafe", Ciphertext: []byte("ct")}), nil)
+	add(EncodeForwardV(nil, Version1, Forward{Seq: 9, DroneID: "drone-cafe", Ciphertext: []byte("ct")}), nil)
 	add(EncodeForwardV(nil, Version2, Forward{
 		Seq: 10, DroneID: "drone-cafe", Ciphertext: []byte("ct"),
 		TraceParent: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
@@ -111,7 +111,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			switch typ {
 			case TypeHello:
 				if _, err := DecodeHello(body); err == nil {
-					reencoded := EncodeHello(nil)
+					reencoded := EncodeHelloV(nil, Version1)
 					checkReadsBack(t, reencoded)
 				}
 			case TypeHelloAck:

@@ -179,12 +179,6 @@ func takeBytes32(b []byte) ([]byte, []byte, error) {
 // takes the body (after SplitType) and must tolerate arbitrary input —
 // the fuzz target drives them with garbage.
 
-// EncodeHello appends a Hello frame at Version1 (the conservative opener
-// kept for old dialers; new code opens with EncodeHelloV).
-func EncodeHello(dst []byte) []byte {
-	return EncodeHelloV(dst, Version1)
-}
-
 // EncodeHelloV appends a Hello frame at the given protocol version — the
 // version the dialer proposes; the server echoes the version it accepted
 // in HelloAck.
@@ -225,12 +219,6 @@ func EncodeSubmitCommit(dst []byte, s Submit) []byte {
 	return appendSubmission(dst, Version3, TypeSubmitCommit, s)
 }
 
-// EncodeForward appends a Forward frame at Version1, dropping the
-// traceparent — the compatibility encoder for old receivers.
-func EncodeForward(dst []byte, f Forward) []byte {
-	return appendSubmission(dst, Version1, TypeForward, f)
-}
-
 // EncodeForwardV appends a Forward frame at the negotiated protocol
 // version. Version2 and later carry the traceparent; Version1 omits it.
 func EncodeForwardV(dst []byte, version byte, f Forward) []byte {
@@ -264,11 +252,6 @@ func DecodeSubmit(body []byte) (Submit, error) {
 // DecodeSubmitCommit decodes a SubmitCommit body.
 func DecodeSubmitCommit(body []byte) (Submit, error) {
 	return decodeSubmission(Version3, TypeSubmitCommit, body, "submit-commit")
-}
-
-// DecodeForward decodes a Version1 Forward body.
-func DecodeForward(body []byte) (Forward, error) {
-	return decodeSubmission(Version1, TypeForward, body, "forward")
 }
 
 // DecodeForwardV decodes a Forward body framed at the given version: the

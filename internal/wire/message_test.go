@@ -91,7 +91,7 @@ func TestAcksRejectBadCounts(t *testing.T) {
 }
 
 func TestHandshakeRoundTrip(t *testing.T) {
-	typ, body := readOne(t, EncodeHello(nil))
+	typ, body := readOne(t, EncodeHelloV(nil, Version1))
 	if typ != TypeHello {
 		t.Fatalf("type %#x, want TypeHello", typ)
 	}

@@ -100,9 +100,6 @@ func (idx *Index) Add(z geo.GeoCircle) int {
 // Len returns the number of indexed zones.
 func (idx *Index) Len() int { return len(idx.zones) }
 
-// Zones returns the indexed zone geometry (shared, do not mutate).
-func (idx *Index) Zones() []geo.GeoCircle { return idx.zones }
-
 func (idx *Index) cellOf(p geo.Point) [2]int {
 	return [2]int{int(math.Floor(p.X / idx.cellSize)), int(math.Floor(p.Y / idx.cellSize))}
 }

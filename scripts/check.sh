@@ -46,6 +46,13 @@ fi
 echo ">> go run ./scripts/metricslint"
 go run ./scripts/metricslint .
 
+# Reachability gate: every function under internal/ is linked into some
+# binary the module builds, or allow-listed with its reason (see
+# scripts/reach/main.go). Code only the tests reach is how a second path
+# beside the real one survives unnoticed.
+echo ">> go run ./scripts/reach"
+go run ./scripts/reach
+
 echo ">> go test -race ./..."
 go test -race ./...
 
@@ -128,6 +135,15 @@ echo ">> coverage floor: cmd/alidrone-auditor >= 60%"
 COVER="$(go test -count=1 -cover ./cmd/alidrone-auditor | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
 if ! awk -v c="${COVER}" 'BEGIN { exit !(c != "" && c + 0 >= 60) }'; then
 	echo "coverage floor failed: cmd/alidrone-auditor at ${COVER:-unknown}% (want >= 60%)" >&2
+	exit 1
+fi
+
+# The protocol package is the one vocabulary drone, door and forwarder
+# share: envelope and ack round trips keep every door's encoding pinned.
+echo ">> coverage floor: internal/protocol >= 80%"
+COVER="$(go test -count=1 -cover ./internal/protocol | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
+if ! awk -v c="${COVER}" 'BEGIN { exit !(c != "" && c + 0 >= 80) }'; then
+	echo "coverage floor failed: internal/protocol at ${COVER:-unknown}% (want >= 80%)" >&2
 	exit 1
 fi
 

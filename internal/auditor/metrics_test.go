@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/poa"
 	"repro/internal/protocol"
+	"repro/internal/storage"
 )
 
 // scrape fetches and returns the /metrics exposition body.
@@ -361,5 +363,71 @@ func TestMACDoorCountsDisclosure(t *testing.T) {
 	}
 	if got := srv.Metrics().Counter(obs.L(MetricDisclosureTotal, "mode", poa.DisclosureFull)).Value(); got != 1 {
 		t.Errorf("full disclosure count = %d, want 1", got)
+	}
+}
+
+// TestMACSessionAuthenticatesOneFlight: the verdict on a MAC submission
+// closes its session. Another PoA under the same session key is refused,
+// a resent copy of the judged flight is still a replay, and a PoA whose
+// tags the session key did not make cannot use the session up.
+func TestMACSessionAuthenticatesOneFlight(t *testing.T) {
+	srv, id, keys := newFixture(t)
+	key := []byte("0123456789abcdef0123456789abcdef")
+	sess, err := srv.StartSession(protocol.StartSessionRequest{DroneID: id, WrappedKey: encryptBytes(t, srv, key)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(ct []byte) protocol.SubmitPoAResponse {
+		t.Helper()
+		resp, err := srv.SubmitMACPoA(protocol.SubmitMACPoARequest{DroneID: id, SessionID: sess.SessionID, EncryptedPoA: ct})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	forged := macEnvelope(t, srv, []byte("another key, not the session's.."), signedTrace(t, keys, urbana, 0, 10, 5, time.Second))
+	if resp := submit(forged); resp.Verdict != protocol.VerdictViolation || !strings.Contains(resp.Reason, "MAC") {
+		t.Fatalf("forged tags: %+v, want a MAC violation", resp)
+	}
+	first := macEnvelope(t, srv, key, signedTrace(t, keys, urbana, 90, 10, 5, time.Second))
+	if resp := submit(first); resp.Verdict != protocol.VerdictCompliant {
+		t.Fatalf("first flight: %+v", resp)
+	}
+	if resp := submit(first); !strings.Contains(resp.Reason, "replayed PoA") {
+		t.Errorf("the judged flight again: %+v, want a replay", resp)
+	}
+	second := macEnvelope(t, srv, key, signedTrace(t, keys, urbana, 270, 10, 5, time.Second))
+	if resp := submit(second); resp.Verdict != protocol.VerdictViolation || !strings.Contains(resp.Reason, "session already authenticated") {
+		t.Errorf("a second flight on the session: %+v, want it refused", resp)
+	}
+	if srv.Status().RetainedPoAs != 1 {
+		t.Errorf("retained = %d, want 1", srv.Status().RetainedPoAs)
+	}
+}
+
+// TestMACSessionSurvivesAFailedSubmission: a submission that ends without
+// a verdict — here the retention record cannot be logged — gives its
+// session back, so the drone's retry of the same flight is judged.
+func TestMACSessionSurvivesAFailedSubmission(t *testing.T) {
+	st := &flakyStore{Store: storage.NewMemStore()}
+	srv, err := OpenServer(Config{Clock: obs.ClockFunc(func() time.Time { return t0 })}, st, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, keys := registerDrone(t, srv)
+	key := []byte("0123456789abcdef0123456789abcdef")
+	sess, err := srv.StartSession(protocol.StartSessionRequest{DroneID: id, WrappedKey: encryptBytes(t, srv, key)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := protocol.SubmitMACPoARequest{DroneID: id, SessionID: sess.SessionID,
+		EncryptedPoA: macEnvelope(t, srv, key, signedTrace(t, keys, urbana, 90, 10, 5, time.Second))}
+	st.fail.Store(true)
+	if resp, err := srv.SubmitMACPoA(req); err == nil {
+		t.Fatalf("submission with a failing WAL: %+v, want an error", resp)
+	}
+	st.fail.Store(false)
+	if resp, err := srv.SubmitMACPoA(req); err != nil || resp.Verdict != protocol.VerdictCompliant {
+		t.Fatalf("retry: %v / %+v, want compliant", err, resp)
 	}
 }

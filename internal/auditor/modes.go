@@ -66,8 +66,11 @@ func (s *Server) SubmitMACPoACtx(ctx context.Context, req protocol.SubmitMACPoAR
 	return s.enter(ctx, DoorMAC, protocol.Envelope{DroneID: req.DroneID, SessionID: req.SessionID, Ciphertext: req.EncryptedPoA})
 }
 
-// sessionRecord is one established symmetric flight session.
+// sessionRecord is one established symmetric flight session. Used marks
+// a session whose flight has been judged: a session authenticates one
+// flight.
 type sessionRecord struct {
 	DroneID string
 	Key     []byte
+	Used    bool
 }

@@ -81,8 +81,13 @@ type Submission struct {
 	// Suite names the drone's negotiated signature suite, labelling the
 	// signature-verify metrics.
 	Suite string
-	// MACKey is the flight-session HMAC key (symmetric mode only).
-	MACKey []byte
+	// MACKey is the flight-session HMAC key and SessionID the session it
+	// came from (symmetric mode only); SessionClaimed records that the
+	// session stage took the session for this submission (the entry
+	// point gives it back when the submission ends without a verdict).
+	MACKey         []byte
+	SessionID      string
+	SessionClaimed bool
 
 	// Samples is the bare alibi trace the compliance stages verify.
 	Samples []poa.Sample

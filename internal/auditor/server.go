@@ -573,7 +573,7 @@ func (s *Server) enter(ctx context.Context, name string, e protocol.Envelope) (p
 		if sess.DroneID != e.DroneID {
 			return protocol.SubmitPoAResponse{}, fmt.Errorf("%w: session belongs to another drone", ErrUnknownSession)
 		}
-		sub.MACKey = sess.Key
+		sub.SessionID, sub.MACKey = e.SessionID, sess.Key
 	}
 	if err := s.admission.Acquire(ctx, e.DroneID); err != nil {
 		return protocol.SubmitPoAResponse{}, err
@@ -582,6 +582,14 @@ func (s *Server) enter(ctx context.Context, name string, e protocol.Envelope) (p
 	s.simVerifyWait(ctx)
 	resp, err := s.runSubmission(ctx, sub, d.stages)
 	if err != nil {
+		if sub.SessionClaimed {
+			// No verdict: give the session back for the retry. A session
+			// swept meanwhile has nothing to give back.
+			_, _ = s.sessions.update(e.SessionID, func(r sessionRecord) (sessionRecord, error) {
+				r.Used = false
+				return r, nil
+			})
+		}
 		return resp, err
 	}
 	if d.retainOnly && resp.Verdict == protocol.VerdictCompliant {

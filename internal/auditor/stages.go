@@ -87,7 +87,8 @@ func (s *Server) buildPipeline() {
 		DoorBatch: {mode: poa.DisclosureFull,
 			stages: slices.Concat(stages{decrypt, st(StageDecode, s.stageDecodeBatch), replayClaim, st(StageSignature, s.stageSignatureBatch)}, alibi, stages{commit})},
 		DoorMAC: {mode: poa.DisclosureFull, session: true,
-			stages: slices.Concat(stages{decrypt, decodePoA, replayClaim, st(StageSignature, s.stageSignatureMAC)}, alibi, stages{commit})},
+			stages: slices.Concat(stages{decrypt, decodePoA, replayClaim, st(StageSignature, s.stageSignatureMAC),
+				st(StageReplay, s.stageSessionClaim)}, alibi, stages{commit})},
 		// Sealed submissions retain without judging (every check the server
 		// can run without positions still runs); commit submissions are
 		// judged from the signed predicates alone.
@@ -159,6 +160,29 @@ func (s *Server) stageReplayClaim(_ context.Context, sub *pipeline.Submission) e
 		return &pipeline.Violation{Reason: "replayed PoA: this trace was already reported"}
 	}
 	sub.DigestClaimed = true
+	return nil
+}
+
+// stageSessionClaim takes the MAC door's flight session for this
+// submission: a session authenticates one flight, so once one PoA under
+// it reaches a verdict any other is refused. It runs after the replay
+// claim, so a resent copy of the judged flight still reads as a replay,
+// and after the tag check, so only the holder of the session key can use
+// the session up. It reports as stage="replay": it is the session's guard
+// against a second use, as the digest claim is the proof's.
+func (s *Server) stageSessionClaim(_ context.Context, sub *pipeline.Submission) error {
+	var used bool
+	ok, _ := s.sessions.update(sub.SessionID, func(r sessionRecord) (sessionRecord, error) {
+		used, r.Used = r.Used, true
+		return r, nil
+	}) // the update never fails
+	switch {
+	case !ok: // swept since the entry point resolved it
+		return fmt.Errorf("%w: %q", ErrUnknownSession, sub.SessionID)
+	case used:
+		return &pipeline.Violation{Reason: "MAC session already authenticated a flight"}
+	}
+	sub.SessionClaimed = true
 	return nil
 }
 

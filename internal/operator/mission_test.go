@@ -115,10 +115,12 @@ func TestMissionModes(t *testing.T) {
 // TestMissionProofsSampleForSample pins, per mode, what the drone proves
 // and what that costs the secure world: SHA-256 over every recorded
 // sample's (time, lat, lon) and the device's signature, MAC and SMC
-// deltas across RunMission. The constants were recorded from the per-mode
-// Fly*/Submit* methods that Fly and SubmitProof replaced.
+// deltas across RunMission. Every adaptive mode flies the held-read rule:
+// 17 samples, one world switch each. Algorithm 1's 19-sample trace of the
+// same flight stays pinned in the sampling package
+// (TestRulesOnTheMissionFixture).
 func TestMissionProofsSampleForSample(t *testing.T) {
-	const trace19 = "62963eb09500a69e2e3710632d707b757134ec910d7823712e3eb6a8594f56d2"
+	const trace17 = "2be692379e90789322a2a900631c3eadb657f2aa8eea45af0c718f4871083efa"
 	pins := []struct {
 		cfg               MissionConfig
 		samples           int
@@ -126,20 +128,20 @@ func TestMissionProofsSampleForSample(t *testing.T) {
 		signs, macs, smcs uint64
 		want              protocol.Verdict
 	}{
-		{mission(ModeAdaptive), 19, trace19, 19, 0, 19, protocol.VerdictCompliant},
+		{mission(ModeAdaptive), 17, trace17, 17, 0, 17, protocol.VerdictCompliant},
 		{MissionConfig{FlightSpec: FlightSpec{Mode: ModeFixedRate, FixedRateHz: 2}}, 121,
 			"72b87541bdbbc31f0b2fd4068f229b152e9c4f0aa8a420b7e3c89f5993c2caa1", 121, 0, 121, protocol.VerdictCompliant},
-		{mission(ModeBatch), 19, trace19, 1, 0, 20, protocol.VerdictCompliant},
-		{mission(ModeMAC), 19, trace19, 0, 19, 20, protocol.VerdictCompliant},
-		{mission(ModeStreaming), 19, trace19, 19, 0, 19, protocol.VerdictCompliant},
-		{mission(ModeSealed), 19, trace19, 19, 0, 19, protocol.VerdictRetained},
-		{mission(ModeCommit), 19, trace19, 20, 0, 20, protocol.VerdictCompliant},
+		{mission(ModeBatch), 17, trace17, 1, 0, 18, protocol.VerdictCompliant},
+		{mission(ModeMAC), 17, trace17, 0, 17, 18, protocol.VerdictCompliant},
+		{mission(ModeStreaming), 17, trace17, 17, 0, 17, protocol.VerdictCompliant},
+		{mission(ModeSealed), 17, trace17, 17, 0, 17, protocol.VerdictRetained},
+		{mission(ModeCommit), 17, trace17, 18, 0, 18, protocol.VerdictCompliant},
 	}
 	for _, pin := range pins {
 		t.Run(pin.cfg.Mode.String(), func(t *testing.T) {
 			s, route, _ := missionFixture(t)
 			// A second zone 30 m off the line makes the adaptive sampler
-			// work: 19 samples instead of 3.
+			// work near it.
 			if _, err := s.srv.Zones().Register("bob", geo.GeoCircle{Center: urbana.Offset(90, 300).Offset(0, 60), R: 30}); err != nil {
 				t.Fatal(err)
 			}

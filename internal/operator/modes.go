@@ -201,8 +201,8 @@ func authStream(d *Drone, rx *gps.Receiver, p *Proof) (sampling.Env, error) {
 	env := sampling.NewTEEEnv(d.dev, d.clock, rx)
 	sign := env.Auth
 	n := 0
-	env.Auth = func() (poa.SignedSample, error) {
-		ss, err := sign()
+	env.Auth = func(held time.Time) (poa.SignedSample, error) {
+		ss, err := sign(held)
 		if err != nil {
 			return poa.SignedSample{}, err
 		}
@@ -316,7 +316,7 @@ func (d *Drone) Fly(ctx context.Context, rx *gps.Receiver, zones []geo.GeoCircle
 			f := &sampling.FixedRate{Env: env, RateHz: spec.FixedRateHz, Metrics: d.metrics}
 			p.Run, err = f.Run(until)
 		} else {
-			a := &sampling.Adaptive{Env: env, Index: zone.NewIndex(zones, 0), VMaxMS: geo.MaxDroneSpeedMPS, Metrics: d.metrics}
+			a := &sampling.Adaptive{Env: env, Index: zone.NewIndex(zones, 0), VMaxMS: geo.MaxDroneSpeedMPS, Rule: sampling.HeldRead, Metrics: d.metrics}
 			p.Run, err = a.Run(until)
 		}
 		if err != nil {

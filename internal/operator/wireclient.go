@@ -22,7 +22,7 @@ const (
 	// flushes/submits is the achieved batching factor.
 	MetricWireClientFlushesTotal = "alidrone_client_wire_flushes_total"
 	// MetricWireClientRetriesTotal counts submissions re-sent after a
-	// typed overload ack.
+	// typed overload or misrouted ack.
 	MetricWireClientRetriesTotal = "alidrone_client_wire_retries_total"
 	// MetricWireClientDialsTotal counts connection (re)establishments.
 	MetricWireClientDialsTotal = "alidrone_client_wire_dials_total"
@@ -60,7 +60,8 @@ type WireClientOptions struct {
 	FlushInterval time.Duration
 	// Retry controls re-submission after a typed overload ack, honouring
 	// max(backoff, server hint) like the HTTP client does for
-	// 429/Retry-After. The zero value surfaces the overload error.
+	// 429/Retry-After, and after a misrouted ack, as the HTTP client does
+	// for 421. The zero value surfaces the error.
 	Retry RetryPolicy
 	// Metrics, when set, receives the client's wire series.
 	Metrics *obs.Registry
@@ -235,7 +236,11 @@ func (c *WireClient) submitWire(ctx context.Context, droneID string, ciphertext 
 			return protocol.SubmitPoAResponse{}, err
 		}
 		resp, err := protocol.ResponseFromAck(droneID, ack)
-		if ack.Status != wire.StatusOverloaded || attempt >= c.opts.Retry.Max {
+		// A misrouted ack is a cluster node's single-hop guard refusing
+		// before any stage judged the submission, so resending it is
+		// safe; it lands once the nodes agree on the owner.
+		retryable := ack.Status == wire.StatusOverloaded || errors.Is(err, protocol.ErrMisrouted)
+		if !retryable || attempt >= c.opts.Retry.Max {
 			return resp, err
 		}
 		// Honour the server's hint over a shorter local backoff, as the

@@ -2,8 +2,10 @@ package operator
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +20,9 @@ import (
 // Server (which would make this an import cycle anyway).
 type echoWireServer struct {
 	lis net.Listener
+	// misroute is how many submissions to answer with the single-hop
+	// guard's misrouted ack before acking compliant.
+	misroute atomic.Int32
 }
 
 func startEchoWire(t *testing.T) *echoWireServer {
@@ -66,7 +71,11 @@ func (s *echoWireServer) handle(c net.Conn) {
 		if err != nil {
 			return
 		}
-		acks, err := wire.EncodeAcks(nil, []wire.Ack{{Seq: sub.Seq, Status: wire.StatusCompliant}})
+		ack := wire.Ack{Seq: sub.Seq, Status: wire.StatusCompliant}
+		if s.misroute.Add(-1) >= 0 {
+			ack = protocol.AckFor(sub.Seq, protocol.SubmitPoAResponse{}, &protocol.MisroutedError{DroneID: sub.DroneID})
+		}
+		acks, err := wire.EncodeAcks(nil, []wire.Ack{ack})
 		if err != nil {
 			return
 		}
@@ -170,5 +179,37 @@ func TestWireClientRedialsAfterConnLoss(t *testing.T) {
 	}
 	if got := reg.Counter(MetricWireClientDialsTotal).Value(); got != 2 {
 		t.Errorf("dials = %d, want 2 (initial + redial)", got)
+	}
+}
+
+// TestWireClientRetriesMisdirected is TestClientRetriesMisdirected over
+// the binary door: a cluster node's single-hop guard acks misrouted before
+// any stage judges the submission, so the client resends it under its
+// retry policy; the resend lands once the nodes agree on the owner.
+func TestWireClientRetriesMisdirected(t *testing.T) {
+	s := startEchoWire(t)
+	s.misroute.Store(1)
+	reg := obs.NewRegistry(nil)
+	w := NewWireAuditor(NewHTTPAuditor("http://127.0.0.1:1", nil), s.lis.Addr().String(), WireClientOptions{
+		BatchSize: 1,
+		Retry:     RetryPolicy{Max: 3, Backoff: time.Millisecond},
+		Metrics:   reg,
+	})
+	defer w.Close()
+	w.wc.SetSleep(func(time.Duration) {})
+	resp, err := w.SubmitPoA(protocol.SubmitPoARequest{DroneID: "drone-1", EncryptedPoA: []byte{1}})
+	if err != nil || resp.Verdict != protocol.VerdictCompliant {
+		t.Fatalf("submit after a misrouted ack: %v / %+v", err, resp)
+	}
+	if got := reg.Counter(MetricWireClientRetriesTotal).Value(); got != 1 {
+		t.Errorf("retries = %d, want 1", got)
+	}
+
+	// Without a retry budget the misrouted error surfaces, typed.
+	s.misroute.Store(1)
+	bare := NewWireClient(s.lis.Addr().String(), WireClientOptions{BatchSize: 1})
+	defer bare.Close()
+	if _, err := bare.SubmitPoA(protocol.SubmitPoARequest{DroneID: "drone-1", EncryptedPoA: []byte{2}}); !errors.Is(err, protocol.ErrMisrouted) {
+		t.Errorf("err = %v, want ErrMisrouted", err)
 	}
 }

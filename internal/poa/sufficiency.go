@@ -16,7 +16,8 @@ const (
 	// and cheap — this is what the in-flight sampler uses.
 	Conservative TestMode = iota + 1
 	// Exact decides true geometric disjointness of the travel ellipse and
-	// the zone disk via convex minimisation on a local plane.
+	// the zone disk via convex minimisation on a local plane, and also
+	// accepts every pair the conservative test clears.
 	Exact
 )
 
@@ -73,12 +74,19 @@ func newPairTest(s1, s2 Sample, vmaxMS float64, mode TestMode) pairTest {
 }
 
 // sufficient reports whether the pair's travel range is disjoint from z.
+// Both modes accept a pair the haversine boundary-distance test clears:
+// every point q of the disk has d(p1,q) + d(q,p2) >= D1 + D2 by the
+// triangle inequality on geodesic distance, so D1 + D2 > vmax·Δt puts the
+// whole disk out of reach. Exact asks its plane first, because the plane
+// answers most pairs for the cost of one projected centre, and the sphere
+// only for the pairs the plane leaves open, so it is never stricter than
+// the sphere where the plane's distortion grows (an 8 km zone).
 func (t *pairTest) sufficient(z geo.GeoCircle) bool {
 	if t.empty {
 		return false
 	}
-	if t.pr != nil {
-		return !t.e.IntersectsDisk(z.ToLocal(t.pr))
+	if t.pr != nil && !t.e.IntersectsDisk(z.ToLocal(t.pr)) {
+		return true
 	}
 	return z.BoundaryDistMeters(t.p1)+z.BoundaryDistMeters(t.p2) > t.limit
 }

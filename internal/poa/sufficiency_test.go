@@ -264,3 +264,38 @@ func TestTestModeString(t *testing.T) {
 		t.Error("unknown mode should still render")
 	}
 }
+
+// TestExactNeverStricterThanTheSphere flies 1 Hz drives away from a 5-mile
+// (8 km) zone, the paper's airport study, and tests every pair up to 30 s
+// apart: any pair the haversine boundary-distance test clears is provably
+// out of the zone's reach on the sphere, so Exact must clear it too. The
+// plane anchored at the pair's first sample bends an 8 km disk by more
+// than the margin a pair near D1 + D2 = vmax·Δt leaves; before Exact
+// asked the sphere as well it refused such pairs on 15 of these 40 seeds.
+func TestExactNeverStricterThanTheSphere(t *testing.T) {
+	radius := geo.MilesToMeters(5)
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		centre := geo.LatLon{Lat: -60 + 120*rng.Float64(), Lon: -180 + 360*rng.Float64()}
+		bearing := 360 * rng.Float64()
+		out := 5 + 45*rng.Float64()
+		speed := 6 + 2*rng.Float64()
+		z := geo.GeoCircle{Center: centre, R: radius}
+		start := centre.Offset(bearing, radius+out)
+		var trace []Sample
+		for k := 0; k <= 90; k++ {
+			trace = append(trace, Sample{Pos: start.Offset(bearing, speed*float64(k)), Time: base.Add(time.Duration(k) * time.Second)})
+		}
+		refused := 0
+		for i := range trace {
+			for j := i + 1; j < len(trace) && j <= i+30; j++ {
+				if PairSufficient(trace[i], trace[j], z, vmax, Conservative) && !PairSufficient(trace[i], trace[j], z, vmax, Exact) {
+					refused++
+				}
+			}
+		}
+		if refused > 0 {
+			t.Errorf("seed %d: Exact refused %d pairs the conservative test clears", seed, refused)
+		}
+	}
+}

@@ -21,18 +21,15 @@ import (
 //
 // where D_i is the distance from sample i to the nearest zone boundary, S1
 // is the last sample recorded in the PoA and S2 the latest normal-world
-// read.
+// read. Rule selects that guard or the held-read rule.
 type Adaptive struct {
 	Env    Env
 	Index  *zone.Index // nearest-zone search over the flight's NFZ set
 	VMaxMS float64     // FAA speed bound
 
-	// StrictPaper selects the literal Algorithm 1 guard, which skips the
-	// secure-world call when the alibi is *already* insufficient
-	// (condition (2) false). The default (false) also re-anchors in that
-	// case, which bounds the damage of a missed GPS update to a single
-	// insufficient pair. This is the ablation discussed in DESIGN.md.
-	StrictPaper bool
+	// Rule selects when the sampler crosses into the secure world. The
+	// zero value is Algorithm 1, which the paper experiments run.
+	Rule Rule
 
 	// MaxGap, when positive, forces a heartbeat sample whenever no PoA
 	// sample was taken for this long (e.g. when no zone is nearby at
@@ -43,6 +40,42 @@ type Adaptive struct {
 	// samples-per-zone-crossing histogram under mode="adaptive".
 	Metrics *obs.Registry
 }
+
+// Rule is the adaptive sampler's decision rule.
+type Rule int
+
+const (
+	// Algorithm1 records the current read when condition (3) holds. It
+	// also re-anchors when the pair is already insufficient (condition
+	// (2) false), which bounds the damage of a missed GPS update to a
+	// single insufficient pair.
+	Algorithm1 Rule = iota
+	// Algorithm1Strict is the literal Algorithm 1 guard, which skips the
+	// secure-world call when the alibi is already insufficient. This is
+	// the ablation discussed in DESIGN.md.
+	Algorithm1Strict
+	// HeldRead signs nothing while the pair (last signed, current read)
+	// passes D1 + D2 > vmax*(t2-t1) + heldMarginM. When it fails, the TA
+	// signs the previous read — a fix it observed and still holds, named
+	// by its time — and the current read is tested again against it; if
+	// that pair fails too, the current read is signed as well (the
+	// re-anchor). Condition (3) has to guess that the drone moves at vmax
+	// before the next read; the held read never guesses (DESIGN.md §4,
+	// "The held read").
+	HeldRead
+)
+
+// heldMarginM is the clearance the held-read test keeps beyond
+// vmax*(t2-t1). The test runs on the normal-world read, but the PoA
+// carries the signed sample: the position after the NMEA ddmm.mmmm
+// sentence (rounded to 1e-4 arc-minute, at most 0.093 m per axis) and the
+// 1e-7° canonical encoding (at most 0.006 m per axis), so D2 moves by at
+// most 0.14 m. The signed time is truncated to the millisecond, which
+// only shortens t2-t1. The verifiers demand a strict D1 + D2 > vmax*Δt,
+// so any margin above 0.14 m keeps a pair the sampler passed sufficient
+// after signing; 0.5 m also covers the float error of the nearest-zone
+// search. It is a property of the fix encoding, not a knob.
+const heldMarginM = 0.5
 
 // Run executes the adaptive loop from the receiver's first update until the
 // end instant.
@@ -74,7 +107,7 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 	// The first PoA sample anchors the trace at the start of the flight
 	// (S_{k0} = S_0 in the paper).
 	a.Env.Clock.Set(start)
-	last, err := a.authSample(res)
+	last, err := a.authSample(res, time.Time{})
 	if err != nil {
 		return nil, fmt.Errorf("adaptive first sample: %w", err)
 	}
@@ -85,6 +118,12 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// heldAt stamps the held-read rule's previous read, kept while its
+	// pair with last passes; zero means there is none.
+	var heldAt time.Time
+	passes := func(d2 float64, s2 poa.Sample) bool {
+		return d1+d2 > a.VMaxMS*s2.Time.Sub(last.Time).Seconds()+heldMarginM
+	}
 
 	for at := a.Env.Receiver.NextUpdateAfter(start); !at.After(until); at = a.Env.Receiver.NextUpdateAfter(at) {
 		a.Env.Clock.Set(at)
@@ -93,7 +132,7 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 			return nil, fmt.Errorf("adaptive read at %v: %w", at, err)
 		}
 
-		record := false
+		record, heldSigned := false, false
 		d2, zones, err := a.nearest(s2.Pos)
 		if err != nil {
 			return nil, err
@@ -105,9 +144,22 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 			sum := d1 + d2
 			cond2 := sum >= a.VMaxMS*dt           // pair still sufficient
 			cond3 := sum <= a.VMaxMS*(dt+2/rateR) // will not be after the next update
-			if a.StrictPaper {
+			switch a.Rule {
+			case Algorithm1Strict:
 				record = cond2 && cond3
-			} else {
+			case HeldRead:
+				if !passes(d2, s2) && !heldAt.IsZero() {
+					if last, err = a.authSample(res, heldAt); err != nil {
+						return nil, fmt.Errorf("adaptive held auth at %v: %w", heldAt, err)
+					}
+					if d1, _, err = a.nearest(last.Pos); err != nil {
+						return nil, err
+					}
+					burst++
+					heldSigned = true
+				}
+				record = !passes(d2, s2)
+			default:
 				record = cond3
 			}
 		}
@@ -118,13 +170,14 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 
 		switch {
 		case record:
-			last, err = a.authSample(res)
+			last, err = a.authSample(res, time.Time{})
 			if err != nil {
 				return nil, fmt.Errorf("adaptive auth at %v: %w", at, err)
 			}
 			if d1, _, err = a.nearest(last.Pos); err != nil {
 				return nil, err
 			}
+			heldAt = time.Time{}
 			if zoneTriggered {
 				burst++
 			} else {
@@ -132,7 +185,10 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 				flushBurst()
 			}
 		default:
-			flushBurst()
+			heldAt = s2.Time
+			if !heldSigned {
+				flushBurst()
+			}
 		}
 	}
 	flushBurst()
@@ -142,7 +198,7 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 	// between the last recorded sample and landing.
 	if fix, err := a.Env.Receiver.LatestFix(until); err == nil && fix.Time.After(last.Time) {
 		a.Env.Clock.Set(fix.Time)
-		if _, err := a.authSample(res); err != nil {
+		if _, err := a.authSample(res, time.Time{}); err != nil {
 			return nil, fmt.Errorf("adaptive final sample: %w", err)
 		}
 	}
@@ -175,11 +231,16 @@ func (a *Adaptive) readSample(res *RunResult) (poa.Sample, error) {
 	return s, nil
 }
 
-// authSample performs the secure-world authenticated sample and records it.
-func (a *Adaptive) authSample(res *RunResult) (poa.Sample, error) {
-	ss, err := a.Env.Auth()
+// authSample performs the secure-world authenticated sample — of the
+// latest fix, or of the fix stamped held when held is non-zero — and
+// records it.
+func (a *Adaptive) authSample(res *RunResult, held time.Time) (poa.Sample, error) {
+	ss, err := a.Env.Auth(held)
 	if err != nil {
 		return poa.Sample{}, err
+	}
+	if !held.IsZero() && !ss.Sample.Time.Equal(held.Truncate(time.Millisecond)) {
+		return poa.Sample{}, fmt.Errorf("held fix signed at %v, want %v", ss.Sample.Time, held)
 	}
 	res.Stats.AuthCalls++
 	a.Metrics.Counter(obs.L(MetricAuthTotal, "mode", "adaptive")).Inc()

@@ -26,12 +26,14 @@ var (
 // Env wires a sampler to the simulated world. Read is the cheap
 // normal-world GPS read the Adapter performs every hardware update; Auth
 // crosses into the secure world and returns a signed sample (the costly
-// GetGPSAuth call the adaptive algorithm tries to minimise).
+// GetGPSAuth call the adaptive algorithm tries to minimise) of the latest
+// fix, or, when held is non-zero, of the earlier fix stamped held (the
+// held-read rule's call; see tee.HeldFix).
 type Env struct {
 	Receiver *gps.Receiver
 	Clock    *tee.SimClock
 	Read     func() (poa.Sample, error)
-	Auth     func() (poa.SignedSample, error)
+	Auth     func(held time.Time) (poa.SignedSample, error)
 }
 
 // NewTEEEnv builds the standard environment: normal-world reads go straight
@@ -48,8 +50,8 @@ func NewTEEEnv(dev *tee.Device, clock *tee.SimClock, rx *gps.Receiver) Env {
 			}
 			return poa.Sample{Pos: fix.Pos, AltMeters: fix.AltMeters, Time: fix.Time}, nil
 		},
-		Auth: func() (poa.SignedSample, error) {
-			resp, err := dev.Invoke(tee.GPSSamplerUUID, tee.CmdGetGPSAuth, nil)
+		Auth: func(held time.Time) (poa.SignedSample, error) {
+			resp, err := dev.Invoke(tee.GPSSamplerUUID, tee.CmdGetGPSAuth, tee.HeldFix(held))
 			if err != nil {
 				return poa.SignedSample{}, fmt.Errorf("GetGPSAuth: %w", err)
 			}

@@ -50,7 +50,7 @@ func (f *FixedRate) Run(until time.Time) (poa *RunResult, err error) {
 		}
 		f.Env.Clock.Set(at)
 
-		ss, err := f.Env.Auth()
+		ss, err := f.Env.Auth(time.Time{})
 		if err != nil {
 			return nil, fmt.Errorf("fixed-rate sample %d: %w", k, err)
 		}

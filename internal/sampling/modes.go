@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/gps"
 	"repro/internal/poa"
@@ -15,8 +16,8 @@ import (
 // comes from the batch signature.
 func NewTEEBatchEnv(dev *tee.Device, clock *tee.SimClock, rx *gps.Receiver) Env {
 	env := NewTEEEnv(dev, clock, rx)
-	env.Auth = func() (poa.SignedSample, error) {
-		resp, err := dev.Invoke(tee.GPSSamplerUUID, tee.CmdBufferSample, nil)
+	env.Auth = func(held time.Time) (poa.SignedSample, error) {
+		resp, err := dev.Invoke(tee.GPSSamplerUUID, tee.CmdBufferSample, tee.HeldFix(held))
 		if err != nil {
 			return poa.SignedSample{}, fmt.Errorf("BufferSample: %w", err)
 		}
@@ -45,8 +46,8 @@ func SealTrace(dev *tee.Device) (poa.BatchPoA, error) {
 // the SignedSample's Sig field.
 func NewTEEMACEnv(dev *tee.Device, clock *tee.SimClock, rx *gps.Receiver) Env {
 	env := NewTEEEnv(dev, clock, rx)
-	env.Auth = func() (poa.SignedSample, error) {
-		resp, err := dev.Invoke(tee.GPSSamplerUUID, tee.CmdGetGPSMAC, nil)
+	env.Auth = func(held time.Time) (poa.SignedSample, error) {
+		resp, err := dev.Invoke(tee.GPSSamplerUUID, tee.CmdGetGPSMAC, tee.HeldFix(held))
 		if err != nil {
 			return poa.SignedSample{}, fmt.Errorf("GetGPSMAC: %w", err)
 		}

@@ -297,9 +297,9 @@ func TestAdaptiveStrictVsRelaxedOnMissedUpdate(t *testing.T) {
 	z := geo.GeoCircle{Center: mid.Offset(0, 30), R: 20}
 	zs := []geo.GeoCircle{z}
 
-	run := func(strict bool, opts ...gps.ReceiverOption) *RunResult {
+	run := func(rule Rule, opts ...gps.ReceiverOption) *RunResult {
 		env, _ := buildEnv(t, route, 5, opts...)
-		a := &Adaptive{Env: env, Index: zone.NewIndex(zs, 0), VMaxMS: geo.MaxDroneSpeedMPS, StrictPaper: strict}
+		a := &Adaptive{Env: env, Index: zone.NewIndex(zs, 0), VMaxMS: geo.MaxDroneSpeedMPS, Rule: rule}
 		res, err := a.Run(route.End())
 		if err != nil {
 			t.Fatal(err)
@@ -307,8 +307,8 @@ func TestAdaptiveStrictVsRelaxedOnMissedUpdate(t *testing.T) {
 		return res
 	}
 
-	clean := run(false)
-	cleanStrict := run(true)
+	clean := run(Algorithm1)
+	cleanStrict := run(Algorithm1Strict)
 	if clean.PoA.Len() != cleanStrict.PoA.Len() {
 		t.Errorf("clean runs differ: relaxed %d vs strict %d samples",
 			clean.PoA.Len(), cleanStrict.PoA.Len())
@@ -320,7 +320,7 @@ func TestAdaptiveStrictVsRelaxedOnMissedUpdate(t *testing.T) {
 	for i := range missed {
 		missed[i] = 150 + int64(i)
 	}
-	relaxed := run(false, gps.WithMissedUpdates(missed...))
+	relaxed := run(Algorithm1, gps.WithMissedUpdates(missed...))
 	counts := poa.CountInsufficient(relaxed.PoA.Alibi(), zs, geo.MaxDroneSpeedMPS)
 	total := 0
 	if len(counts) > 0 {

@@ -26,12 +26,15 @@ var GPSSamplerUUID = UUID{0xa1, 0x1d, 0x20, 0x18, 0x00, 0x86, 0x4f, 0x0a,
 const (
 	// CmdGetGPSAuth reads the latest fix from the secure GPS driver,
 	// signs its canonical encoding with T-, and returns sample || sig.
-	// This is the paper's GetGPSAuth interface.
+	// This is the paper's GetGPSAuth interface. An optional 8-byte
+	// payload (HeldFix) names an earlier fix to sign instead; see
+	// fixFor.
 	CmdGetGPSAuth uint32 = iota + 1
 	// CmdGetPublicKey returns the marshalled verification key T+.
 	CmdGetPublicKey
-	// CmdBufferSample reads the latest fix into the secure in-memory
-	// trace buffer without signing (paper §VII-A1b batch mode).
+	// CmdBufferSample reads the latest fix (or the held fix a HeldFix
+	// payload names) into the secure in-memory trace buffer without
+	// signing (paper §VII-A1b batch mode).
 	CmdBufferSample
 	// CmdSealTrace signs the entire buffered trace at once and clears
 	// the buffer, returning batch || sig.
@@ -40,8 +43,9 @@ const (
 	// TEE and returns it encrypted under the Auditor public key supplied
 	// in the request (paper §VII-A1a symmetric mode).
 	CmdEstablishSessionKey
-	// CmdGetGPSMAC reads the latest fix and returns sample || HMAC tag
-	// computed with the established session key.
+	// CmdGetGPSMAC reads the latest fix (or the held fix a HeldFix
+	// payload names) and returns sample || HMAC tag computed with the
+	// established session key.
 	CmdGetGPSMAC
 	// CmdRotateKey generates a successor TEE keypair inside the vault and
 	// returns the JSON handover record signed by the outgoing key. The
@@ -66,6 +70,9 @@ var (
 	// ErrBadPayload is returned when a command payload cannot be
 	// decoded.
 	ErrBadPayload = errors.New("tee: bad command payload")
+	// ErrHeldFixRefused is returned when a held-fix request names no fix
+	// the TA may authenticate.
+	ErrHeldFixRefused = errors.New("tee: held fix refused")
 )
 
 // sessionKeyBytes is the length of the ephemeral HMAC session key.
@@ -89,6 +96,7 @@ type GPSSamplerTA struct {
 	random     io.Reader
 	buffer     []poa.Sample // §VII-A1b secure trace buffer
 	sessionKey []byte       // §VII-A1a ephemeral HMAC key
+	lastAuth   time.Time    // stamp of the last fix this TA authenticated
 }
 
 var _ TrustedApp = (*GPSSamplerTA)(nil)
@@ -114,7 +122,7 @@ func (ta *GPSSamplerTA) UUID() UUID { return GPSSamplerUUID }
 func (ta *GPSSamplerTA) Invoke(cmd uint32, req []byte) ([]byte, error) {
 	switch cmd {
 	case CmdGetGPSAuth:
-		return ta.getGPSAuth()
+		return ta.getGPSAuth(req)
 	case CmdGetPublicKey:
 		pub, err := ta.dev.Vault().SuiteKey().Marshal()
 		if err != nil {
@@ -122,13 +130,13 @@ func (ta *GPSSamplerTA) Invoke(cmd uint32, req []byte) ([]byte, error) {
 		}
 		return []byte(pub), nil
 	case CmdBufferSample:
-		return ta.bufferSample()
+		return ta.bufferSample(req)
 	case CmdSealTrace:
 		return ta.sealTrace()
 	case CmdEstablishSessionKey:
 		return ta.establishSessionKey(req)
 	case CmdGetGPSMAC:
-		return ta.getGPSMAC()
+		return ta.getGPSMAC(req)
 	case CmdRotateKey:
 		return ta.rotateKey(req)
 	case CmdCommitTrace:
@@ -138,10 +146,10 @@ func (ta *GPSSamplerTA) Invoke(cmd uint32, req []byte) ([]byte, error) {
 	}
 }
 
-// readSample pulls the latest fix from the secure driver and converts it to
-// a canonical PoA sample.
-func (ta *GPSSamplerTA) readSample() (poa.Sample, error) {
-	fix, err := ta.driver.GetGPS(ta.dev.Clock().Now())
+// readSample pulls the latest fix at instant at from the secure driver and
+// converts it to a canonical PoA sample.
+func (ta *GPSSamplerTA) readSample(at time.Time) (poa.Sample, error) {
+	fix, err := ta.driver.GetGPS(at)
 	if err != nil {
 		return poa.Sample{}, fmt.Errorf("secure gps read: %w", err)
 	}
@@ -149,8 +157,61 @@ func (ta *GPSSamplerTA) readSample() (poa.Sample, error) {
 	return s.Canon(), nil
 }
 
-func (ta *GPSSamplerTA) getGPSAuth() ([]byte, error) {
-	s, err := ta.readSample()
+// heldFixBytes is the length of a held-fix payload: the fix's time as
+// big-endian Unix nanoseconds.
+const heldFixBytes = 8
+
+// HeldFix encodes the payload that names the fix stamped at: passed to
+// CmdGetGPSAuth, CmdBufferSample or CmdGetGPSMAC it makes the command
+// authenticate that earlier fix instead of the latest one. The zero time
+// names none: the payload is empty and the command takes the latest fix.
+func HeldFix(at time.Time) []byte {
+	if at.IsZero() {
+		return nil
+	}
+	return binary.BigEndian.AppendUint64(nil, uint64(at.UnixNano()))
+}
+
+// fixFor resolves the fix a sampling command authenticates. An empty
+// payload takes the latest fix, as the paper's GetGPSAuth does. A HeldFix
+// payload takes the secure driver's fix at the named instant, and only if
+// it is stamped that instant (a missed update leaves an older fix there),
+// is newer than the last fix this TA authenticated (no stale or double
+// sign) and is older than the latest fix (the normal world can only name
+// a fix it has already seen go by). A fix's stamp carries the millisecond
+// resolution of its NMEA sentence and of the canonical sample, so the
+// instant is compared at that resolution. Either way the fix becomes the
+// last authenticated one.
+func (ta *GPSSamplerTA) fixFor(req []byte) (poa.Sample, error) {
+	if len(req) != 0 && len(req) != heldFixBytes {
+		return poa.Sample{}, fmt.Errorf("%w: held-fix payload is %d bytes, want %d", ErrBadPayload, len(req), heldFixBytes)
+	}
+	latest, err := ta.readSample(ta.dev.Clock().Now())
+	if err != nil {
+		return poa.Sample{}, err
+	}
+	s := latest
+	if len(req) == heldFixBytes {
+		at := time.Unix(0, int64(binary.BigEndian.Uint64(req))).UTC()
+		if !at.Before(latest.Time) {
+			return poa.Sample{}, fmt.Errorf("%w: %v is not older than the latest fix", ErrHeldFixRefused, at)
+		}
+		if s, err = ta.readSample(at); err != nil {
+			return poa.Sample{}, err
+		}
+		switch {
+		case !s.Time.Equal(at.Truncate(time.Millisecond)):
+			return poa.Sample{}, fmt.Errorf("%w: no fix stamped %v", ErrHeldFixRefused, at)
+		case !s.Time.After(ta.lastAuth):
+			return poa.Sample{}, fmt.Errorf("%w: %v is not newer than the last authenticated fix", ErrHeldFixRefused, at)
+		}
+	}
+	ta.lastAuth = s.Time
+	return s, nil
+}
+
+func (ta *GPSSamplerTA) getGPSAuth(req []byte) ([]byte, error) {
+	s, err := ta.fixFor(req)
 	if err != nil {
 		return nil, err
 	}
@@ -188,8 +249,8 @@ func (ta *GPSSamplerTA) rotateKey(req []byte) ([]byte, error) {
 	return json.Marshal(h)
 }
 
-func (ta *GPSSamplerTA) bufferSample() ([]byte, error) {
-	s, err := ta.readSample()
+func (ta *GPSSamplerTA) bufferSample(req []byte) ([]byte, error) {
+	s, err := ta.fixFor(req)
 	if err != nil {
 		return nil, err
 	}
@@ -288,11 +349,11 @@ func (ta *GPSSamplerTA) establishSessionKey(req []byte) ([]byte, error) {
 	return ct, nil
 }
 
-func (ta *GPSSamplerTA) getGPSMAC() ([]byte, error) {
+func (ta *GPSSamplerTA) getGPSMAC(req []byte) ([]byte, error) {
 	if ta.sessionKey == nil {
 		return nil, ErrNoSessionKey
 	}
-	s, err := ta.readSample()
+	s, err := ta.fixFor(req)
 	if err != nil {
 		return nil, err
 	}

@@ -147,5 +147,16 @@ if ! awk -v c="${COVER}" 'BEGIN { exit !(c != "" && c + 0 >= 80) }'; then
 	exit 1
 fi
 
+# The GPS Sampler TA is the trust anchor: every refusal of a held-fix
+# request (stale or double sign, a fix not older than the latest, a missed
+# update, a malformed payload) and the rotation and commit commands have a
+# test. The floor keeps the secure world's command surface tested.
+echo ">> coverage floor: internal/tee >= 75%"
+COVER="$(go test -count=1 -cover ./internal/tee | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
+if ! awk -v c="${COVER}" 'BEGIN { exit !(c != "" && c + 0 >= 75) }'; then
+	echo "coverage floor failed: internal/tee at ${COVER:-unknown}% (want >= 75%)" >&2
+	exit 1
+fi
+
 echo "all checks passed"
 ./scripts/loc.sh

@@ -12,7 +12,6 @@ package alidrone
 import (
 	"context"
 	"crypto/rsa"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -26,14 +25,11 @@ import (
 	"repro/internal/auditor"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/flightsim"
 	"repro/internal/geo"
-	"repro/internal/gps"
 	"repro/internal/nmea"
 	"repro/internal/obs"
 	otrace "repro/internal/obs/trace"
 	"repro/internal/operator"
-	"repro/internal/planner"
 	"repro/internal/poa"
 	"repro/internal/privacy"
 	"repro/internal/protocol"
@@ -458,21 +454,11 @@ func benchSamplerRun(b *testing.B, fixedRate float64) {
 	}
 	idx := zone.NewIndex(sc.Zones, 0)
 	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(4))
-		rx, err := gps.NewReceiver(sc.Route, 5)
+		p, err := tee.NewPlatform(sc.Route, 5, sigcrypto.SuiteRSA1024, rand.New(rand.NewSource(4)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		vault, err := tee.ManufactureVault(rng, sigcrypto.KeySize1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		clock := tee.NewSimClock(benchStart)
-		dev := tee.NewDevice(clock, vault)
-		if _, err := tee.NewGPSSampler(dev, gps.NewDriver(rx), rng); err != nil {
-			b.Fatal(err)
-		}
-		env := sampling.NewTEEEnv(dev, clock, rx)
+		env := sampling.NewTEEEnv(p.Device, p.Clock, p.Receiver)
 
 		if fixedRate > 0 {
 			f := &sampling.FixedRate{Env: env, RateHz: fixedRate}
@@ -522,58 +508,6 @@ func benchPair() (poa.Sample, poa.Sample, geo.GeoCircle) {
 	s2 := poa.Sample{Pos: home.Offset(90, 5), Time: benchStart.Add(time.Second)}
 	z := geo.GeoCircle{Center: home.Offset(0, 40), R: 10}
 	return s1, s2, z
-}
-
-// --- Planner / flightsim benchmarks ----------------------------------------
-
-// BenchmarkPlanRouteBlocked measures one A* plan around a blocking zone.
-func BenchmarkPlanRouteBlocked(b *testing.B) {
-	home := geo.LatLon{Lat: 40.1106, Lon: -88.2073}
-	goal := home.Offset(90, 3000)
-	zones := []geo.GeoCircle{{Center: home.Offset(90, 1500), R: 300}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := planner.PlanRoute(home, goal, zones, planner.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlanRouteDense measures planning through a dense random field.
-func BenchmarkPlanRouteDense(b *testing.B) {
-	home := geo.LatLon{Lat: 40.1106, Lon: -88.2073}
-	goal := home.Offset(90, 4000)
-	rng := rand.New(rand.NewSource(5))
-	var zones []geo.GeoCircle
-	for i := 0; i < 20; i++ {
-		zones = append(zones, geo.GeoCircle{
-			Center: home.Offset(90, 500+rng.Float64()*3000).Offset(rng.Float64()*360, rng.Float64()*300),
-			R:      60 + rng.Float64()*120,
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := planner.PlanRoute(home, goal, zones, planner.Config{ClearanceMeters: 25})
-		if err != nil && !errors.Is(err, planner.ErrNoRoute) &&
-			!errors.Is(err, planner.ErrStartBlocked) && !errors.Is(err, planner.ErrGoalBlocked) {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFlightSim measures one simulated 2 km mission with wind.
-func BenchmarkFlightSim(b *testing.B) {
-	home := geo.LatLon{Lat: 40.1106, Lon: -88.2073}
-	for i := 0; i < b.N; i++ {
-		_, err := flightsim.Fly(flightsim.Mission{
-			Waypoints: []geo.LatLon{home, home.Offset(90, 2000)},
-			Departure: benchStart,
-			Wind:      flightsim.WindModel{MeanMS: 5, BearingDeg: 300, GustMS: 2, Seed: 3},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // residentialPoAPlaintext is the binary body of a full residential PoA — what

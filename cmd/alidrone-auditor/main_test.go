@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"log"
 	"maps"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -15,12 +16,12 @@ import (
 	"time"
 
 	"repro/internal/auditor"
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/operator"
 	"repro/internal/protocol"
 	"repro/internal/sigcrypto"
 	"repro/internal/storage"
+	"repro/internal/tee"
 	"repro/internal/trace"
 )
 
@@ -114,7 +115,7 @@ func flight(t *testing.T, base string) (*operator.Drone, *operator.Proof) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	platform, err := core.NewPlatform(core.PlatformConfig{Path: route, Seed: 1})
+	platform, err := tee.NewPlatform(route, 5, sigcrypto.SuiteRSA1024, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func flight(t *testing.T, base string) (*operator.Drone, *operator.Proof) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drone, err := operator.NewDrone(api, pub, platform.Device(), platform.Clock(), sigcrypto.KeySize1024, nil)
+	drone, err := operator.NewDrone(api, pub, platform.Device, platform.Clock, sigcrypto.KeySize1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func flight(t *testing.T, base string) (*operator.Drone, *operator.Proof) {
 	if !strings.HasPrefix(drone.ID(), "drone-") {
 		t.Errorf("drone ID = %q", drone.ID())
 	}
-	proof, err := drone.Fly(context.Background(), platform.Receiver(),
+	proof, err := drone.Fly(context.Background(), platform.Receiver,
 		[]geo.GeoCircle{{Center: home.Offset(0, 150), R: 6}}, route.End(),
 		operator.FlightSpec{Mode: operator.ModeAdaptive})
 	if err != nil {

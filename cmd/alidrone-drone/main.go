@@ -28,52 +28,39 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	otrace "repro/internal/obs/trace"
 	"repro/internal/operator"
 	"repro/internal/poa"
 	"repro/internal/protocol"
 	"repro/internal/sigcrypto"
+	"repro/internal/tee"
 	"repro/internal/trace"
 )
 
-func main() {
-	auditorURL := flag.String("auditor", "http://localhost:8470", "auditor base URL")
-	scenario := flag.String("scenario", "residential", "flight scenario: airport or residential")
-	mode := flag.String("mode", "adaptive", "sampling mode: "+strings.Join(operator.ModeNames(), ", "))
-	disclosure := flag.String("disclosure", "", "disclosure mode announced at registration: full, sealed or commit (empty = follow -mode)")
-	fixedRate := flag.Float64("fixed-rate", 2, "sampling rate for -mode fixed (Hz)")
-	storeDir := flag.String("store", "", "directory for persisted flight records (empty = do not persist)")
-	suite := flag.String("suite", "", "TEE signature suite: rsa1024, rsa2048, rsa3072 or ed25519 (empty = legacy rsa1024 provisioning)")
-	rotateEvery := flag.Duration("rotate-every", 0, "rotate the TEE sign key after a flight once this much flight time has passed since the last rotation (0 disables)")
-	gpsRate := flag.Float64("gps-rate", 5, "GPS receiver update rate in Hz (1-5)")
-	dumpMetrics := flag.Bool("dump-metrics", false, "print drone-side metrics after the mission")
-	retries := flag.Int("retries", 3, "HTTP retries after the first attempt (429/502/503/504 and transport errors; 0 disables)")
-	retryBackoff := flag.Duration("retry-backoff", 500*time.Millisecond, "initial retry delay, doubling per retry; a 429's Retry-After hint overrides shorter delays")
-	wireAddr := flag.String("wire-addr", "", "auditor binary wire transport address, e.g. localhost:8471; submissions then use the batched binary channel instead of HTTP (empty = HTTP only)")
-	wireBatch := flag.Int("wire-batch", 16, "submissions buffered before a wire flush (with -wire-addr)")
-	wireFlushMS := flag.Int("wire-flush-ms", 2, "milliseconds before a partial wire batch is flushed anyway (with -wire-addr)")
-	traceSample := flag.Float64("trace-sample", 0, "probability of tracing the mission (0 disables, 1 traces every proof)")
-	dumpTraces := flag.Bool("dump-traces", false, "print drone-side trace spans as JSONL after the mission (implies -trace-sample 1 when unset)")
-	flag.Parse()
-
-	sample := *traceSample
-	if *dumpTraces && sample == 0 {
-		sample = 1
-	}
-	retry := operator.RetryPolicy{Max: *retries, Backoff: *retryBackoff}
-	wire := wireOptions{addr: *wireAddr, batch: *wireBatch, flush: time.Duration(*wireFlushMS) * time.Millisecond}
-	if err := run(*auditorURL, *scenario, *mode, *disclosure, *storeDir, *suite, *rotateEvery, *fixedRate, *gpsRate, *dumpMetrics, sample, *dumpTraces, retry, wire); err != nil {
-		fmt.Fprintln(os.Stderr, "alidrone-drone:", err)
-		os.Exit(1)
-	}
+// options is the parsed command line.
+type options struct {
+	auditorURL  string
+	scenario    string
+	mode        operator.SamplingMode
+	disclosure  string
+	fixedRate   float64
+	storeDir    string
+	suite       string
+	rotateEvery time.Duration
+	gpsRate     float64
+	dumpMetrics bool
+	retry       operator.RetryPolicy
+	wire        wireOptions
+	traceSample float64
+	dumpTraces  bool
 }
 
 // wireOptions carries the -wire-* flags: when addr is set, PoA
@@ -85,38 +72,91 @@ type wireOptions struct {
 	flush time.Duration
 }
 
-func run(auditorURL, scenario, mode, disclosure, storeDir, suite string, rotateEvery time.Duration, fixedRate, gpsRate float64, dumpMetrics bool, traceSample float64, dumpTraces bool, retry operator.RetryPolicy, wireOpt wireOptions) error {
+// parseOptions reads the flags in args and refuses an unknown sampling
+// mode, disclosure mode or signature suite before anything is built.
+func parseOptions(args []string) (options, error) {
+	var o options
+	var mode string
+	var wireFlushMS int
+	fs := flag.NewFlagSet("alidrone-drone", flag.ContinueOnError)
+	fs.StringVar(&o.auditorURL, "auditor", "http://localhost:8470", "auditor base URL")
+	fs.StringVar(&o.scenario, "scenario", "residential", "flight scenario: airport or residential")
+	fs.StringVar(&mode, "mode", "adaptive", "sampling mode: "+strings.Join(operator.ModeNames(), ", "))
+	fs.StringVar(&o.disclosure, "disclosure", "", "disclosure mode announced at registration: full, sealed or commit (empty = follow -mode)")
+	fs.Float64Var(&o.fixedRate, "fixed-rate", 2, "sampling rate for -mode fixed (Hz)")
+	fs.StringVar(&o.storeDir, "store", "", "directory for persisted flight records (empty = do not persist)")
+	fs.StringVar(&o.suite, "suite", sigcrypto.SuiteRSA1024, "TEE signature suite: rsa1024, rsa2048, rsa3072 or ed25519")
+	fs.DurationVar(&o.rotateEvery, "rotate-every", 0, "rotate the TEE sign key after a flight once this much flight time has passed since the last rotation (0 disables)")
+	fs.Float64Var(&o.gpsRate, "gps-rate", 5, "GPS receiver update rate in Hz (1-5)")
+	fs.BoolVar(&o.dumpMetrics, "dump-metrics", false, "print drone-side metrics after the mission")
+	fs.IntVar(&o.retry.Max, "retries", 3, "HTTP retries after the first attempt (429/502/503/504 and transport errors; 0 disables)")
+	fs.DurationVar(&o.retry.Backoff, "retry-backoff", 500*time.Millisecond, "initial retry delay, doubling per retry; a 429's Retry-After hint overrides shorter delays")
+	fs.StringVar(&o.wire.addr, "wire-addr", "", "auditor binary wire transport address, e.g. localhost:8471; submissions then use the batched binary channel instead of HTTP (empty = HTTP only)")
+	fs.IntVar(&o.wire.batch, "wire-batch", 16, "submissions buffered before a wire flush (with -wire-addr)")
+	fs.IntVar(&wireFlushMS, "wire-flush-ms", 2, "milliseconds before a partial wire batch is flushed anyway (with -wire-addr)")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0, "probability of tracing the mission (0 disables, 1 traces every proof)")
+	fs.BoolVar(&o.dumpTraces, "dump-traces", false, "print drone-side trace spans as JSONL after the mission (implies -trace-sample 1 when unset)")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	o.wire.flush = time.Duration(wireFlushMS) * time.Millisecond
+	if o.dumpTraces && o.traceSample == 0 {
+		o.traceSample = 1
+	}
+	var err error
+	if o.mode, err = operator.ParseMode(mode); err != nil {
+		return options{}, err
+	}
+	// The registered disclosure mode defaults to the submission mode's
+	// natural one; -disclosure overrides (e.g. register sealed but fly a
+	// full-mode flight to see the auditor reject it).
+	if o.disclosure == "" {
+		o.disclosure = o.mode.Disclosure()
+	}
+	if _, err := poa.NormalizeDisclosure(o.disclosure); err != nil {
+		return options{}, err
+	}
+	if _, err := sigcrypto.SuiteByID(o.suite); err != nil {
+		return options{}, err
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseOptions(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "alidrone-drone:", err)
+		os.Exit(2)
+	}
+	if err := run(context.Background(), o); err != nil {
+		fmt.Fprintln(os.Stderr, "alidrone-drone:", err)
+		os.Exit(1)
+	}
+}
+
+func run(ctx context.Context, o options) error {
 	start := time.Now().UTC().Truncate(time.Second)
 
 	var sc *trace.Scenario
 	var err error
-	switch scenario {
+	switch o.scenario {
 	case "airport":
 		sc, err = trace.NewAirportScenario(trace.DefaultAirportConfig(start))
 	case "residential":
 		sc, err = trace.NewResidentialScenario(trace.DefaultResidentialConfig(start))
 	default:
-		return fmt.Errorf("unknown scenario %q (want airport or residential)", scenario)
+		return fmt.Errorf("unknown scenario %q (want airport or residential)", o.scenario)
 	}
 	if err != nil {
 		return err
 	}
 
-	m, err := operator.ParseMode(mode)
-	if err != nil {
-		return err
-	}
-	cfg := operator.MissionConfig{FlightSpec: operator.FlightSpec{Mode: m, FixedRateHz: fixedRate}, RotateEvery: rotateEvery}
-	// The registered disclosure mode defaults to the submission mode's
-	// natural one; -disclosure overrides (e.g. register sealed but fly a
-	// full-mode flight to see the auditor reject it).
-	if disclosure == "" {
-		disclosure = m.Disclosure()
-	} else if _, err := poa.NormalizeDisclosure(disclosure); err != nil {
-		return err
-	}
-	if storeDir != "" {
-		store, err := operator.NewStore(storeDir)
+	cfg := operator.MissionConfig{FlightSpec: operator.FlightSpec{Mode: o.mode, FixedRateHz: o.fixedRate}, RotateEvery: o.rotateEvery}
+	if o.storeDir != "" {
+		store, err := operator.NewStore(o.storeDir)
 		if err != nil {
 			return err
 		}
@@ -124,18 +164,18 @@ func run(auditorURL, scenario, mode, disclosure, storeDir, suite string, rotateE
 	}
 
 	// Talk to the auditor and fetch its PoA-encryption key.
-	httpAPI := operator.NewHTTPAuditor(auditorURL, nil)
-	httpAPI.SetRetryPolicy(retry)
+	httpAPI := operator.NewHTTPAuditor(o.auditorURL, nil)
+	httpAPI.SetRetryPolicy(o.retry)
 	var reg *obs.Registry
-	if dumpMetrics {
+	if o.dumpMetrics {
 		reg = obs.NewRegistry(nil)
 		httpAPI.SetMetrics(reg)
 	}
 	var spans *otrace.RingCollector
 	var tracer *otrace.Tracer
-	if traceSample > 0 {
+	if o.traceSample > 0 {
 		spans = otrace.NewRingCollector(otrace.DefaultRingSize)
-		tracer = otrace.New(otrace.Options{Sample: traceSample, Sink: spans})
+		tracer = otrace.New(otrace.Options{Sample: o.traceSample, Sink: spans})
 		httpAPI.SetTracer(tracer)
 	}
 	// With -wire-addr, submissions ride the batched binary transport
@@ -143,29 +183,29 @@ func run(auditorURL, scenario, mode, disclosure, storeDir, suite string, rotateE
 	// wire client honours the auditor's typed overload acks through the
 	// same retry policy as the HTTP path honours 429/Retry-After.
 	var api protocol.API = httpAPI
-	if wireOpt.addr != "" {
-		wa := operator.NewWireAuditor(httpAPI, wireOpt.addr, operator.WireClientOptions{
-			BatchSize:     wireOpt.batch,
-			FlushInterval: wireOpt.flush,
-			Retry:         retry,
+	if o.wire.addr != "" {
+		wa := operator.NewWireAuditor(httpAPI, o.wire.addr, operator.WireClientOptions{
+			BatchSize:     o.wire.batch,
+			FlushInterval: o.wire.flush,
+			Retry:         o.retry,
 			Metrics:       reg,
 		})
 		defer wa.Close()
 		api = wa
 		fmt.Printf("submitting over binary wire transport at %s (batch=%d, flush=%v)\n",
-			wireOpt.addr, wireOpt.batch, wireOpt.flush)
+			o.wire.addr, o.wire.batch, o.wire.flush)
 	}
 	auditorPub, err := httpAPI.FetchEncryptionPub()
 	if err != nil {
-		return fmt.Errorf("contact auditor at %s: %w", auditorURL, err)
+		return fmt.Errorf("contact auditor at %s: %w", o.auditorURL, err)
 	}
 
 	// Manufacture the drone platform over the scenario route.
-	platform, err := core.NewPlatform(core.PlatformConfig{Path: sc.Route, GPSRateHz: gpsRate, Suite: suite})
+	platform, err := tee.NewPlatform(sc.Route, o.gpsRate, o.suite, nil)
 	if err != nil {
 		return err
 	}
-	drone, err := operator.NewDrone(api, auditorPub, platform.Device(), platform.Clock(),
+	drone, err := operator.NewDrone(api, auditorPub, platform.Device, platform.Clock,
 		sigcrypto.KeySize1024, nil)
 	if err != nil {
 		return err
@@ -176,17 +216,15 @@ func run(auditorURL, scenario, mode, disclosure, storeDir, suite string, rotateE
 	if tracer != nil {
 		drone.SetTracer(tracer)
 	}
-	if disclosure != "" {
-		if err := drone.SetDisclosure(disclosure); err != nil {
-			return err
-		}
+	if err := drone.SetDisclosure(o.disclosure); err != nil {
+		return err
 	}
 	if err := drone.Register(); err != nil {
 		return err
 	}
 	fmt.Printf("registered as %s (disclosure %s)\n", drone.ID(), drone.Disclosure())
 
-	rep, err := drone.RunMission(platform.Receiver(), sc.Route, cfg)
+	rep, err := drone.RunMission(platform.Receiver, sc.Route, cfg)
 	if err != nil {
 		return err
 	}
@@ -194,7 +232,7 @@ func run(auditorURL, scenario, mode, disclosure, storeDir, suite string, rotateE
 	fmt.Printf("flight complete: %d PoA samples over %v (mean %.2f Hz)\n",
 		rep.Run.PoA.Len(), rep.Run.Stats.Elapsed, rep.Run.Stats.MeanRateHz())
 	if cfg.Store != nil {
-		fmt.Printf("flight record %s persisted to %s\n", rep.FlightID, storeDir)
+		fmt.Printf("flight record %s persisted to %s\n", rep.FlightID, o.storeDir)
 	}
 	if rep.StreamedViolationAt >= 0 {
 		fmt.Printf("real-time audit flagged a violation at sample %d\n", rep.StreamedViolationAt)
@@ -207,7 +245,7 @@ func run(auditorURL, scenario, mode, disclosure, storeDir, suite string, rotateE
 	if rep.Verdict.Challenge != nil {
 		ch := rep.Verdict.Challenge
 		fmt.Printf("selective-disclosure challenge %s: reveal pair at index %d\n", ch.ChallengeID, ch.PairIndex)
-		final, err := drone.RevealForChallengeCtx(context.Background(), *ch)
+		final, err := drone.RevealForChallengeCtx(ctx, *ch)
 		if err != nil {
 			return fmt.Errorf("answer disclosure challenge: %w", err)
 		}
@@ -223,7 +261,7 @@ func run(auditorURL, scenario, mode, disclosure, storeDir, suite string, rotateE
 			return err
 		}
 	}
-	if dumpTraces && spans != nil {
+	if o.dumpTraces && spans != nil {
 		fmt.Println("--- drone trace spans (JSONL) ---")
 		if err := otrace.WriteJSONL(os.Stdout, spans.Snapshot()); err != nil {
 			return err

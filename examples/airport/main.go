@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/auditor"
 	"repro/internal/geo"
-	"repro/internal/gps"
 	"repro/internal/operator"
 	"repro/internal/protocol"
 	"repro/internal/sigcrypto"
@@ -53,20 +52,12 @@ func run() error {
 		{"fixed-1hz", operator.FlightSpec{Mode: operator.ModeFixedRate, FixedRateHz: 1}},
 		{"adaptive", operator.FlightSpec{Mode: operator.ModeAdaptive}},
 	} {
-		vault, err := tee.ManufactureVault(nil, sigcrypto.KeySize1024)
+		// The paper runs this scenario at 1 Hz.
+		p, err := tee.NewPlatform(sc.Route, 1, sigcrypto.SuiteRSA1024, nil)
 		if err != nil {
 			return err
 		}
-		clock := tee.NewSimClock(start)
-		dev := tee.NewDevice(clock, vault)
-		rx, err := gps.NewReceiver(sc.Route, 1) // the paper runs this scenario at 1 Hz
-		if err != nil {
-			return err
-		}
-		if _, err := tee.NewGPSSampler(dev, gps.NewDriver(rx), nil); err != nil {
-			return err
-		}
-		drone, err := operator.NewDrone(srv, srv.EncryptionPub(), dev, clock, sigcrypto.KeySize1024, nil)
+		drone, err := operator.NewDrone(srv, srv.EncryptionPub(), p.Device, p.Clock, sigcrypto.KeySize1024, nil)
 		if err != nil {
 			return err
 		}
@@ -74,11 +65,11 @@ func run() error {
 			return err
 		}
 
-		p, err := drone.Fly(context.Background(), rx, []geo.GeoCircle{airportZone}, sc.Route.End(), run.spec)
+		proof, err := drone.Fly(context.Background(), p.Receiver, []geo.GeoCircle{airportZone}, sc.Route.End(), run.spec)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %4d GPS samples over %v\n", run.label, p.Run.PoA.Len(), sc.Route.Duration())
+		fmt.Printf("%-10s %4d GPS samples over %v\n", run.label, proof.Run.PoA.Len(), sc.Route.Duration())
 	}
 
 	// Show the distance profile the figure plots.

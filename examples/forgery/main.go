@@ -2,19 +2,20 @@
 // then tries every GPS forgery attack from the paper's threat model to
 // hide it — fabricating a route, tampering with signed samples, dropping
 // the incriminating window, splicing traces, and replaying an old PoA.
-// The auditor catches each one (design goal G3: unforgeability).
+// The auditor catches each one (design goal G3: unforgeability); run
+// fails if any attack goes undetected.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"repro/internal/attack"
 	"repro/internal/auditor"
 	"repro/internal/geo"
-	"repro/internal/gps"
 	"repro/internal/operator"
 	"repro/internal/poa"
 	"repro/internal/protocol"
@@ -44,41 +45,34 @@ func run() error {
 
 	// Build the honest platform and record a legitimate flight past the
 	// zone; the attacker will mutate this PoA.
-	vault, err := tee.ManufactureVault(nil, sigcrypto.KeySize1024)
-	if err != nil {
-		return err
-	}
-	clock := tee.NewSimClock(start)
-	dev := tee.NewDevice(clock, vault)
 	route, err := trace.ConstantSpeedLine(home, 90, 10, start, 2*time.Minute)
 	if err != nil {
 		return err
 	}
-	rx, err := gps.NewReceiver(route, 5)
+	p, err := tee.NewPlatform(route, 5, sigcrypto.SuiteRSA1024, nil)
 	if err != nil {
 		return err
 	}
-	if _, err := tee.NewGPSSampler(dev, gps.NewDriver(rx), nil); err != nil {
-		return err
-	}
-	drone, err := operator.NewDrone(srv, srv.EncryptionPub(), dev, clock, sigcrypto.KeySize1024, nil)
+	drone, err := operator.NewDrone(srv, srv.EncryptionPub(), p.Device, p.Clock, sigcrypto.KeySize1024, nil)
 	if err != nil {
 		return err
 	}
 	if err := drone.Register(); err != nil {
 		return err
 	}
-	flight, err := drone.Fly(context.Background(), rx, []geo.GeoCircle{z}, route.End(), operator.FlightSpec{Mode: operator.ModeAdaptive})
+	flight, err := drone.Fly(context.Background(), p.Receiver, []geo.GeoCircle{z}, route.End(), operator.FlightSpec{Mode: operator.ModeAdaptive})
 	if err != nil {
 		return err
 	}
 	honest := flight.Run
 
 	eval := attack.Evaluate{API: srv, DroneID: drone.ID(), EncryptPoA: drone.EncryptPoA}
+	var missed []string
 	report := func(r attack.Result) {
 		status := "DETECTED"
 		if !r.Detected {
 			status = "MISSED  "
+			missed = append(missed, r.Name)
 		}
 		fmt.Printf("  %-14s %s  %s\n", r.Name, status, r.Reason)
 	}
@@ -146,5 +140,8 @@ func run() error {
 	}
 	report(r)
 
+	if len(missed) > 0 {
+		return fmt.Errorf("attacks the auditor missed: %s", strings.Join(missed, ", "))
+	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/gps"
 	"repro/internal/poa"
 	"repro/internal/privacy"
 	"repro/internal/sampling"
@@ -33,26 +32,17 @@ func run() error {
 	z := geo.GeoCircle{Center: home.Offset(0, 250), R: geo.FeetToMeters(20)}
 
 	// Fly a clean route with the full TEE stack.
-	vault, err := tee.ManufactureVault(nil, sigcrypto.KeySize1024)
-	if err != nil {
-		return err
-	}
-	clock := tee.NewSimClock(start)
-	dev := tee.NewDevice(clock, vault)
 	route, err := trace.ConstantSpeedLine(home, 90, 10, start, 90*time.Second)
 	if err != nil {
 		return err
 	}
-	rx, err := gps.NewReceiver(route, 5)
+	p, err := tee.NewPlatform(route, 5, sigcrypto.SuiteRSA1024, nil)
 	if err != nil {
-		return err
-	}
-	if _, err := tee.NewGPSSampler(dev, gps.NewDriver(rx), nil); err != nil {
 		return err
 	}
 
 	a := &sampling.Adaptive{
-		Env:    sampling.NewTEEEnv(dev, clock, rx),
+		Env:    sampling.NewTEEEnv(p.Device, p.Clock, p.Receiver),
 		Index:  zone.NewIndex([]geo.GeoCircle{z}, 0),
 		VMaxMS: geo.MaxDroneSpeedMPS,
 	}
@@ -94,7 +84,7 @@ func run() error {
 	// and decides the boolean compliance question.
 	exonerated, err := privacy.JudgeAccusation(
 		sealed.Entries[i], sealed.Entries[i+1], k1, k2,
-		vault.SuiteKey(), z, geo.MaxDroneSpeedMPS, poa.Exact)
+		p.Device.Vault().SuiteKey(), z, geo.MaxDroneSpeedMPS, poa.Exact)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/auditor"
 	"repro/internal/geo"
-	"repro/internal/gps"
 	"repro/internal/operator"
 	"repro/internal/protocol"
 	"repro/internal/sigcrypto"
@@ -48,30 +47,21 @@ func run() error {
 	}
 	fmt.Println("zone registered:", zoneResp.ZoneID)
 
-	// 3. The drone is manufactured: the TEE keypair is generated inside
-	//    the secure hardware; the operator never sees the private half.
-	vault, err := tee.ManufactureVault(nil, sigcrypto.KeySize1024)
-	if err != nil {
-		return err
-	}
-	clock := tee.NewSimClock(start)
-	dev := tee.NewDevice(clock, vault)
-
 	// The flight plan: a 90-second run straight down the street at 10 m/s.
 	route, err := trace.ConstantSpeedLine(home, 90, 10, start, 90*time.Second)
 	if err != nil {
 		return err
 	}
-	rx, err := gps.NewReceiver(route, 5)
+
+	// 3. The drone is manufactured: the TEE keypair is generated inside
+	//    the secure hardware; the operator never sees the private half.
+	p, err := tee.NewPlatform(route, 5, sigcrypto.SuiteRSA1024, nil)
 	if err != nil {
-		return err
-	}
-	if _, err := tee.NewGPSSampler(dev, gps.NewDriver(rx), nil); err != nil {
 		return err
 	}
 
 	// 4. The Drone Operator registers the drone and queries for zones.
-	drone, err := operator.NewDrone(srv, srv.EncryptionPub(), dev, clock, sigcrypto.KeySize1024, nil)
+	drone, err := operator.NewDrone(srv, srv.EncryptionPub(), p.Device, p.Clock, sigcrypto.KeySize1024, nil)
 	if err != nil {
 		return err
 	}
@@ -88,7 +78,7 @@ func run() error {
 	fmt.Printf("zones in flight area: %d\n", len(zones))
 
 	// 5. Fly with adaptive sampling: the secure world signs each sample.
-	proof, err := drone.Fly(context.Background(), rx, zone.Circles(zones), route.End(), operator.FlightSpec{Mode: operator.ModeAdaptive})
+	proof, err := drone.Fly(context.Background(), p.Receiver, zone.Circles(zones), route.End(), operator.FlightSpec{Mode: operator.ModeAdaptive})
 	if err != nil {
 		return err
 	}

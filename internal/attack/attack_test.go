@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/auditor"
 	"repro/internal/geo"
-	"repro/internal/gps"
 	"repro/internal/operator"
 	"repro/internal/poa"
 	"repro/internal/protocol"
@@ -50,26 +49,16 @@ func newWorld(t *testing.T) *world {
 		t.Fatal(err)
 	}
 
-	vault, err := tee.ManufactureVault(rng, sigcrypto.KeySize1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := tee.NewSimClock(t0)
-	dev := tee.NewDevice(clock, vault)
-
 	route, err := trace.ConstantSpeedLine(urbana, 90, 10, t0, 2*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx, err := gps.NewReceiver(route, 5)
+	p, err := tee.NewPlatform(route, 5, sigcrypto.SuiteRSA1024, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tee.NewGPSSampler(dev, gps.NewDriver(rx), rng); err != nil {
-		t.Fatal(err)
-	}
 
-	d, err := operator.NewDrone(srv, srv.EncryptionPub(), dev, clock, sigcrypto.KeySize1024, rng)
+	d, err := operator.NewDrone(srv, srv.EncryptionPub(), p.Device, p.Clock, sigcrypto.KeySize1024, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +66,7 @@ func newWorld(t *testing.T) *world {
 		t.Fatal(err)
 	}
 
-	flight, err := d.Fly(context.Background(), rx, []geo.GeoCircle{z}, route.End(), operator.FlightSpec{Mode: operator.ModeAdaptive})
+	flight, err := d.Fly(context.Background(), p.Receiver, []geo.GeoCircle{z}, route.End(), operator.FlightSpec{Mode: operator.ModeAdaptive})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -26,27 +25,15 @@ var simStart = time.Date(2018, 6, 1, 15, 0, 0, 0, time.UTC)
 type stack struct {
 	env sampling.Env
 	dev *tee.Device
-	rx  *gps.Receiver
 }
 
-// newStack assembles receiver + TEE over the path. The key size only
+// newStack manufactures a platform over the path. The key size only
 // matters for real signature bytes; performance is modelled from counters,
 // so experiments always sign with 1024-bit keys to keep runs fast.
 func newStack(p gps.Path, rateHz float64, seed int64, opts ...gps.ReceiverOption) (*stack, error) {
-	rng := rand.New(rand.NewSource(seed))
-
-	rx, err := gps.NewReceiver(p, rateHz, opts...)
+	pl, err := tee.NewPlatform(p, rateHz, sigcrypto.SuiteRSA1024, rand.New(rand.NewSource(seed)), opts...)
 	if err != nil {
-		return nil, fmt.Errorf("receiver: %w", err)
+		return nil, err
 	}
-	vault, err := tee.ManufactureVault(rng, sigcrypto.KeySize1024)
-	if err != nil {
-		return nil, fmt.Errorf("vault: %w", err)
-	}
-	clock := tee.NewSimClock(p.Start())
-	dev := tee.NewDevice(clock, vault)
-	if _, err := tee.NewGPSSampler(dev, gps.NewDriver(rx), rng); err != nil {
-		return nil, fmt.Errorf("sampler ta: %w", err)
-	}
-	return &stack{env: sampling.NewTEEEnv(dev, clock, rx), dev: dev, rx: rx}, nil
+	return &stack{env: sampling.NewTEEEnv(pl.Device, pl.Clock, pl.Receiver), dev: pl.Device}, nil
 }

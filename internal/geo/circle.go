@@ -9,11 +9,6 @@ type Circle struct {
 	R      float64 `json:"r"` // radius in metres
 }
 
-// Contains reports whether p lies inside or on the circle.
-func (c Circle) Contains(p Point) bool {
-	return c.Center.Dist(p) <= c.R
-}
-
 // BoundaryDist returns the signed distance from p to the circle boundary:
 // positive outside, zero on the boundary, negative inside. This is the
 // quantity D_i = dist(S_i, center) - r used by the adaptive sampling

@@ -114,10 +114,13 @@ func (r Rect) Valid() bool {
 // Expand grows the rectangle by approximately marginMeters on every side.
 // The auditor uses this so that zones whose *boundary* reaches into the
 // queried navigation area are returned even when their centres fall outside.
+// The longitude margin is taken at the expanded box's poleward edge, where
+// a degree of longitude is shortest, so it covers marginMeters at every
+// latitude the box spans.
 func (r Rect) Expand(marginMeters float64) Rect {
 	dLat := marginMeters / EarthRadiusMeters * 180 / math.Pi
-	midLat := (r.MinLat + r.MaxLat) / 2 * math.Pi / 180
-	cos := math.Cos(midLat)
+	poleward := math.Min(90, math.Max(math.Abs(r.MinLat-dLat), math.Abs(r.MaxLat+dLat)))
+	cos := math.Cos(poleward * math.Pi / 180)
 	if cos < 1e-6 {
 		cos = 1e-6
 	}

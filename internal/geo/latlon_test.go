@@ -148,6 +148,29 @@ func TestRectExpand(t *testing.T) {
 	}
 }
 
+// TestRectExpandCoversThePolewardEdge pins that a tall box at high
+// latitude is widened enough on its poleward side: a disk centred at the
+// north edge's latitude, just under its radius east of the box, overlaps
+// the box, so the expanded box must contain its centre. Taking the cosine
+// at the box's mid-latitude (67.5°N here) under-expands and misses it.
+func TestRectExpandCoversThePolewardEdge(t *testing.T) {
+	r := NewRect(LatLon{Lat: 60, Lon: 10}, LatLon{Lat: 75, Lon: 11})
+	const radius = 1000.0
+	center := LatLon{Lat: 75, Lon: 11}.Offset(90, 0.95*radius)
+	if r.Contains(center) || HaversineMeters(center, LatLon{Lat: 75, Lon: 11}) >= radius {
+		t.Fatalf("fixture: centre %v must lie outside the box and within %v m of its north-east corner", center, radius)
+	}
+	if !r.Expand(radius).Contains(center) {
+		t.Errorf("Expand(%v) = %+v misses the centre %v of a zone overlapping the box", radius, r.Expand(radius), center)
+	}
+	// Mirrored in the southern hemisphere, the poleward edge is MinLat.
+	s := NewRect(LatLon{Lat: -75, Lon: 10}, LatLon{Lat: -60, Lon: 11})
+	south := LatLon{Lat: -75, Lon: 11}.Offset(90, 0.95*radius)
+	if !s.Expand(radius).Contains(south) {
+		t.Errorf("Expand(%v) = %+v misses the southern centre %v", radius, s.Expand(radius), south)
+	}
+}
+
 func TestRectExpandClamps(t *testing.T) {
 	r := NewRect(LatLon{Lat: 89.9, Lon: 179.9}, LatLon{Lat: 89.99, Lon: 179.99})
 	e := r.Expand(1e7)

@@ -22,9 +22,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Norm returns the Euclidean norm of p.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Projection maps WGS-84 coordinates onto a local tangent plane using the
 // equirectangular approximation around an origin. At the county scale of the
 // paper's field studies (a few miles) the approximation error is far below

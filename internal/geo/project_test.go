@@ -64,9 +64,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := a.Scale(2); got != (Point{X: 6, Y: 8}) {
 		t.Errorf("Scale = %+v", got)
 	}
-	if got := a.Norm(); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Norm = %v, want 5", got)
-	}
 	if got := a.Dist(b); !almostEqual(got, 2.8284271247461903, 1e-12) {
 		t.Errorf("Dist = %v", got)
 	}
@@ -108,7 +105,7 @@ func TestCircleBoundaryDist(t *testing.T) {
 	if d := c.BoundaryDist(Point{X: 4, Y: 0}); !almostEqual(d, -6, 1e-12) {
 		t.Errorf("inside dist = %v, want -6", d)
 	}
-	if !c.Contains(Point{X: 10, Y: 0}) {
-		t.Error("boundary point should be contained")
+	if d := c.BoundaryDist(Point{X: 10, Y: 0}); !almostEqual(d, 0, 1e-12) {
+		t.Errorf("boundary dist = %v, want 0", d)
 	}
 }

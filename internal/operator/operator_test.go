@@ -43,7 +43,7 @@ func newSeededStack(t *testing.T, api protocol.API, srv *auditor.Server, seed in
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
-	vault, err := tee.ManufactureVault(rng, sigcrypto.KeySize1024)
+	vault, err := tee.ManufactureSuiteVault(rng, sigcrypto.SuiteRSA1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,22 +19,11 @@ var t0 = time.Date(2018, 6, 1, 15, 0, 0, 0, time.UTC)
 // buildEnv assembles the full stack over the given path and receiver rate.
 func buildEnv(t testing.TB, p gps.Path, rateHz float64, opts ...gps.ReceiverOption) (Env, *tee.Device) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(77))
-
-	rx, err := gps.NewReceiver(p, rateHz, opts...)
+	pl, err := tee.NewPlatform(p, rateHz, sigcrypto.SuiteRSA1024, rand.New(rand.NewSource(77)), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vault, err := tee.ManufactureVault(rng, sigcrypto.KeySize1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := tee.NewSimClock(p.Start())
-	dev := tee.NewDevice(clock, vault)
-	if _, err := tee.NewGPSSampler(dev, gps.NewDriver(rx), rng); err != nil {
-		t.Fatal(err)
-	}
-	return NewTEEEnv(dev, clock, rx), dev
+	return NewTEEEnv(pl.Device, pl.Clock, pl.Receiver), pl.Device
 }
 
 func straightRoute(t testing.TB, speedMS float64, dur time.Duration) *trace.Route {

@@ -79,8 +79,7 @@ var (
 const sessionKeyBytes = 32
 
 // GPSSource is what the sampler TA reads from: the secure-world GPS
-// driver, optionally wrapped by the §VII-A2 spoofing guard that refuses to
-// serve implausible fixes.
+// driver, or a source that switches drivers between flights.
 type GPSSource interface {
 	GetGPS(now time.Time) (gps.Fix, error)
 }

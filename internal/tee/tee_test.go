@@ -29,7 +29,7 @@ func testStack(t *testing.T) (*Device, *GPSSamplerTA, *SimClock, *gps.Receiver) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	vault, err := ManufactureVault(rng, sigcrypto.KeySize1024)
+	vault, err := ManufactureSuiteVault(rng, sigcrypto.SuiteRSA1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,25 +26,9 @@ type KeyVault struct {
 	epoch   int
 }
 
-// ManufactureVault generates an RSA TEE keypair of the given modulus size,
-// as done by the hardware manufacturer before the device is merchandised
-// (paper §IV-B step 0).
-func ManufactureVault(random io.Reader, bits int) (*KeyVault, error) {
-	key, err := sigcrypto.GenerateKeyPair(random, bits)
-	if err != nil {
-		return nil, fmt.Errorf("manufacture vault: %w", err)
-	}
-	suite, err := sigcrypto.SuiteByID(sigcrypto.RSASuiteID(bits))
-	if err != nil {
-		// Non-standard modulus sizes have no registered suite; the vault
-		// still works, it just cannot rotate into one.
-		suite = nil
-	}
-	return &KeyVault{random: random, suite: suite, signKey: sigcrypto.WrapRSAPrivate(key)}, nil
-}
-
 // ManufactureSuiteVault generates a TEE keypair under a named signature
-// suite ("rsa2048", "ed25519", ...).
+// suite ("rsa1024", "rsa2048", "ed25519", ...), as done by the hardware
+// manufacturer before the device is merchandised (paper §IV-B step 0).
 func ManufactureSuiteVault(random io.Reader, suiteID string) (*KeyVault, error) {
 	suite, err := sigcrypto.SuiteByID(suiteID)
 	if err != nil {
@@ -100,9 +84,6 @@ func (v *KeyVault) sign(msg []byte) ([]byte, int, error) {
 func (v *KeyVault) rotate(droneID string, now time.Time) (sigcrypto.Handover, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.suite == nil {
-		return sigcrypto.Handover{}, fmt.Errorf("vault rotate: %w for this key", sigcrypto.ErrUnknownSuite)
-	}
 	next, err := v.suite.GenerateKey(v.random)
 	if err != nil {
 		return sigcrypto.Handover{}, fmt.Errorf("vault rotate: %w", err)

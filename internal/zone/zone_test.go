@@ -194,6 +194,24 @@ func TestQueryRect(t *testing.T) {
 	}
 }
 
+// TestQueryRectHighLatitude: a zone whose disk reaches into a tall box at
+// high latitude across the box's east side near its north edge is
+// returned, by the grid index and the linear scan alike.
+func TestQueryRectHighLatitude(t *testing.T) {
+	r := NewRegistry()
+	corner := geo.LatLon{Lat: 75, Lon: 11}
+	id, err := r.Register("north", geo.GeoCircle{Center: corner.Offset(90, 950), R: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rect := geo.NewRect(geo.LatLon{Lat: 60, Lon: 10}, corner)
+	for name, got := range map[string][]NFZ{"QueryRect": r.QueryRect(rect), "QueryRectLinear": r.QueryRectLinear(rect)} {
+		if len(got) != 1 || got[0].ID != id {
+			t.Errorf("%s = %v, want [%s]", name, got, id)
+		}
+	}
+}
+
 func TestNearestLinear(t *testing.T) {
 	zs := []geo.GeoCircle{
 		{Center: urbana.Offset(0, 1000), R: 10},

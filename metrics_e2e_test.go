@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/auditor"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/operator"
 	"repro/internal/protocol"
@@ -53,7 +52,7 @@ func TestMissionReplayPopulatesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	platform, err := core.NewPlatform(core.PlatformConfig{Path: sc.Route, GPSRateHz: 1})
+	platform, err := tee.NewPlatform(sc.Route, 1, sigcrypto.SuiteRSA1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func TestMissionReplayPopulatesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drone, err := operator.NewDrone(api, auditorPub, platform.Device(), platform.Clock(),
+	drone, err := operator.NewDrone(api, auditorPub, platform.Device, platform.Clock,
 		sigcrypto.KeySize1024, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +73,7 @@ func TestMissionReplayPopulatesMetrics(t *testing.T) {
 	if err := drone.Register(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := drone.RunMission(platform.Receiver(), sc.Route, operator.MissionConfig{FlightSpec: operator.FlightSpec{Mode: operator.ModeAdaptive}})
+	rep, err := drone.RunMission(platform.Receiver, sc.Route, operator.MissionConfig{FlightSpec: operator.FlightSpec{Mode: operator.ModeAdaptive}})
 	if err != nil {
 		t.Fatal(err)
 	}

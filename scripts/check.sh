@@ -138,6 +138,17 @@ if ! awk -v c="${COVER}" 'BEGIN { exit !(c != "" && c + 0 >= 60) }'; then
 	exit 1
 fi
 
+# The drone command parses its flags into one options struct and flies
+# every sampling mode over HTTP and the wire door in its tests; the floor
+# keeps that path and the flag rules (-dump-traces implies -trace-sample
+# 1; an unknown -mode, -disclosure or -suite is refused) tested.
+echo ">> coverage floor: cmd/alidrone-drone >= 75%"
+COVER="$(go test -count=1 -cover ./cmd/alidrone-drone | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')"
+if ! awk -v c="${COVER}" 'BEGIN { exit !(c != "" && c + 0 >= 75) }'; then
+	echo "coverage floor failed: cmd/alidrone-drone at ${COVER:-unknown}% (want >= 75%)" >&2
+	exit 1
+fi
+
 # The protocol package is the one vocabulary drone, door and forwarder
 # share: envelope and ack round trips keep every door's encoding pinned.
 echo ">> coverage floor: internal/protocol >= 80%"

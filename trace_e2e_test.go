@@ -16,13 +16,13 @@ import (
 	"testing"
 
 	"repro/internal/auditor"
-	"repro/internal/core"
 	"repro/internal/obs"
 	otrace "repro/internal/obs/trace"
 	"repro/internal/operator"
 	"repro/internal/protocol"
 	"repro/internal/sigcrypto"
 	"repro/internal/storage"
+	"repro/internal/tee"
 	"repro/internal/trace"
 )
 
@@ -110,7 +110,7 @@ func TestMissionReplayProducesContiguousTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	platform, err := core.NewPlatform(core.PlatformConfig{Path: sc.Route, GPSRateHz: 1})
+	platform, err := tee.NewPlatform(sc.Route, 1, sigcrypto.SuiteRSA1024, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMissionReplayProducesContiguousTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drone, err := operator.NewDrone(api, auditorPub, platform.Device(), platform.Clock(),
+	drone, err := operator.NewDrone(api, auditorPub, platform.Device, platform.Clock,
 		sigcrypto.KeySize1024, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestMissionReplayProducesContiguousTrace(t *testing.T) {
 	if err := drone.Register(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := drone.RunMission(platform.Receiver(), sc.Route, operator.MissionConfig{FlightSpec: operator.FlightSpec{Mode: operator.ModeAdaptive}})
+	rep, err := drone.RunMission(platform.Receiver, sc.Route, operator.MissionConfig{FlightSpec: operator.FlightSpec{Mode: operator.ModeAdaptive}})
 	if err != nil {
 		t.Fatal(err)
 	}

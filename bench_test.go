@@ -480,6 +480,45 @@ func BenchmarkResidentialFlightAdaptive(b *testing.B) { benchSamplerRun(b, 0) }
 // BenchmarkResidentialFlightFixed5Hz runs the 5 Hz baseline flight.
 func BenchmarkResidentialFlightFixed5Hz(b *testing.B) { benchSamplerRun(b, 5) }
 
+// BenchmarkResidentialFlightCommit flies the residential drive in commit
+// mode through Drone.Fly on an Ed25519 TEE: the held-read sampler buffers
+// in the secure world, and CmdCommitTrace signs every sample, seals the
+// trace, builds the clearance predicates and signs the envelope. The
+// platform and the drone's registration are built before the timer starts;
+// each iteration is one flight with no registry attached.
+func BenchmarkResidentialFlightCommit(b *testing.B) {
+	sc, err := trace.NewResidentialScenario(trace.DefaultResidentialConfig(benchStart))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := auditor.NewServer(auditor.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := tee.NewPlatform(sc.Route, 5, sigcrypto.SuiteEd25519, rand.New(rand.NewSource(4)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := operator.NewDrone(srv, srv.EncryptionPub(), p.Device, p.Clock, sigcrypto.KeySize1024, rand.New(rand.NewSource(5)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := d.SetDisclosure(operator.ModeCommit.Disclosure()); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Register(); err != nil {
+		b.Fatal(err)
+	}
+	spec := operator.FlightSpec{Mode: operator.ModeCommit}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Fly(context.Background(), p.Receiver, sc.Zones, sc.Route.End(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- NMEA micro-benchmarks -------------------------------------------------
 
 // BenchmarkNMEAParseRMC measures the driver's per-update parse cost.

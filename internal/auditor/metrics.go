@@ -1,11 +1,14 @@
 package auditor
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/obs"
 	otrace "repro/internal/obs/trace"
+	"repro/internal/poa"
 	"repro/internal/protocol"
+	"repro/internal/sigcrypto"
 )
 
 // Operational endpoints served next to the protocol API.
@@ -169,6 +172,24 @@ func (s *Server) Metrics() *obs.Registry { return s.cfg.Metrics }
 // Tracer returns the server's tracer (nil when tracing is disabled).
 func (s *Server) Tracer() *otrace.Tracer { return s.cfg.Tracer }
 
+// serverSeries is the per-call labelled series, resolved in NewServer over
+// every label value the server issues.
+type serverSeries struct {
+	verdicts, disclosures, accusations obs.Series[*obs.Counter]
+	sigVerify                          obs.Series[*obs.Histogram]
+}
+
+func newServerSeries(reg *obs.Registry) serverSeries {
+	verdicts := []string{string(protocol.VerdictCompliant), string(protocol.VerdictViolation),
+		string(protocol.VerdictRetained), string(protocol.VerdictDisclosureRequired)}
+	return serverSeries{
+		verdicts:    reg.CounterSeries(MetricSubmissionsTotal, "verdict", verdicts...),
+		disclosures: reg.CounterSeries(MetricDisclosureTotal, "mode", poa.DisclosureFull, poa.DisclosureSealed, poa.DisclosureCommit),
+		accusations: reg.CounterSeries(MetricAccusationsTotal, "outcome", slices.Concat(verdicts, []string{"bad_reveal", "no_poa"})...),
+		sigVerify:   reg.HistogramSeries(MetricSigVerifySeconds, "suite", obs.DurationBuckets, slices.Concat(sigcrypto.Suites(), []string{"unknown"})...),
+	}
+}
+
 // countVerdict records the final verdict of one PoA submission. Retained
 // (sealed-mode) and disclosure-required responses count under their own
 // verdict labels rather than folding into "violation": neither concludes
@@ -178,18 +199,14 @@ func (s *Server) countVerdict(resp protocol.SubmitPoAResponse) {
 	if verdict == "" {
 		verdict = "violation"
 	}
-	s.cfg.Metrics.Counter(obs.L(MetricSubmissionsTotal, "verdict", verdict)).Inc()
+	s.series.verdicts.With(verdict).Inc()
 }
 
 // countDisclosure records one accepted submission's disclosure mode.
-func (s *Server) countDisclosure(mode string) {
-	s.cfg.Metrics.Counter(obs.L(MetricDisclosureTotal, "mode", mode)).Inc()
-}
+func (s *Server) countDisclosure(mode string) { s.series.disclosures.With(mode).Inc() }
 
 // countAccusation records one settled accusation outcome.
-func (s *Server) countAccusation(outcome string) {
-	s.cfg.Metrics.Counter(obs.L(MetricAccusationsTotal, "outcome", outcome)).Inc()
-}
+func (s *Server) countAccusation(outcome string) { s.series.accusations.With(outcome).Inc() }
 
 // verdictObs holds the pre-resolved verdict-latency sinks: histograms
 // are looked up once at construction, not per verdict, so the hot path

@@ -123,6 +123,27 @@ type Submission struct {
 type Stage struct {
 	Name string
 	Run  func(ctx context.Context, sub *Submission) error
+	m    *stageMetrics // resolved by Runner.Stage; a literal Stage resolves per run
+}
+
+type stageMetrics struct {
+	seconds    *obs.Histogram
+	pass, fail *obs.Counter
+}
+
+// Stage builds a stage whose series are resolved now against the runner's
+// registry, so running it renders no name.
+func (r *Runner) Stage(name string, run func(ctx context.Context, sub *Submission) error) Stage {
+	return Stage{Name: name, Run: run, m: r.stageMetrics(name)}
+}
+
+func (r *Runner) stageMetrics(name string) *stageMetrics {
+	reg := r.Metrics
+	return &stageMetrics{
+		seconds: reg.ResolveHistogram(obs.L(r.MetricStageSeconds, "stage", name), obs.DurationBuckets),
+		pass:    reg.ResolveCounter(obs.L(r.MetricStageTotal, "result", "pass", "stage", name)),
+		fail:    reg.ResolveCounter(obs.L(r.MetricStageTotal, "result", "fail", "stage", name)),
+	}
 }
 
 // Runner executes stage sequences under uniform instrumentation: each
@@ -178,16 +199,20 @@ func (r *Runner) runStage(ctx context.Context, st Stage, sub *Submission) error 
 	if reg == nil && r.Tracer == nil {
 		return st.Run(ctx, sub)
 	}
+	m := st.m
+	if m == nil {
+		m = r.stageMetrics(st.Name)
+	}
 	tctx, tsp := r.Tracer.StartSpan(ctx, "verify."+st.Name)
-	sp := reg.StartSpan(reg.Histogram(obs.L(r.MetricStageSeconds, "stage", st.Name), obs.DurationBuckets))
+	sp := reg.StartSpan(m.seconds)
 	err := st.Run(tctx, sub)
 	sp.End()
 	tsp.SetError(err)
 	tsp.End()
-	result := "pass"
-	if err != nil {
-		result = "fail"
+	if err == nil {
+		m.pass.Inc()
+	} else {
+		m.fail.Inc()
 	}
-	reg.Counter(obs.L(r.MetricStageTotal, "result", result, "stage", st.Name)).Inc()
 	return err
 }

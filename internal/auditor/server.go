@@ -228,8 +228,10 @@ type Server struct {
 	wireConns atomic.Int64
 
 	// verdict holds the pre-resolved verdict-latency sinks (nil when
-	// neither Metrics nor SLO is configured).
+	// neither Metrics nor SLO is configured), series the other labelled
+	// per-call series.
 	verdict *verdictObs
+	series  serverSeries
 }
 
 // NewServer creates an AliDrone Server with the given configuration.
@@ -286,6 +288,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.pool.OnBusy = func(delta int) { busy.Add(float64(delta)) }
 	}
 	s.sigBatcher = &pipeline.VerifyBatcher{Pool: s.pool}
+	s.series = newServerSeries(cfg.Metrics)
 	s.buildPipeline()
 	s.verdict = newVerdictObs(cfg)
 	s.admission = pipeline.NewAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.RetryAfter)

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/auditor/pipeline"
 	"repro/internal/geo"
-	"repro/internal/obs"
 	"repro/internal/poa"
 	"repro/internal/privacy"
 	"repro/internal/protocol"
@@ -53,16 +52,13 @@ type door struct {
 // as stage="signature".
 func (s *Server) buildPipeline() {
 	type stages = []pipeline.Stage
-	st := func(name string, run func(context.Context, *pipeline.Submission) error) pipeline.Stage {
-		return pipeline.Stage{Name: name, Run: run}
-	}
-
 	s.runner = &pipeline.Runner{
 		Metrics:            s.cfg.Metrics,
 		Tracer:             s.cfg.Tracer,
 		MetricStageSeconds: MetricVerifyStageSeconds,
 		MetricStageTotal:   MetricVerifyStageTotal,
 	}
+	st := s.runner.Stage
 
 	var (
 		decrypt     = st(StageDecrypt, s.stageDecrypt)
@@ -254,8 +250,7 @@ func (s *Server) timedSigVerify(suite string, fn func() (int, error)) (int, erro
 	if suite == "" {
 		suite = "unknown"
 	}
-	reg := s.cfg.Metrics
-	sp := reg.StartSpan(reg.Histogram(obs.L(MetricSigVerifySeconds, "suite", suite), obs.DurationBuckets))
+	sp := s.cfg.Metrics.StartSpan(s.series.sigVerify.With(suite))
 	idx, err := fn()
 	sp.End()
 	return idx, err

@@ -36,7 +36,10 @@ var (
 )
 
 // Counter is a monotonically increasing metric.
-type Counter struct{ v atomic.Uint64 }
+type Counter struct {
+	v       atomic.Uint64
+	pending atomic.Bool // ResolveCounter: unpublished while zero
+}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -92,11 +95,12 @@ func (g *Gauge) Value() float64 {
 
 // Histogram counts observations into fixed cumulative buckets.
 type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // ascending upper bounds; +Inf bucket is implicit
-	counts []uint64  // len(bounds)+1
-	sum    float64
-	count  uint64
+	pending atomic.Bool // ResolveHistogram: unpublished while empty
+	mu      sync.Mutex
+	bounds  []float64 // ascending upper bounds; +Inf bucket is implicit
+	counts  []uint64  // len(bounds)+1
+	sum     float64
+	count   uint64
 }
 
 // Observe records one value.
@@ -199,23 +203,23 @@ func (r *Registry) Clock() Clock {
 
 // Counter returns the counter registered under name (with labels already
 // rendered via L), creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+func (r *Registry) Counter(name string) *Counter { return r.counter(name, false) }
+
+// ResolveCounter is Counter for a component that resolves its series once,
+// where it is built: a series it creates stays out of the exposition until
+// its first update, so resolving every series a component might touch
+// publishes only the ones it touches.
+func (r *Registry) ResolveCounter(name string) *Counter { return r.counter(name, true) }
+
+func (r *Registry) counter(name string, pending bool) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
+	return lookup(r, r.counters, name, func() *Counter {
+		c := &Counter{}
+		c.pending.Store(pending)
 		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	})
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
@@ -223,43 +227,49 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the histogram registered under name, creating it with
 // the given bucket bounds on first use. The first registration fixes the
 // layout; later calls return the existing histogram regardless of buckets.
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
+	return r.histogram(name, buckets, false)
+}
+
+// ResolveHistogram is ResolveCounter for histograms.
+func (r *Registry) ResolveHistogram(name string, buckets []float64) *Histogram {
+	return r.histogram(name, buckets, true)
+}
+
+func (r *Registry) histogram(name string, buckets []float64, pending bool) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
+	return lookup(r, r.hists, name, func() *Histogram {
+		bounds := append([]float64(nil), buckets...)
+		sort.Float64s(bounds)
+		h := &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+		h.pending.Store(pending)
 		return h
+	})
+}
+
+// lookup returns m[name], storing newMetric() there on first use.
+func lookup[M any](r *Registry, m map[string]*M, name string, newMetric func() *M) *M {
+	r.mu.RLock()
+	v := m[name]
+	r.mu.RUnlock()
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		bounds := append([]float64(nil), buckets...)
-		sort.Float64s(bounds)
-		h = &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-		r.hists[name] = h
+	if v = m[name]; v == nil {
+		v = newMetric()
+		m[name] = v
 	}
-	return h
+	return v
 }
 
 // Span is an in-flight timed section. End observes the elapsed time into
@@ -290,6 +300,43 @@ func (s Span) End() time.Duration {
 	return d
 }
 
+// Series is a family's series keyed by one label's value, resolved once
+// where a component is built, so an update costs a map lookup, not a
+// rendered name. A value outside the resolved set is resolved on its call;
+// a nil registry's Series hands out nil metrics, which record nothing.
+type Series[M any] struct {
+	byValue map[string]M
+	resolve func(string) M
+}
+
+// With returns the series labelled value.
+func (s Series[M]) With(value string) M {
+	if m, ok := s.byValue[value]; ok || s.resolve == nil {
+		return m
+	}
+	return s.resolve(value)
+}
+
+// CounterSeries resolves (ResolveCounter) name{key="v"} for each v in values.
+func (r *Registry) CounterSeries(name, key string, values ...string) Series[*Counter] {
+	return newSeries(r, values, func(v string) *Counter { return r.ResolveCounter(L(name, key, v)) })
+}
+
+// HistogramSeries is CounterSeries for histograms.
+func (r *Registry) HistogramSeries(name, key string, buckets []float64, values ...string) Series[*Histogram] {
+	return newSeries(r, values, func(v string) *Histogram { return r.ResolveHistogram(L(name, key, v), buckets) })
+}
+
+func newSeries[M any](r *Registry, values []string, resolve func(string) M) (s Series[M]) {
+	if r != nil {
+		s = Series[M]{byValue: make(map[string]M, len(values)), resolve: resolve}
+		for _, v := range values {
+			s.byValue[v] = resolve(v)
+		}
+	}
+	return s
+}
+
 // L renders a metric name with label pairs in the Prometheus text
 // convention, sorting labels by key for determinism:
 //
@@ -299,34 +346,47 @@ func L(name string, kv ...string) string {
 		return name
 	}
 	if len(kv)%2 != 0 {
-		kv = append(kv, "")
+		kv = append(kv[:len(kv):len(kv)], "")
 	}
-	type pair struct{ k, v string }
-	pairs := make([]pair, 0, len(kv)/2)
+	n, sorted := len(name)+2, true
 	for i := 0; i < len(kv); i += 2 {
-		pairs = append(pairs, pair{kv[i], kv[i+1]})
+		n += len(kv[i]) + len(kv[i+1]) + 4
+		sorted = sorted && (i == 0 || kv[i-2] <= kv[i])
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+	if !sorted { // metricslint keeps call sites sorted; order a copy
+		kv = append([]string(nil), kv...)
+		for i := 2; i < len(kv); i += 2 {
+			for j := i; j > 0 && kv[j] < kv[j-2]; j -= 2 {
+				kv[j-2], kv[j-1], kv[j], kv[j+1] = kv[j], kv[j+1], kv[j-2], kv[j-1]
+			}
+		}
+	}
 	var b strings.Builder
+	b.Grow(n) // the whole name unless a value needs escaping
 	b.WriteString(name)
 	b.WriteByte('{')
-	for i, p := range pairs {
+	for i := 0; i < len(kv); i += 2 {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(p.k)
+		b.WriteString(kv[i])
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(p.v))
+		b.WriteString(escapeLabel(kv[i+1]))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabel escapes a label value per the exposition format.
+// labelEscaper escapes a label value per the exposition format; a Replacer
+// is safe for concurrent use, so one serves every call.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	if !strings.ContainsAny(v, "\\\"\n") {
+		return v
+	}
+	return labelEscaper.Replace(v)
 }
 
 // splitSeries separates a rendered series name into its family (the bare
@@ -362,7 +422,11 @@ func (r *Registry) WriteText(w io.Writer) error {
 	var all []series
 
 	r.mu.RLock()
+	// A resolved series (ResolveCounter) is published by its first update.
 	for name, c := range r.counters {
+		if c.pending.Load() && c.Value() == 0 {
+			continue
+		}
 		fam, _ := splitSeries(name)
 		families[fam] = "counter"
 		v := c.Value()
@@ -383,6 +447,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}})
 	}
 	for name, h := range r.hists {
+		if h.pending.Load() && h.Count() == 0 {
+			continue
+		}
 		fam, labels := splitSeries(name)
 		families[fam] = "histogram"
 		bounds, cum := h.Snapshot()

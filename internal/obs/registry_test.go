@@ -158,6 +158,73 @@ func TestLabelRendering(t *testing.T) {
 	}
 }
 
+// TestEscapeLabel: the shared escaper renders exactly what a fresh
+// Replacer per call did, and L on plain values allocates only its result.
+func TestEscapeLabel(t *testing.T) {
+	fresh := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	for _, v := range []string{"", "plain", `back\slash`, `a"quote`, "new\nline", "\\\"\n\"\\", `\n`} {
+		if got, want := escapeLabel(v), fresh.Replace(v); got != want {
+			t.Errorf("escapeLabel(%q) = %q, want %q", v, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = L("x_total", "path", "/v1/submit-poa") }); n != 1 {
+		t.Errorf("L with one plain label: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = L("x_total", "result", "pass", "stage", "speed") }); n != 1 {
+		t.Errorf("L with two plain labels: %v allocs, want 1", n)
+	}
+}
+
+// TestResolvedSeriesPublishOnUse: a series resolved ahead of use stays
+// out of the exposition until its first update, and a Series resolves a
+// value outside its set on the call.
+func TestResolvedSeriesPublishOnUse(t *testing.T) {
+	r := NewRegistry(NewFakeClock(time.Unix(0, 0)))
+	text := func() string {
+		var b strings.Builder
+		if err := r.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	used := r.CounterSeries("ops_total", "op", "sign", "seal")
+	lat := r.HistogramSeries("op_seconds", "op", []float64{1}, "sign", "seal")
+	untouched := r.ResolveCounter("untouched_total")
+	if got := text(); got != "" {
+		t.Fatalf("resolved series published before use:\n%s", got)
+	}
+	used.With("sign").Inc()
+	lat.With("sign").Observe(0.5)
+	used.With("other").Inc() // outside the resolved set
+	want := `# TYPE op_seconds histogram
+op_seconds_bucket{op="sign",le="1"} 1
+op_seconds_bucket{op="sign",le="+Inf"} 1
+op_seconds_sum{op="sign"} 0.5
+op_seconds_count{op="sign"} 1
+# TYPE ops_total counter
+ops_total{op="other"} 1
+ops_total{op="sign"} 1
+`
+	if got := text(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	if untouched.Value() != 0 || used.With("seal").Value() != 0 {
+		t.Error("untouched series moved")
+	}
+
+	if n := testing.AllocsPerRun(100, func() { r.Counter("untouched_total").Inc(); r.Histogram("op_seconds", nil).Observe(1) }); n != 0 {
+		t.Errorf("looking up existing series: %v allocs, want 0", n)
+	}
+
+	var none *Registry
+	if c := none.CounterSeries("ops_total", "op", "sign").With("sign"); c != nil {
+		t.Errorf("nil registry handed out %v", c)
+	}
+	if n := testing.AllocsPerRun(100, func() { none.CounterSeries("ops_total", "op").With("x").Inc() }); n != 0 {
+		t.Errorf("nil-registry series: %v allocs, want 0", n)
+	}
+}
+
 // TestWriteTextGolden pins the exposition format byte for byte.
 func TestWriteTextGolden(t *testing.T) {
 	r := NewRegistry(NewFakeClock(time.Unix(0, 0)))

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -94,20 +93,16 @@ func sealPositions(d *Drone, p *Proof, _ []geo.GeoCircle) error {
 // Merkle-root envelope with the zone clearance predicates. Only the
 // envelope ever leaves the drone at submission time.
 func commitTrace(d *Drone, p *Proof, zones []geo.GeoCircle) error {
-	reqBytes, err := json.Marshal(tee.CommitTraceRequest{Zones: zones, VMaxMS: geo.MaxDroneSpeedMPS})
-	if err != nil {
-		return err
-	}
-	raw, err := d.dev.Invoke(tee.GPSSamplerUUID, tee.CmdCommitTrace, reqBytes)
+	raw, err := d.dev.Invoke(tee.GPSSamplerUUID, tee.CmdCommitTrace, tee.EncodeCommitTraceRequest(zones, geo.MaxDroneSpeedMPS))
 	if err != nil {
 		return fmt.Errorf("tee commit trace: %w", err)
 	}
-	var res tee.CommitTraceResult
-	if err := json.Unmarshal(raw, &res); err != nil {
+	env, sealed, keys, err := tee.DecodeCommitTraceResult(raw)
+	if err != nil {
 		return fmt.Errorf("decode commit result: %w", err)
 	}
-	p.Commit = res.Envelope
-	d.secrets = &DisclosureSecrets{Mode: poa.DisclosureCommit, Sealed: res.Sealed, Keys: res.Keys}
+	p.Commit = env
+	d.secrets = &DisclosureSecrets{Mode: poa.DisclosureCommit, Sealed: sealed, Keys: keys}
 	return nil
 }
 

@@ -61,6 +61,7 @@ type HTTPAuditor struct {
 	hc      *http.Client
 	retry   RetryPolicy
 	metrics *obs.Registry
+	met     clientMetrics
 	tracer  *otrace.Tracer
 	ctx     context.Context // bound call context (nil = Background)
 	sleep   func(time.Duration)
@@ -84,8 +85,32 @@ func NewHTTPAuditor(baseURL string, client *http.Client) *HTTPAuditor {
 // requests.
 func (c *HTTPAuditor) SetRetryPolicy(p RetryPolicy) { c.retry = p }
 
+// clientPaths is every path the client calls, the set SetMetrics resolves
+// the per-path series over.
+var clientPaths = []string{
+	protocol.PathRegisterDrone, protocol.PathRegisterZone, protocol.PathZoneQuery, protocol.PathSubmitPoA,
+	protocol.PathRotateKey, protocol.PathSubmitBatchPoA, protocol.PathStartSession, protocol.PathSubmitMACPoA,
+	protocol.PathSubmitSealedPoA, protocol.PathSubmitCommitPoA, protocol.PathReveal, protocol.PathStreamOpen,
+	protocol.PathStreamSample, protocol.PathStreamClose, protocol.PathAccuse, protocol.PathPublicZones,
+	protocol.PathAuditorPub,
+}
+
+type clientMetrics struct {
+	requests, retries, attempts, exhausted obs.Series[*obs.Counter]
+	latency                                obs.Series[*obs.Histogram]
+}
+
 // SetMetrics attaches a metrics registry (nil disables, the default).
-func (c *HTTPAuditor) SetMetrics(reg *obs.Registry) { c.metrics = reg }
+func (c *HTTPAuditor) SetMetrics(reg *obs.Registry) {
+	c.metrics = reg
+	c.met = clientMetrics{
+		requests:  reg.CounterSeries(MetricClientRequestsTotal, "path", clientPaths...),
+		retries:   reg.CounterSeries(MetricClientRetriesTotal, "path", clientPaths...),
+		attempts:  reg.CounterSeries(MetricRetryAttemptsTotal, "path", clientPaths...),
+		exhausted: reg.CounterSeries(MetricRetryExhaustedTotal, "path", clientPaths...),
+		latency:   reg.HistogramSeries(MetricClientRequestSeconds, "path", obs.DurationBuckets, clientPaths...),
+	}
+}
 
 // SetTracer attaches a tracer: every call then runs under an
 // "http.client <path>" span and the request carries the traceparent
@@ -164,11 +189,10 @@ func (c *HTTPAuditor) sleepCtx(ctx context.Context, d time.Duration) error {
 // policy. fn must be repeatable (bodies are byte slices re-wrapped per
 // attempt) and must issue its request under the given context.
 func (c *HTTPAuditor) do(path string, fn func(ctx context.Context) (*http.Response, error)) (*http.Response, error) {
-	reg := c.metrics
-	reg.Counter(obs.L(MetricClientRequestsTotal, "path", path)).Inc()
+	c.met.requests.With(path).Inc()
 	ctx, tsp := c.tracer.StartSpan(c.callCtx(), "http.client "+path)
 	defer tsp.End()
-	sp := reg.StartSpan(reg.Histogram(obs.L(MetricClientRequestSeconds, "path", path), obs.DurationBuckets))
+	sp := c.metrics.StartSpan(c.met.latency.With(path))
 	defer sp.End()
 
 	backoff := c.retry.Backoff
@@ -182,7 +206,7 @@ func (c *HTTPAuditor) do(path string, fn func(ctx context.Context) (*http.Respon
 		}
 		if attempt >= c.retry.Max {
 			if c.retry.Max > 0 {
-				reg.Counter(obs.L(MetricRetryExhaustedTotal, "path", path)).Inc()
+				c.met.exhausted.With(path).Inc()
 				tsp.Event("retries exhausted")
 			}
 			tsp.SetError(err)
@@ -197,8 +221,8 @@ func (c *HTTPAuditor) do(path string, fn func(ctx context.Context) (*http.Respon
 			// response would pay a fresh TCP (and TLS) handshake.
 			drainClose(httpResp.Body)
 		}
-		reg.Counter(obs.L(MetricClientRetriesTotal, "path", path)).Inc()
-		reg.Counter(obs.L(MetricRetryAttemptsTotal, "path", path)).Inc()
+		c.met.retries.With(path).Inc()
+		c.met.attempts.With(path).Inc()
 		tsp.Event("retry")
 		// A shed response's Retry-After hint overrides shorter local
 		// backoff: the server knows how loaded it is better than the

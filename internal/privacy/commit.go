@@ -21,7 +21,7 @@ import (
 
 var (
 	// ErrBadEnvelopeEncoding is returned when decoding a corrupted commit
-	// envelope.
+	// envelope or sealed-entry leaf.
 	ErrBadEnvelopeEncoding = errors.New("privacy: bad commit envelope encoding")
 )
 
@@ -213,6 +213,35 @@ func (s SealedSample) LeafBytes() []byte {
 	return append(b, s.Sig...)
 }
 
+// DecodeLeaf reverses LeafBytes, rejecting a wrong tag, truncated fields
+// and trailing bytes, so an accepted leaf re-encodes to itself. The
+// entry's byte fields alias b.
+func DecodeLeaf(b []byte) (SealedSample, error) {
+	bad := func(what string) (SealedSample, error) {
+		return SealedSample{}, fmt.Errorf("%w: leaf %s", ErrBadEnvelopeEncoding, what)
+	}
+	if len(b) < 4+8+2 || string(b[:4]) != leafDomainTag {
+		return bad("header")
+	}
+	s := SealedSample{Time: time.UnixMilli(int64(binary.BigEndian.Uint64(b[4:12]))).UTC()}
+	b = b[12:]
+	n := int(binary.BigEndian.Uint16(b))
+	if len(b) < 2+n+4 {
+		return bad("nonce")
+	}
+	s.Nonce, b = b[2:2+n:2+n], b[2+n:]
+	n = int(binary.BigEndian.Uint32(b))
+	if len(b)-4-2 < n {
+		return bad("ciphertext")
+	}
+	s.Ciphertext, b = b[4:4+n:4+n], b[4+n:]
+	if n = int(binary.BigEndian.Uint16(b)); len(b) != 2+n {
+		return bad("signature")
+	}
+	s.Sig = b[2:]
+	return s, nil
+}
+
 // MerkleTree builds the commitment tree over the sealed entries, in entry
 // order. The operator keeps it alongside the key ring to answer
 // accusations with authentication paths.
@@ -268,12 +297,15 @@ func CommitTrace(p poa.PoA, zones []geo.GeoCircle, vmaxMS float64, random io.Rea
 	area = area.Expand(maxGap*vmaxMS + 1)
 
 	preds := make([]ZonePredicate, 0, len(zones))
+	dist := make([]float64, len(samples)) // each sample's distance to the zone's boundary
 	for _, z := range zones {
+		for i, s := range samples {
+			dist[i] = z.BoundaryDistMeters(s.Pos)
+		}
 		clearance := math.Inf(1)
 		for i := 0; i+1 < len(samples); i++ {
 			dt := samples[i+1].Time.Sub(samples[i].Time).Seconds()
-			v := z.BoundaryDistMeters(samples[i].Pos) + z.BoundaryDistMeters(samples[i+1].Pos) - vmaxMS*dt
-			if v < clearance {
+			if v := dist[i] + dist[i+1] - vmaxMS*dt; v < clearance {
 				clearance = v
 			}
 		}

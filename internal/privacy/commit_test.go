@@ -3,6 +3,7 @@ package privacy
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -73,6 +74,71 @@ func TestCommitTraceEnvelope(t *testing.T) {
 	pr.Leaf = poa.LeafHash(forged.LeafBytes())
 	if poa.VerifyMerkleProof(root, pr) == nil {
 		t.Fatal("forged leaf verified against root")
+	}
+}
+
+// TestCommitTracePredicatesMatchReference keeps the double loop that
+// measured each sample's boundary distance once per pair side: over a
+// random trace and random zones, the one-pass predicates must be
+// float-identical to it.
+func TestCommitTracePredicatesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var p poa.PoA
+	pos, at := urbana, t0
+	for i := 0; i < 120; i++ {
+		pos = pos.Offset(rng.Float64()*360, rng.Float64()*40)
+		at = at.Add(time.Duration(200+rng.Intn(3000)) * time.Millisecond)
+		p.Append(poa.SignedSample{Sample: poa.Sample{Pos: pos, Time: at}.Canon(), Sig: []byte("sig")})
+	}
+	zones := make([]geo.GeoCircle, 25)
+	for i := range zones {
+		zones[i] = geo.GeoCircle{Center: urbana.Offset(rng.Float64()*360, rng.Float64()*2000), R: 5 + rng.Float64()*300}
+	}
+	_, _, env, err := CommitTrace(p, zones, geo.MaxDroneSpeedMPS, rand.New(rand.NewSource(38)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := p.Alibi()
+	for k, z := range zones {
+		want := math.Inf(1)
+		for i := 0; i+1 < len(samples); i++ {
+			dt := samples[i+1].Time.Sub(samples[i].Time).Seconds()
+			v := z.BoundaryDistMeters(samples[i].Pos) + z.BoundaryDistMeters(samples[i+1].Pos) - geo.MaxDroneSpeedMPS*dt
+			if v < want {
+				want = v
+			}
+		}
+		if got := env.Predicates[k].ClearanceMeters; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("zone %d: clearance %v, reference %v", k, got, want)
+		}
+	}
+}
+
+// TestDecodeLeaf: every sealed entry's leaf decodes to the entry and
+// re-encodes to itself; a cut or extended leaf is refused.
+func TestDecodeLeaf(t *testing.T) {
+	p, _ := buildSignedPoA(t, 5, time.Second)
+	sealed, _, err := Seal(p, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range sealed.Entries {
+		leaf := e.LeafBytes()
+		got, err := DecodeLeaf(leaf)
+		if err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		if !bytes.Equal(got.LeafBytes(), leaf) || !got.Time.Equal(e.Time) {
+			t.Errorf("entry %d does not round-trip", i)
+		}
+		for cut := 0; cut < len(leaf); cut++ {
+			if _, err := DecodeLeaf(leaf[:cut]); !errors.Is(err, ErrBadEnvelopeEncoding) {
+				t.Fatalf("entry %d cut at %d: err = %v", i, cut, err)
+			}
+		}
+		if _, err := DecodeLeaf(append(leaf, 0)); !errors.Is(err, ErrBadEnvelopeEncoding) {
+			t.Errorf("entry %d with a trailing byte: err = %v", i, err)
+		}
 	}
 }
 

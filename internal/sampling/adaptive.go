@@ -39,6 +39,10 @@ type Adaptive struct {
 	// Metrics, when set, receives read/auth counters and the
 	// samples-per-zone-crossing histogram under mode="adaptive".
 	Metrics *obs.Registry
+
+	// reads and auths are Metrics' per-call counters, resolved when Run
+	// starts.
+	reads, auths *obs.Counter
 }
 
 // Rule is the adaptive sampler's decision rule.
@@ -96,6 +100,8 @@ func (a *Adaptive) Run(until time.Time) (*RunResult, error) {
 	// how many authenticated samples it cost.
 	heartbeats := a.Metrics.Counter(obs.L(MetricHeartbeatsTotal, "mode", "adaptive"))
 	crossing := a.Metrics.Histogram(obs.L(MetricZoneCrossingSamples, "mode", "adaptive"), obs.CountBuckets)
+	a.reads = a.Metrics.ResolveCounter(obs.L(MetricReadsTotal, "mode", "adaptive"))
+	a.auths = a.Metrics.ResolveCounter(obs.L(MetricAuthTotal, "mode", "adaptive"))
 	burst := 0
 	flushBurst := func() {
 		if burst > 0 {
@@ -227,7 +233,7 @@ func (a *Adaptive) readSample(res *RunResult) (poa.Sample, error) {
 		return poa.Sample{}, err
 	}
 	res.Stats.Reads++
-	a.Metrics.Counter(obs.L(MetricReadsTotal, "mode", "adaptive")).Inc()
+	a.reads.Inc()
 	return s, nil
 }
 
@@ -243,7 +249,7 @@ func (a *Adaptive) authSample(res *RunResult, held time.Time) (poa.Sample, error
 		return poa.Sample{}, fmt.Errorf("held fix signed at %v, want %v", ss.Sample.Time, held)
 	}
 	res.Stats.AuthCalls++
-	a.Metrics.Counter(obs.L(MetricAuthTotal, "mode", "adaptive")).Inc()
+	a.auths.Inc()
 	res.record(ss)
 	return ss.Sample, nil
 }

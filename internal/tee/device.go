@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -108,15 +109,23 @@ const (
 	// MetricSignedBytesTotal counts bytes covered by signatures/MACs.
 	MetricSignedBytesTotal = "alidrone_tee_signed_bytes_total"
 	// MetricSignSeconds is the latency histogram of in-TEE signing,
-	// labelled op=sign|seal.
+	// labelled op=sign|seal|commit.
 	MetricSignSeconds = "alidrone_tee_sign_seconds"
 )
+
+// deviceMetrics is every series the secure world updates, resolved once
+// when a registry is attached: an SMC or a signature renders no name.
+type deviceMetrics struct {
+	reg                           *obs.Registry
+	smc, signs, macs, signedBytes *obs.Counter
+	signSeconds                   obs.Series[*obs.Histogram] // by op
+}
 
 // Device models one TrustZone-capable SoC with its secure world.
 type Device struct {
 	clock   Clock
 	vault   *KeyVault
-	metrics *obs.Registry
+	metrics atomic.Pointer[deviceMetrics] // nil: instrumentation off
 
 	mu    sync.Mutex
 	tas   map[UUID]TrustedApp
@@ -140,20 +149,22 @@ func NewDevice(clock Clock, vault *KeyVault) *Device {
 // Clock returns the device clock (TAs read time through this).
 func (d *Device) Clock() Clock { return d.clock }
 
-// SetMetrics attaches a metrics registry to the device. Call before the
-// device starts serving SMCs; a nil registry (the default) disables
-// instrumentation at the cost of one pointer comparison per call.
+// SetMetrics attaches a metrics registry to the device, before or after
+// its TAs are installed; a nil registry (the default) disables
+// instrumentation at the cost of one pointer load per call.
 func (d *Device) SetMetrics(reg *obs.Registry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.metrics = reg
-}
-
-// Metrics returns the device registry (nil when disabled).
-func (d *Device) Metrics() *obs.Registry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.metrics
+	var m *deviceMetrics
+	if reg != nil {
+		m = &deviceMetrics{
+			reg:         reg,
+			smc:         reg.ResolveCounter(MetricSMCTotal),
+			signs:       reg.ResolveCounter(MetricSignsTotal),
+			macs:        reg.ResolveCounter(MetricMACsTotal),
+			signedBytes: reg.ResolveCounter(MetricSignedBytesTotal),
+			signSeconds: reg.HistogramSeries(MetricSignSeconds, "op", obs.DurationBuckets, "sign", "seal", "commit"),
+		}
+	}
+	d.metrics.Store(m)
 }
 
 // Vault exposes the key vault to trusted applications at install time.
@@ -178,7 +189,6 @@ func (d *Device) Install(ta TrustedApp) error {
 func (d *Device) Invoke(id UUID, cmd uint32, req []byte) ([]byte, error) {
 	d.mu.Lock()
 	ta, ok := d.tas[id]
-	reg := d.metrics
 	if ok {
 		d.stats.SMCCalls++
 	}
@@ -186,7 +196,9 @@ func (d *Device) Invoke(id UUID, cmd uint32, req []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTA, id)
 	}
-	reg.Counter(MetricSMCTotal).Inc()
+	if m := d.metrics.Load(); m != nil {
+		m.smc.Inc()
+	}
 	return ta.Invoke(cmd, req)
 }
 
@@ -210,10 +222,11 @@ func (d *Device) chargeSign(coveredBytes int) {
 	d.mu.Lock()
 	d.stats.Signs++
 	d.stats.SignedBytes += uint64(coveredBytes)
-	reg := d.metrics
 	d.mu.Unlock()
-	reg.Counter(MetricSignsTotal).Inc()
-	reg.Counter(MetricSignedBytesTotal).Add(uint64(coveredBytes))
+	if m := d.metrics.Load(); m != nil {
+		m.signs.Inc()
+		m.signedBytes.Add(uint64(coveredBytes))
+	}
 }
 
 // chargeMAC is called by TAs after computing a symmetric tag.
@@ -221,8 +234,9 @@ func (d *Device) chargeMAC(coveredBytes int) {
 	d.mu.Lock()
 	d.stats.MACs++
 	d.stats.SignedBytes += uint64(coveredBytes)
-	reg := d.metrics
 	d.mu.Unlock()
-	reg.Counter(MetricMACsTotal).Inc()
-	reg.Counter(MetricSignedBytesTotal).Add(uint64(coveredBytes))
+	if m := d.metrics.Load(); m != nil {
+		m.macs.Inc()
+		m.signedBytes.Add(uint64(coveredBytes))
+	}
 }

@@ -1,6 +1,7 @@
 package tee
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/gps"
 	"repro/internal/obs"
 	"repro/internal/poa"
+	"repro/internal/privacy"
 	"repro/internal/sigcrypto"
 	"repro/internal/trace"
 )
@@ -234,10 +236,7 @@ func TestCommitTrace(t *testing.T) {
 	reg := obs.NewRegistry(nil)
 	dev.SetMetrics(reg)
 	smcs := dev.Snapshot().SMCCalls
-	req, err := json.Marshal(CommitTraceRequest{Zones: []geo.GeoCircle{{Center: geo.LatLon{Lat: 40.2, Lon: -88.2}, R: 100}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := EncodeCommitTraceRequest([]geo.GeoCircle{{Center: geo.LatLon{Lat: 40.2, Lon: -88.2}, R: 100}}, 0)
 	if _, err := dev.Invoke(GPSSamplerUUID, CmdCommitTrace, []byte("{")); !errors.Is(err, ErrBadPayload) {
 		t.Errorf("bad request: err = %v, want ErrBadPayload", err)
 	}
@@ -255,18 +254,45 @@ func TestCommitTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res CommitTraceResult
-	if err := json.Unmarshal(raw, &res); err != nil {
+	env, sealed, keys, err := DecodeCommitTraceResult(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Keys) != 3 || len(res.Envelope.Times) != 3 || res.Envelope.VMaxMS != geo.MaxDroneSpeedMPS {
-		t.Errorf("commit: %d keys, %d times, vmax %v; want 3, 3, the FAA cap", len(res.Keys), len(res.Envelope.Times), res.Envelope.VMaxMS)
+	if !bytes.Equal(encodeCommitTraceResult(env, sealed, keys), raw) {
+		t.Error("commit result does not re-encode to itself")
+	}
+	if len(keys) != 3 || len(env.Times) != 3 || env.VMaxMS != geo.MaxDroneSpeedMPS {
+		t.Errorf("commit: %d keys, %d times, vmax %v; want 3, 3, the FAA cap", len(keys), len(env.Times), env.VMaxMS)
 	}
 	if d := dev.Snapshot().Signs - before.Signs; d != 4 {
 		t.Errorf("commit signed %d times, want 3 samples + 1 envelope", d)
 	}
-	if err := dev.Vault().SuiteKey().Verify(res.Envelope.SigningBytes(), res.Envelope.Sig); err != nil {
+	if err := dev.Vault().SuiteKey().Verify(env.SigningBytes(), env.Sig); err != nil {
 		t.Errorf("envelope signature does not verify: %v", err)
+	}
+	tree, err := sealed.MerkleTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root := tree.Root(); !bytes.Equal(root[:], env.Root) {
+		t.Error("sealed entries do not rebuild the envelope's root")
+	}
+	for i, e := range sealed.Entries {
+		s, err := privacy.Open(e, keys[i])
+		if err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		if !s.Time.Equal(env.Times[i]) {
+			t.Errorf("entry %d opens at %v, envelope says %v", i, s.Time, env.Times[i])
+		}
+	}
+	for cut := 0; cut < len(raw); cut += 7 {
+		if _, _, _, err := DecodeCommitTraceResult(raw[:cut]); !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("result cut at %d: err = %v, want ErrBadPayload", cut, err)
+		}
+	}
+	if _, _, _, err := DecodeCommitTraceResult(append(raw[:len(raw):len(raw)], 0)); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("trailing byte: err = %v, want ErrBadPayload", err)
 	}
 	if _, err := dev.Invoke(GPSSamplerUUID, CmdCommitTrace, req); !errors.Is(err, ErrEmptyTraceBuffer) {
 		t.Errorf("second commit: err = %v, want ErrEmptyTraceBuffer", err)

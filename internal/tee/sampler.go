@@ -7,11 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/gps"
-	"repro/internal/obs"
 	"repro/internal/poa"
 	"repro/internal/privacy"
 	"repro/internal/sigcrypto"
@@ -55,8 +55,8 @@ const (
 	// CmdCommitTrace signs each buffered sample, seals the trace under
 	// one-time keys, and signs the commit-mode envelope (Merkle root over
 	// the sealed entries plus zone clearance predicates) before clearing
-	// the buffer. Request: JSON CommitTraceRequest. Response: JSON
-	// CommitTraceResult.
+	// the buffer. Request: EncodeCommitTraceRequest. Response: see
+	// DecodeCommitTraceResult.
 	CmdCommitTrace
 )
 
@@ -220,15 +220,18 @@ func (ta *GPSSamplerTA) getGPSAuth(req []byte) ([]byte, error) {
 		return nil, err
 	}
 	ta.dev.chargeSign(len(msg))
-	return encodeAuthSegments(msg, sig, epoch), nil
+	return encodeSigned(msg, sig, epoch), nil
 }
 
 // timedSign signs msg in the vault under the op-labelled sign-latency
 // histogram (a straight vault.sign when metrics are disabled) and reports
 // the key epoch the signature was produced under.
 func (ta *GPSSamplerTA) timedSign(op string, msg []byte) ([]byte, int, error) {
-	reg := ta.dev.Metrics()
-	sp := reg.StartSpan(reg.Histogram(obs.L(MetricSignSeconds, "op", op), obs.DurationBuckets))
+	m := ta.dev.metrics.Load()
+	if m == nil {
+		return ta.dev.Vault().sign(msg)
+	}
+	sp := m.reg.StartSpan(m.signSeconds.With(op))
 	sig, epoch, err := ta.dev.Vault().sign(msg)
 	sp.End()
 	return sig, epoch, err
@@ -268,37 +271,19 @@ func (ta *GPSSamplerTA) sealTrace() ([]byte, error) {
 	}
 	ta.dev.chargeSign(len(msg))
 	ta.buffer = nil
-	return encodeAuthSegments(msg, sig, epoch), nil
-}
-
-// CommitTraceRequest parameterises CmdCommitTrace: the zones the drone
-// flew against (from its pre-flight zone query) and the speed bound used
-// for the clearance predicates. A non-positive VMaxMS falls back to the
-// FAA part-107 cap.
-type CommitTraceRequest struct {
-	Zones  []geo.GeoCircle `json:"zones"`
-	VMaxMS float64         `json:"vmaxMS"`
-}
-
-// CommitTraceResult is everything CmdCommitTrace hands back to the normal
-// world: the signed envelope for the Auditor, and the sealed entries plus
-// one-time keys the operator retains to answer accusations.
-type CommitTraceResult struct {
-	Envelope privacy.CommitEnvelope `json:"envelope"`
-	Sealed   privacy.SealedPoA      `json:"sealed"`
-	Keys     [][]byte               `json:"keys"`
+	return encodeSigned(msg, sig, epoch), nil
 }
 
 func (ta *GPSSamplerTA) commitTrace(req []byte) ([]byte, error) {
-	var r CommitTraceRequest
-	if err := json.Unmarshal(req, &r); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	zones, vmaxMS, err := decodeCommitTraceRequest(req)
+	if err != nil {
+		return nil, err
 	}
 	if len(ta.buffer) == 0 {
 		return nil, ErrEmptyTraceBuffer
 	}
-	if r.VMaxMS <= 0 {
-		r.VMaxMS = geo.MaxDroneSpeedMPS
+	if vmaxMS <= 0 {
+		vmaxMS = geo.MaxDroneSpeedMPS
 	}
 	var p poa.PoA
 	for _, s := range ta.buffer {
@@ -310,7 +295,7 @@ func (ta *GPSSamplerTA) commitTrace(req []byte) ([]byte, error) {
 		ta.dev.chargeSign(len(msg))
 		p.Append(poa.SignedSample{Sample: s, Sig: sig, KeyEpoch: epoch})
 	}
-	sealed, ring, env, err := privacy.CommitTrace(p, r.Zones, r.VMaxMS, ta.random)
+	sealed, ring, env, err := privacy.CommitTrace(p, zones, vmaxMS, ta.random)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +313,96 @@ func (ta *GPSSamplerTA) commitTrace(req []byte) ([]byte, error) {
 		}
 	}
 	ta.buffer = nil
-	return json.Marshal(CommitTraceResult{Envelope: *env, Sealed: sealed, Keys: keys})
+	return encodeCommitTraceResult(*env, sealed, keys), nil
+}
+
+// EncodeCommitTraceRequest is CmdCommitTrace's payload: the zones the
+// drone flew against and the speed bound of the clearance predicates (a
+// non-positive vmaxMS selects the FAA part-107 cap). Layout: uint16 zone
+// count | per zone lat, lon, R | vmax, each float64 big-endian.
+func EncodeCommitTraceRequest(zones []geo.GeoCircle, vmaxMS float64) []byte {
+	b := binary.BigEndian.AppendUint16(make([]byte, 0, 2+24*len(zones)+8), uint16(len(zones)))
+	for _, z := range zones {
+		b = appendFloat(appendFloat(appendFloat(b, z.Center.Lat), z.Center.Lon), z.R)
+	}
+	return appendFloat(b, vmaxMS)
+}
+
+// decodeCommitTraceRequest reverses EncodeCommitTraceRequest. The bytes
+// come from the untrusted normal world: a wrong length, an invalid zone or
+// a non-finite speed bound is refused, so an accepted request re-encodes
+// to itself.
+func decodeCommitTraceRequest(b []byte) ([]geo.GeoCircle, float64, error) {
+	if len(b) < 2 || len(b) != 2+24*int(binary.BigEndian.Uint16(b))+8 {
+		return nil, 0, fmt.Errorf("%w: commit-trace request of %d bytes", ErrBadPayload, len(b))
+	}
+	zones := make([]geo.GeoCircle, binary.BigEndian.Uint16(b))
+	b = b[2:]
+	for i := range zones {
+		z := &zones[i]
+		z.Center.Lat, b = takeFloat(b)
+		z.Center.Lon, b = takeFloat(b)
+		if z.R, b = takeFloat(b); !z.Valid() {
+			return nil, 0, fmt.Errorf("%w: commit-trace zone %d is invalid", ErrBadPayload, i)
+		}
+	}
+	if vmaxMS, _ := takeFloat(b); !math.IsNaN(vmaxMS) && !math.IsInf(vmaxMS, 0) {
+		return zones, vmaxMS, nil
+	}
+	return nil, 0, fmt.Errorf("%w: commit-trace speed bound is not finite", ErrBadPayload)
+}
+
+func appendFloat(b []byte, f float64) []byte {
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+func takeFloat(b []byte) (float64, []byte) {
+	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:]
+}
+
+// encodeCommitTraceResult frames CmdCommitTrace's response as segments:
+// the encoded envelope for the Auditor, then per committed sample its
+// sealed entry's leaf encoding and its one-time key, which the operator
+// retains to answer accusations.
+func encodeCommitTraceResult(env privacy.CommitEnvelope, sealed privacy.SealedPoA, keys [][]byte) []byte {
+	segs := [][]byte{privacy.EncodeCommitEnvelope(env)}
+	for i, e := range sealed.Entries {
+		segs = append(segs, e.LeafBytes(), keys[i])
+	}
+	return encodeSegments(segs...)
+}
+
+// DecodeCommitTraceResult unpacks a CmdCommitTrace response into the
+// signed envelope, the sealed entries and their one-time keys: exactly one
+// entry and key per committed sample, so an accepted response re-encodes
+// to itself. Byte fields alias resp.
+func DecodeCommitTraceResult(resp []byte) (privacy.CommitEnvelope, privacy.SealedPoA, [][]byte, error) {
+	bad := func(err error) (privacy.CommitEnvelope, privacy.SealedPoA, [][]byte, error) {
+		return privacy.CommitEnvelope{}, privacy.SealedPoA{}, nil, fmt.Errorf("%w: commit-trace result: %w", ErrBadPayload, err)
+	}
+	segs, err := DecodeSegments(resp)
+	if err == nil && len(segs) == 0 {
+		err = errors.New("no envelope")
+	}
+	if err != nil {
+		return bad(err)
+	}
+	env, err := privacy.DecodeCommitEnvelope(segs[0])
+	if err != nil {
+		return bad(err)
+	}
+	if len(segs) != 1+2*env.Len() {
+		return bad(fmt.Errorf("%d segments for %d samples", len(segs), env.Len()))
+	}
+	sealed := privacy.SealedPoA{Entries: make([]privacy.SealedSample, env.Len())}
+	keys := make([][]byte, env.Len())
+	for i := range keys {
+		if sealed.Entries[i], err = privacy.DecodeLeaf(segs[1+2*i]); err != nil {
+			return bad(err)
+		}
+		keys[i] = segs[2+2*i]
+	}
+	return env, sealed, keys, nil
 }
 
 func (ta *GPSSamplerTA) establishSessionKey(req []byte) ([]byte, error) {
@@ -359,7 +433,7 @@ func (ta *GPSSamplerTA) getGPSMAC(req []byte) ([]byte, error) {
 	msg := s.Marshal()
 	tag := sigcrypto.MAC(ta.sessionKey, msg)
 	ta.dev.chargeMAC(len(msg))
-	return encodeSegments(msg, tag), nil
+	return encodeSigned(msg, tag, 0), nil
 }
 
 // encodeSegments frames byte segments with uint32 length prefixes.
@@ -378,28 +452,22 @@ func encodeSegments(segs ...[]byte) []byte {
 	return out
 }
 
-// encodeAuthSegments frames a signed payload, appending the key epoch as a
-// third 4-byte segment when the vault has rotated. Epoch-zero responses
-// keep the original two-segment wire form, so devices that never rotate
-// stay byte-compatible with pre-rotation decoders.
-func encodeAuthSegments(msg, sig []byte, epoch int) []byte {
-	if epoch == 0 {
-		return encodeSegments(msg, sig)
-	}
-	var e [4]byte
-	binary.BigEndian.PutUint32(e[:], uint32(epoch))
-	return encodeSegments(msg, sig, e[:])
+// encodeSigned frames a signed (or MACed) payload with the key epoch it
+// was signed under as a third, 4-byte segment.
+func encodeSigned(msg, sig []byte, epoch int) []byte {
+	return encodeSegments(msg, sig, binary.BigEndian.AppendUint32(nil, uint32(epoch)))
 }
 
-// decodeEpochSegment reads the optional third response segment.
-func decodeEpochSegment(segs [][]byte) (int, error) {
-	if len(segs) < 3 {
-		return 0, nil
+// decodeSigned reverses encodeSigned.
+func decodeSigned(resp []byte) (msg, sig []byte, epoch int, err error) {
+	segs, err := DecodeSegments(resp)
+	if err == nil && (len(segs) != 3 || len(segs[2]) != 4) {
+		err = fmt.Errorf("%w: want message, signature and 4-byte epoch segments, got %d segments", ErrBadPayload, len(segs))
 	}
-	if len(segs[2]) != 4 {
-		return 0, fmt.Errorf("%w: epoch segment is %d bytes, want 4", ErrBadPayload, len(segs[2]))
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	return int(binary.BigEndian.Uint32(segs[2])), nil
+	return segs[0], segs[1], int(binary.BigEndian.Uint32(segs[2])), nil
 }
 
 // DecodeSegments reverses encodeSegments; exported because the normal-world
@@ -424,41 +492,27 @@ func DecodeSegments(b []byte) ([][]byte, error) {
 // DecodeAuthSample unpacks a CmdGetGPSAuth / CmdGetGPSMAC response into the
 // signed sample it carries.
 func DecodeAuthSample(resp []byte) (poa.SignedSample, error) {
-	segs, err := DecodeSegments(resp)
+	msg, sig, epoch, err := decodeSigned(resp)
 	if err != nil {
 		return poa.SignedSample{}, err
 	}
-	if len(segs) != 2 && len(segs) != 3 {
-		return poa.SignedSample{}, fmt.Errorf("%w: want 2 or 3 segments, got %d", ErrBadPayload, len(segs))
-	}
-	epoch, err := decodeEpochSegment(segs)
+	s, err := poa.UnmarshalSample(msg)
 	if err != nil {
 		return poa.SignedSample{}, err
 	}
-	s, err := poa.UnmarshalSample(segs[0])
-	if err != nil {
-		return poa.SignedSample{}, err
-	}
-	return poa.SignedSample{Sample: s, Sig: segs[1], KeyEpoch: epoch}, nil
+	return poa.SignedSample{Sample: s, Sig: sig, KeyEpoch: epoch}, nil
 }
 
 // DecodeSealedTrace unpacks a CmdSealTrace response into the batch PoA it
 // carries.
 func DecodeSealedTrace(resp []byte) (poa.BatchPoA, error) {
-	segs, err := DecodeSegments(resp)
+	msg, sig, epoch, err := decodeSigned(resp)
 	if err != nil {
 		return poa.BatchPoA{}, err
 	}
-	if len(segs) != 2 && len(segs) != 3 {
-		return poa.BatchPoA{}, fmt.Errorf("%w: want 2 or 3 segments, got %d", ErrBadPayload, len(segs))
-	}
-	epoch, err := decodeEpochSegment(segs)
+	samples, err := poa.UnmarshalBatch(msg)
 	if err != nil {
 		return poa.BatchPoA{}, err
 	}
-	samples, err := poa.UnmarshalBatch(segs[0])
-	if err != nil {
-		return poa.BatchPoA{}, err
-	}
-	return poa.BatchPoA{Samples: samples, Sig: segs[1], KeyEpoch: epoch}, nil
+	return poa.BatchPoA{Samples: samples, Sig: sig, KeyEpoch: epoch}, nil
 }

@@ -84,6 +84,11 @@ go test ./internal/poa -run '^$' -fuzz FuzzDecodeBatchPoA -fuzztime 10s
 echo ">> go test ./internal/privacy -fuzz FuzzDecodeCommitEnvelope -fuzztime 10s"
 go test ./internal/privacy -run '^$' -fuzz FuzzDecodeCommitEnvelope -fuzztime 10s
 
+# The commit TA decodes its request inside the secure world from bytes the
+# untrusted normal world wrote: an accepted request re-encodes to itself.
+echo ">> go test ./internal/tee -fuzz FuzzCommitTraceRequest -fuzztime 10s"
+go test ./internal/tee -run '^$' -fuzz FuzzCommitTraceRequest -fuzztime 10s
+
 # The one record decoder reads whatever the disk and cluster peers hand
 # it: any kind, any payload must come back as state or as an error.
 echo ">> go test ./internal/auditor -fuzz FuzzApplyRecord -fuzztime 10s"
